@@ -7,6 +7,7 @@ package isis_test
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,7 +196,23 @@ func BenchmarkE14RealNetwork(b *testing.B) {
 // delivered cast. It exists to catch per-message allocation creep — compare
 // allocs/op against the previous run in CI's bench artifact.
 func BenchmarkCastHotPath(b *testing.B) {
-	const n = 8
+	benchCastFlood(b, 8, 1, types.FIFO)
+}
+
+// BenchmarkCastHotPathAllSenders is the same flood with every member casting
+// CBCAST in turn. With one sender every piggybacked watermark vector has one
+// entry; here each has n, so this is where the per-message cost of stability
+// accounting (n entries folded into an n×n matrix) shows.
+func BenchmarkCastHotPathAllSenders(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) { benchCastFlood(b, n, n, types.Causal) })
+	}
+}
+
+// benchCastFlood floods b.N async casts through a warm n-member group, the
+// first `senders` members casting round-robin with at most 1024 casts in
+// flight, and waits until every member has delivered every cast.
+func benchCastFlood(b *testing.B, n, senders int, o types.Ordering) {
 	c := cluster.MustNew(n, cluster.Options{})
 	defer c.Stop()
 
@@ -221,8 +238,10 @@ func BenchmarkCastHotPath(b *testing.B) {
 	payload := []byte("hot-path-payload-0123456789")
 
 	// Warm the path so steady state is what gets measured.
-	groups[0].CastAsync(types.FIFO, payload)
-	for delivered.Load() < n {
+	for i := 0; i < senders; i++ {
+		groups[i].CastAsync(o, payload)
+	}
+	for delivered.Load() < int64(n*senders) {
 		time.Sleep(50 * time.Microsecond)
 	}
 
@@ -243,7 +262,7 @@ func BenchmarkCastHotPath(b *testing.B) {
 			time.Sleep(20 * time.Microsecond)
 			continue
 		}
-		groups[0].CastAsync(types.FIFO, payload)
+		groups[sent%int64(senders)].CastAsync(o, payload)
 		sent++
 	}
 	for delivered.Load() < want {

@@ -1118,24 +1118,31 @@ func (g *Group) onCast(m *types.Message) {
 		return
 	}
 	g.ingestStab(m)
-	if g.wedged && m.From != g.stack.node.PID() {
-		if g.pending != nil && m.ID.Seq <= g.pending.cut[m.ID.Sender] {
-			// Below the announced cut: process it so the install can
-			// complete (sequencing stays frozen during the flush).
-			g.processCast(m, false, true)
-			g.recheckPendingInstall()
-			return
-		}
-		// A view change is in progress and no cut is known yet: park the
-		// cast. Delivering it eagerly could exceed the eventual cut at this
-		// member only, breaking set agreement; the install replays parked
-		// casts up to the cut and discards the rest.
+	if g.parksCast(m) {
 		g.parked = append(g.parked, m)
 		g.ackCast(m)
 		return
 	}
-	g.processCast(m, true, true)
+	g.processCast(m, g.maySequence(m), true)
 	g.recheckPendingInstall()
+}
+
+// parksCast reports whether a current-view cast must wait out the view
+// change in progress: a wedged member parks every peer's cast until the
+// install announces the delivery cut, and every cast beyond the cut after
+// that. Delivering one eagerly could exceed the eventual cut at this member
+// only, breaking set agreement; the install replays parked casts up to the
+// cut and discards the rest. A cast at or below a known cut is taken in, so
+// the pending install can complete.
+func (g *Group) parksCast(m *types.Message) bool {
+	return g.wedged && m.From != g.stack.node.PID() &&
+		(g.pending == nil || m.ID.Seq > g.pending.cut[m.ID.Sender])
+}
+
+// maySequence reports whether the sequencer may still assign m a slot:
+// sequencing stays frozen for peers' casts while a flush is in progress.
+func (g *Group) maySequence(m *types.Message) bool {
+	return !g.wedged || m.From == g.stack.node.PID()
 }
 
 // processCast runs the receive path for one current-view cast: duplicate
@@ -1242,6 +1249,9 @@ func (g *Group) ingestStab(m *types.Message) {
 	if !g.joined || m.View != g.view.ID || g.rel == nil {
 		return
 	}
+	if m.From == g.stack.node.PID() {
+		return // self-delivery: our own watermarks are the tracker's state already
+	}
 	var ord uint64
 	if m.StabOrd > 0 {
 		ord = m.StabOrd - 1
@@ -1281,26 +1291,20 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 }
 
 // onCastBatch is the batch-frame form of onCast: per-message bookkeeping
-// (reliability tracking, acknowledgement, sequencing) runs in one loop, then
-// each ordering engine accepts its sub-batch and releases deliveries in one
-// pass, and the pending-install cut is rechecked once for the whole frame.
-// In the default cumulative mode a whole frame of casts is acknowledged by
-// one stability report per originator in it; the legacy per-cast mode's
-// acks (and the order announcements) coalesce in the node's outbox, so they
-// cost at most a frame rather than one transmission each. Wedged groups
-// fall back to the per-message path, which owns the parking rules.
+// (reliability tracking, parking, sequencing) runs in one loop, then each
+// ordering engine accepts its sub-batch and releases deliveries in one pass,
+// and everything cumulative is settled once for the whole frame — the
+// piggybacked stability report is folded once per source, the frame is
+// acknowledged by one stability report per originator in it, and the
+// pending-install cut is rechecked once. The legacy per-cast mode's acks
+// (and the order announcements) coalesce in the node's outbox, so they cost
+// at most a frame rather than one transmission each.
 func (g *Group) onCastBatch(ms []*types.Message) {
 	if len(ms) == 1 {
 		g.onCast(ms[0])
 		return
 	}
 	if g.closed {
-		return
-	}
-	if g.wedged {
-		for _, m := range ms {
-			g.onCast(m)
-		}
 		return
 	}
 	self := g.stack.node.PID()
@@ -1310,11 +1314,17 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// outside the known orderings is delivered directly, like onCast does.
 	var byOrdering [4][]*types.Message
 	var direct []*types.Message
+	// Watermarks are cumulative and monotone, so the last report a source put
+	// in the frame is pointwise at least every earlier one: folding it alone,
+	// after the frame's casts are noted, leaves the tracker where folding
+	// each in turn would. A frame has one source; should the source change
+	// mid-run the previous one's report is folded on the spot.
+	var report *types.Message
 	// Cumulative mode acknowledges per sender, not per message: one
 	// stability report to each distinct originator in the frame, sent after
-	// intake so it covers the whole frame (duplicates count too — their
-	// earlier report may have been the casualty). reportTo stays tiny, so a
-	// linear membership test beats a map.
+	// intake so it covers the whole frame (parked casts and duplicates count
+	// too — their earlier report may have been the casualty). reportTo stays
+	// tiny, so a linear membership test beats a map.
 	var reportTo []types.ProcessID
 	// Legacy mode collects per-cast acknowledgements and sends them after
 	// the loop so they all carry the frame's final stability report; one
@@ -1333,8 +1343,12 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			}
 			continue
 		}
-		g.ingestStab(m)
-		fresh := g.rel.Note(m)
+		if len(m.Stab) > 0 || m.StabOrd > 0 {
+			if report != nil && report.From != m.From {
+				g.ingestStab(report)
+			}
+			report = m
+		}
 		// Acknowledge receipt (duplicates re-acknowledge: the first ack may
 		// have been the casualty).
 		if perCast {
@@ -1350,12 +1364,16 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		} else if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
 			reportTo = append(reportTo, s)
 		}
-		if !fresh {
+		if g.parksCast(m) {
+			g.parked = append(g.parked, m)
+			continue
+		}
+		if !g.rel.Note(m) {
 			continue // already held: a network duplicate or retransmission
 		}
 		// The sequencer assigns the total order for casts that need one,
 		// skipping casts it has already sequenced.
-		if m.Ordering == types.Total && m.Seq == 0 && g.seqr != nil && !g.total.Ordered(m.ID) {
+		if m.Ordering == types.Total && m.Seq == 0 && g.seqr != nil && g.maySequence(m) && !g.total.Ordered(m.ID) {
 			seq := g.seqr.Assign()
 			orderMsg := &types.Message{
 				Kind:  types.KindOrder,
@@ -1393,6 +1411,9 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		for _, d := range g.total.AddBatch(batch) {
 			g.deliver(d)
 		}
+	}
+	if report != nil {
+		g.ingestStab(report)
 	}
 	// Cumulative mode: one report per distinct originator, covering every
 	// cast of the frame at once. Legacy mode: one ack per cast, sharing one

@@ -29,9 +29,8 @@ func (g *Group) onRecoveryTick() {
 	}
 	rcfg := g.cfg.Reliability
 
-	// Keep stability advancing even when no reports arrive (sole member,
-	// idle group), and keep the total-order engine pruned.
-	g.rel.Advance()
+	// Keep the total-order engine pruned even when no reports arrive (a sole
+	// member's own delivered prefix is the stable one).
 	g.total.SetStable(g.rel.StableOrd(g.total.NextSeq() - 1))
 
 	// Wedged with no install in sight: ask a member that moved on. If a full

@@ -120,11 +120,19 @@ func (s *Stack) SyncWALs() {
 	})
 }
 
+// lookup finds this process's Group for gid (actor goroutine only). Unlike
+// indexing by gid.Key() it allocates nothing: every inbound message pays it.
+func (s *Stack) lookup(gid types.GroupID) (*Group, bool) {
+	var buf [64]byte
+	g, ok := s.groups[string(gid.AppendKey(buf[:0]))]
+	return g, ok
+}
+
 // route adapts a Group method into a node handler, dispatching on the
 // message's group id.
 func (s *Stack) route(fn func(*Group, *types.Message)) node.Handler {
 	return func(m *types.Message) {
-		g, ok := s.groups[m.Group.Key()]
+		g, ok := s.lookup(m.Group)
 		if !ok {
 			return // group unknown at this process (stale or misdirected)
 		}
@@ -140,12 +148,11 @@ func (s *Stack) route(fn func(*Group, *types.Message)) node.Handler {
 // accept the whole sub-run in one pass.
 func (s *Stack) routeCastBatch(ms []*types.Message) {
 	for i := 0; i < len(ms); {
-		key := ms[i].Group.Key()
 		j := i + 1
-		for j < len(ms) && ms[j].Group.Key() == key {
+		for j < len(ms) && ms[j].Group.Equal(ms[i].Group) {
 			j++
 		}
-		if g, ok := s.groups[key]; ok {
+		if g, ok := s.lookup(ms[i].Group); ok {
 			if s.det != nil {
 				s.det.Alive(ms[i].From)
 			}
@@ -168,7 +175,7 @@ func (s *Stack) ReportSuspicion(p types.ProcessID) {
 // goroutine (read-only snapshot via the actor).
 func (s *Stack) Get(gid types.GroupID) *Group {
 	var g *Group
-	_ = s.node.Call(func() { g = s.groups[gid.Key()] })
+	_ = s.node.Call(func() { g, _ = s.lookup(gid) })
 	return g
 }
 
@@ -191,7 +198,7 @@ func (s *Stack) Create(gid types.GroupID, cfg Config) (*Group, error) {
 	var g *Group
 	var err error
 	callErr := s.node.Call(func() {
-		if _, exists := s.groups[gid.Key()]; exists {
+		if _, exists := s.lookup(gid); exists {
 			err = fmt.Errorf("create %s: already a member: %w", gid, types.ErrRejected)
 			return
 		}
@@ -222,7 +229,7 @@ func (s *Stack) Join(ctx context.Context, gid types.GroupID, contact types.Proce
 	var g *Group
 	var regErr error
 	callErr := s.node.Call(func() {
-		if _, exists := s.groups[gid.Key()]; exists {
+		if _, exists := s.lookup(gid); exists {
 			regErr = fmt.Errorf("join %s: already a member: %w", gid, types.ErrRejected)
 			return
 		}
@@ -285,7 +292,7 @@ func (s *Stack) Join(ctx context.Context, gid types.GroupID, contact types.Proce
 // abandon removes a group registration that never completed joining.
 func (s *Stack) abandon(gid types.GroupID) {
 	_ = s.node.Call(func() {
-		if g, ok := s.groups[gid.Key()]; ok && !g.joined {
+		if g, ok := s.lookup(gid); ok && !g.joined {
 			g.closed = true
 			g.closeWAL()
 			delete(s.groups, gid.Key())
@@ -301,7 +308,7 @@ func (s *Stack) remove(gid types.GroupID) {
 // onJoinRequest handles a join request arriving at any member: forward it to
 // the coordinator if necessary, otherwise queue the join.
 func (s *Stack) onJoinRequest(m *types.Message) {
-	g, ok := s.groups[m.Group.Key()]
+	g, ok := s.lookup(m.Group)
 	if !ok || !g.joined || g.closed {
 		_ = s.node.Reply(m, nil, types.ErrNoSuchGroup.Error())
 		return
@@ -322,7 +329,7 @@ func (s *Stack) onJoinRequest(m *types.Message) {
 
 // onLeaveRequest handles a leave request at the coordinator (or forwards).
 func (s *Stack) onLeaveRequest(m *types.Message) {
-	g, ok := s.groups[m.Group.Key()]
+	g, ok := s.lookup(m.Group)
 	if !ok || !g.joined || g.closed {
 		_ = s.node.Reply(m, nil, types.ErrNoSuchGroup.Error())
 		return
@@ -343,7 +350,7 @@ func (s *Stack) onLeaveRequest(m *types.Message) {
 // Group object yet only in the (unsupported) uninvited-add case; normally the
 // group exists because Join registered it.
 func (s *Stack) onViewInstall(m *types.Message) {
-	g, ok := s.groups[m.Group.Key()]
+	g, ok := s.lookup(m.Group)
 	if !ok {
 		return
 	}

@@ -165,9 +165,12 @@ func (o *outbox) flushDest(to types.ProcessID) {
 	}
 	// Both transports are done with the slice when SendBatch returns (the
 	// fabric clones at send time, TCP copies into its wire frame), so the
-	// buffer can be recycled.
+	// buffer can be recycled — emptied first: a stale pointer would keep its
+	// message, and the whole SendCopies block the message was cut from, alive
+	// for as long as the buffer waits on the free list.
 	o.mu.Lock()
 	if cap(q) == o.max && len(o.free) < 64 {
+		clear(q)
 		o.free = append(o.free, q)
 	}
 	o.mu.Unlock()
@@ -207,7 +210,9 @@ func (o *outbox) onWindow() {
 }
 
 // stop cancels the window timer. Pending messages are dropped with the
-// endpoint, exactly as messages already handed to the transport would be.
+// endpoint, exactly as messages already handed to the transport would be —
+// and released, along with the recycled buffers: a halted process stays
+// reachable from its runtime, and must not pin what it never sent.
 func (o *outbox) stop() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -215,4 +220,6 @@ func (o *outbox) stop() {
 		o.timer.Stop()
 		o.timer = nil
 	}
+	clear(o.queues)
+	o.order, o.free = nil, nil
 }

@@ -118,6 +118,39 @@ func TestOutboxDirectSendBarrierFlush(t *testing.T) {
 	}
 }
 
+// TestOutboxReleasesWhatItNoLongerNeeds pins the outbox's retention: a
+// recycled queue buffer holds no message (a stale pointer would pin the whole
+// SendCopies block the message was cut from until the buffer's slot is
+// overwritten), and a stopped outbox holds nothing — a crashed process stays
+// reachable from its runtime, so whatever its outbox kept would never be
+// collected.
+func TestOutboxReleasesWhatItNoLongerNeeds(t *testing.T) {
+	ep := &recordingEndpoint{}
+	ob := newOutbox(ep, Batching{MaxBatch: 4, Window: time.Hour})
+	for i := uint64(0); i < 3; i++ {
+		_ = ob.enqueue(cast(pid(2), i))
+	}
+	ob.flushAll()
+	if len(ob.free) != 1 {
+		t.Fatalf("%d recycled buffers after one flush, want 1", len(ob.free))
+	}
+	for i, m := range ob.free[0][:cap(ob.free[0])] {
+		if m != nil {
+			t.Errorf("recycled buffer still holds a message at %d", i)
+		}
+	}
+	_ = ob.enqueue(cast(pid(2), 9))
+	_ = ob.enqueue(cast(pid(3), 9))
+	ob.stop()
+	if len(ob.queues) != 0 || len(ob.free) != 0 {
+		t.Errorf("stopped outbox keeps %d queues and %d buffers", len(ob.queues), len(ob.free))
+	}
+	// A send racing the stop is dropped like one already handed to a closed
+	// endpoint, not a crash.
+	_ = ob.enqueue(cast(pid(2), 10))
+	ob.stop() // and its window timer with it
+}
+
 // TestNodeBatchIntake pins receiver-side pipelining: messages arriving in
 // one frame reach a registered BatchHandler as one call per same-kind run.
 func TestNodeBatchIntake(t *testing.T) {

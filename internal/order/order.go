@@ -224,7 +224,9 @@ func (c *Causal) release() []*types.Message {
 				continue
 			}
 			if vclock.Deliverable(vclock.VC(m.VT), rank, c.local) {
-				c.local = c.local.Resize(maxInt(len(c.local), len(m.VT)))
+				if len(m.VT) > len(c.local) {
+					c.local = c.local.Resize(len(m.VT))
+				}
 				c.local[rank] = m.VT[rank]
 				c.local.Merge(vclock.VC(m.VT))
 				out = append(out, m)
@@ -509,11 +511,4 @@ func Sorted(ids []types.MsgID) []types.MsgID {
 		return out[i].Seq < out[j].Seq
 	})
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

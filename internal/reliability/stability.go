@@ -16,6 +16,7 @@
 package reliability
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/types"
@@ -98,6 +99,9 @@ type Stats struct {
 	StablePruned uint64
 	// Duplicates counts received casts rejected as already held.
 	Duplicates uint64
+	// Reports counts stability reports folded into a tracker — one per frame
+	// and source on the cast path, not one per cast.
+	Reports uint64
 }
 
 // Add accumulates o into s.
@@ -110,6 +114,7 @@ func (s *Stats) Add(o Stats) {
 	s.Reannounced += o.Reannounced
 	s.StablePruned += o.StablePruned
 	s.Duplicates += o.Duplicates
+	s.Reports += o.Reports
 }
 
 // SeqRange is an inclusive range of missing per-sender sequence numbers.
@@ -120,51 +125,165 @@ type SeqRange struct {
 
 // senderState is the per-sender receive and retransmit state within a view.
 type senderState struct {
-	ctg      uint64                    // contiguous receive watermark: 1..ctg all held
-	stable   uint64                    // min ctg reported across members
-	buf      map[uint64]*types.Message // every held cast with seq > stable
-	maxSeen  uint64                    // highest seq received (gap detection)
-	gapTicks int                       // consecutive timer ticks a gap has persisted
-	nakRR    int                       // round-robin cursor over NAK targets
+	pid     types.ProcessID
+	ctg     uint64                    // contiguous receive watermark: 1..ctg all held
+	stable  uint64                    // stability watermark: every member holds 1..stable
+	maxSeen uint64                    // highest seq received or heard of (gap detection)
+	buf     map[uint64]*types.Message // every held cast with seq > stable; nil until the first
+	// minRep caches the lowest watermark the other view members have reported
+	// for this sender and minCnt how many of them sit exactly at it, so a
+	// report entry costs a column rescan only when the last member holding
+	// the minimum back moves off it. A sole member has nobody to wait for
+	// (minRep is the maximum); a sender outside the view has no column, so
+	// its minRep stays zero and only SetFloor moves its stability.
+	minRep   uint64
+	minCnt   int
+	gapTicks int // consecutive timer ticks a gap has persisted
+	nakRR    int // round-robin cursor over NAK targets
+}
+
+// settle raises the stability watermark to what the view agrees on — the
+// lowest of this member's own contiguous watermark and everyone else's
+// reported one. Never above ctg, so a cast Note has not yet seen can never be
+// mistaken for a duplicate, whatever order casts and reports are fed in.
+func (t *Tracker) settle(s *senderState) {
+	floor := s.minRep
+	if s.ctg < floor {
+		floor = s.ctg
+	}
+	t.raiseStable(s, floor)
+}
+
+// raiseStable advances s.stable to floor (at most ctg) and releases the
+// buffered casts at or below it; every sequence in (stable, ctg] is buffered.
+func (t *Tracker) raiseStable(s *senderState, floor uint64) {
+	if floor <= s.stable {
+		return
+	}
+	for seq := s.stable + 1; seq <= floor; seq++ {
+		delete(s.buf, seq)
+	}
+	t.stats.StablePruned += floor - s.stable
+	s.stable = floor
+}
+
+// gaps appends the runs of sequence numbers in (ctg, hi] that are not
+// buffered — the casts a NAK asks for.
+func (s *senderState) gaps(out []SeqRange, hi uint64) []SeqRange {
+	lo := uint64(0)
+	for seq := s.ctg + 1; seq <= hi; seq++ {
+		if s.buf[seq] == nil {
+			if lo == 0 {
+				lo = seq
+			}
+			continue
+		}
+		if lo != 0 {
+			out = append(out, SeqRange{Sender: s.pid, Lo: lo, Hi: seq - 1})
+			lo = 0
+		}
+	}
+	if lo != 0 {
+		out = append(out, SeqRange{Sender: s.pid, Lo: lo, Hi: hi})
+	}
+	return out
 }
 
 // Tracker is one group member's reliability state for one view. It is owned
 // by the node's actor goroutine, like all per-group protocol state.
+//
+// State lives in slices indexed by slot. The view's members own slots 0..n-1
+// in view order — the same order at every member, which is also the order
+// StabVector emits entries in — and any other sender (the treecast hop
+// tracker runs without a member list) is appended at first contact.
 type Tracker struct {
-	self    types.ProcessID
-	members []types.ProcessID
-	senders map[types.ProcessID]*senderState
-	// reports holds the latest watermark vector and delivered ABCAST prefix
-	// each member piggybacked; stability is their pointwise minimum.
-	reports map[types.ProcessID]map[types.ProcessID]uint64
-	ordRep  map[types.ProcessID]uint64
-	stats   *Stats
+	self     types.ProcessID
+	members  []types.ProcessID
+	selfSlot int // self's slot, -1 when self is not in members
+	senders  []senderState
+	slots    map[types.ProcessID]int
+	last     int // slot of the latest lookup: casts arrive in per-sender runs
+	// rep[m][s] is the highest watermark member m has reported for member
+	// s's casts (a row stays nil until m first reports) and ordRep[m] its
+	// delivered ABCAST prefix; stability is their minimum over the members.
+	rep    [][]uint64
+	ordRep []uint64
+	stats  *Stats
 }
 
 // NewTracker creates the reliability state for one freshly installed view.
 // stats may be shared across views (counters are cumulative).
 func NewTracker(self types.ProcessID, members []types.ProcessID, stats *Stats) *Tracker {
+	n := len(members)
 	t := &Tracker{
-		self:    self,
-		members: types.CopyProcesses(members),
-		senders: make(map[types.ProcessID]*senderState),
-		reports: make(map[types.ProcessID]map[types.ProcessID]uint64),
-		ordRep:  make(map[types.ProcessID]uint64),
-		stats:   stats,
+		self:     self,
+		members:  types.CopyProcesses(members),
+		selfSlot: -1,
+		senders:  make([]senderState, n),
+		slots:    make(map[types.ProcessID]int, n),
+		rep:      make([][]uint64, n),
+		ordRep:   make([]uint64, n),
+		stats:    stats,
 	}
 	if t.stats == nil {
 		t.stats = &Stats{}
 	}
+	others := n // the members whose reports stability waits for
+	if types.ContainsProcess(members, self) {
+		others--
+	}
+	for i, p := range members {
+		t.slots[p] = i
+		if p == self {
+			t.selfSlot = i
+		}
+		s := &t.senders[i]
+		s.pid, s.minCnt = p, others
+		if others == 0 {
+			s.minRep = math.MaxUint64
+		}
+	}
 	return t
 }
 
-func (t *Tracker) sender(p types.ProcessID) *senderState {
-	s, ok := t.senders[p]
-	if !ok {
-		s = &senderState{buf: make(map[uint64]*types.Message)}
-		t.senders[p] = s
+// lookup finds p's slot with at most one map access.
+func (t *Tracker) lookup(p types.ProcessID) (int, bool) {
+	if t.last < len(t.senders) && t.senders[t.last].pid == p {
+		return t.last, true
 	}
-	return s
+	i, ok := t.slots[p]
+	if ok {
+		t.last = i
+	}
+	return i, ok
+}
+
+// memberSlot finds p's slot if p is a view member.
+func (t *Tracker) memberSlot(p types.ProcessID) (int, bool) {
+	i, ok := t.lookup(p)
+	return i, ok && i < len(t.members)
+}
+
+// sender returns p's state, appending a slot for a sender never seen before.
+// The pointer is good until the next call.
+func (t *Tracker) sender(p types.ProcessID) *senderState {
+	i, ok := t.lookup(p)
+	if !ok {
+		i = len(t.senders)
+		t.senders = append(t.senders, senderState{pid: p})
+		t.slots[p] = i
+		t.last = i
+	}
+	return &t.senders[i]
+}
+
+// peek returns a read-only copy of p's state, blank for a sender never seen:
+// queries allocate nothing.
+func (t *Tracker) peek(p types.ProcessID) senderState {
+	if i, ok := t.lookup(p); ok {
+		return t.senders[i]
+	}
+	return senderState{pid: p}
 }
 
 // Note registers the receipt of one cast. It reports false for duplicates —
@@ -174,16 +293,23 @@ func (t *Tracker) sender(p types.ProcessID) *senderState {
 func (t *Tracker) Note(m *types.Message) bool {
 	s := t.sender(m.ID.Sender)
 	seq := m.ID.Seq
-	if seq == 0 || seq <= s.stable || s.buf[seq] != nil {
+	if seq == 0 || seq <= s.stable || (seq <= s.maxSeen && s.buf[seq] != nil) {
 		t.stats.Duplicates++
 		return false
+	}
+	if s.buf == nil {
+		s.buf = make(map[uint64]*types.Message)
 	}
 	s.buf[seq] = m
 	if seq > s.maxSeen {
 		s.maxSeen = seq
 	}
-	for s.buf[s.ctg+1] != nil {
+	if seq == s.ctg+1 {
 		s.ctg++
+		for s.ctg < s.maxSeen && s.buf[s.ctg+1] != nil {
+			s.ctg++
+		}
+		t.settle(s)
 	}
 	if s.ctg >= s.maxSeen {
 		s.gapTicks = 0
@@ -192,7 +318,7 @@ func (t *Tracker) Note(m *types.Message) bool {
 }
 
 // Ctg returns the contiguous receive watermark for a sender.
-func (t *Tracker) Ctg(p types.ProcessID) uint64 { return t.sender(p).ctg }
+func (t *Tracker) Ctg(p types.ProcessID) uint64 { return t.peek(p).ctg }
 
 // CutVector returns the per-sender contiguous receive watermarks — the
 // member's contribution to a flush's delivery cut. Unlike the max-seen
@@ -201,79 +327,110 @@ func (t *Tracker) Ctg(p types.ProcessID) uint64 { return t.sender(p).ctg }
 // satisfiable by forwarding.
 func (t *Tracker) CutVector() map[types.ProcessID]uint64 {
 	out := make(map[types.ProcessID]uint64, len(t.senders))
-	for p, s := range t.senders {
-		if s.ctg > 0 {
-			out[p] = s.ctg
+	for i := range t.senders {
+		if s := &t.senders[i]; s.ctg > 0 {
+			out[s.pid] = s.ctg
 		}
 	}
 	return out
 }
 
 // StabVector encodes the member's current receive watermarks for
-// piggybacking on outgoing casts and stability reports.
+// piggybacking on outgoing casts and stability reports, in slot order.
 func (t *Tracker) StabVector() []types.StabEntry {
-	out := make([]types.StabEntry, 0, len(t.senders))
-	for p, s := range t.senders {
-		if s.ctg > 0 {
-			out = append(out, types.StabEntry{Sender: p, Seq: s.ctg})
+	n := 0 // sized exactly: every cast and every report carries one
+	for i := range t.senders {
+		if t.senders[i].ctg > 0 {
+			n++
+		}
+	}
+	out := make([]types.StabEntry, 0, n)
+	for i := range t.senders {
+		if s := &t.senders[i]; s.ctg > 0 {
+			out = append(out, types.StabEntry{Sender: s.pid, Seq: s.ctg})
 		}
 	}
 	return out
 }
 
-// Report ingests one member's piggybacked stability report and advances the
-// stability watermarks (pruning buffered casts that everyone now holds).
-// ordDelivered is the member's delivered ABCAST prefix (StabOrd-1).
-// Watermarks are monotone: a reordered (older) report can never regress
-// them.
+// Report folds one view member's piggybacked stability report into the
+// matrix and advances the stability watermarks it moves (pruning buffered
+// casts that everyone now holds). ordDelivered is the member's delivered
+// ABCAST prefix (StabOrd-1). Watermarks are monotone: a reordered (older)
+// report can never regress them. Only what the view's members say about each
+// other's casts counts: a report from outside the view, or an entry naming a
+// sender outside it, is dropped without allocating anything.
 func (t *Tracker) Report(from types.ProcessID, vec []types.StabEntry, ordDelivered uint64) {
-	rep := t.reports[from]
-	if rep == nil {
-		rep = make(map[types.ProcessID]uint64, len(vec))
-		t.reports[from] = rep
+	n := len(t.members)
+	m, ok := t.memberSlot(from)
+	if !ok {
+		return
 	}
-	for _, e := range vec {
-		if e.Seq > rep[e.Sender] {
-			rep[e.Sender] = e.Seq
+	t.stats.Reports++
+	if ordDelivered > t.ordRep[m] {
+		t.ordRep[m] = ordDelivered
+	}
+	row := t.rep[m]
+	if row == nil {
+		if len(vec) == 0 {
+			return
 		}
+		row = make([]uint64, n)
+		t.rep[m] = row
+	}
+	next := 0 // a full vector names the members in slot order
+	for _, e := range vec {
+		k := next
+		if k >= n || t.members[k] != e.Sender {
+			if k, ok = t.slots[e.Sender]; !ok || k >= n {
+				continue
+			}
+		}
+		next = k + 1
+		old := row[k]
+		if e.Seq <= old {
+			continue
+		}
+		row[k] = e.Seq
+		s := &t.senders[k]
 		// A peer holding more of a sender's traffic than we have ever seen
 		// reveals casts we missed every copy of (the sender may be dead).
 		// Raising maxSeen turns that knowledge into a NAKable gap, which is
 		// what lets members converge on a crashed sender's tail even when no
 		// view change (and hence no flush forwarding) occurs.
-		if s := t.sender(e.Sender); e.Seq > s.maxSeen {
+		if e.Seq > s.maxSeen {
 			s.maxSeen = e.Seq
 		}
+		// The sender's minimum can only have moved if this member was the
+		// last one holding it back.
+		if m == t.selfSlot || old != s.minRep {
+			continue
+		}
+		if s.minCnt--; s.minCnt == 0 {
+			t.rescanMin(k)
+			t.settle(s)
+		}
 	}
-	if ordDelivered > t.ordRep[from] {
-		t.ordRep[from] = ordDelivered
-	}
-	t.advanceStability()
 }
 
-// advanceStability recomputes each sender's stability watermark as the
-// minimum watermark across every view member (own state included) and prunes
-// buffered casts at or below it.
-func (t *Tracker) advanceStability() {
-	for sender, s := range t.senders {
-		min := s.ctg
-		for _, m := range t.members {
-			if m == t.self {
-				continue
-			}
-			min2 := t.reports[m][sender]
-			if min2 < min {
-				min = min2
-			}
+// rescanMin recomputes sender slot k's cached minimum over the other
+// members' reports.
+func (t *Tracker) rescanMin(k int) {
+	s := &t.senders[k]
+	s.minRep, s.minCnt = math.MaxUint64, 0
+	for m, row := range t.rep {
+		if m == t.selfSlot {
+			continue
 		}
-		for seq := s.stable + 1; seq <= min; seq++ {
-			if s.buf[seq] != nil {
-				delete(s.buf, seq)
-				t.stats.StablePruned++
-			}
+		var v uint64
+		if row != nil {
+			v = row[k]
 		}
-		if min > s.stable {
-			s.stable = min
+		switch {
+		case v < s.minRep:
+			s.minRep, s.minCnt = v, 1
+		case v == s.minRep:
+			s.minCnt++
 		}
 	}
 }
@@ -284,7 +441,15 @@ func (t *Tracker) advanceStability() {
 // watermark of w means member holds every one of sender's casts 1..w, so one
 // report acknowledges an entire prefix.
 func (t *Tracker) Reported(member, sender types.ProcessID) uint64 {
-	return t.reports[member][sender]
+	m, ok := t.memberSlot(member)
+	if !ok || t.rep[m] == nil {
+		return 0
+	}
+	k, ok := t.memberSlot(sender)
+	if !ok {
+		return 0
+	}
+	return t.rep[m][k]
 }
 
 // StableOrd returns the group-wide stable ABCAST prefix — every member has
@@ -293,48 +458,31 @@ func (t *Tracker) Reported(member, sender types.ProcessID) uint64 {
 // member has reported; a sole member is trivially stable at its own prefix.
 func (t *Tracker) StableOrd(own uint64) uint64 {
 	min := own
-	for _, m := range t.members {
-		if m == t.self {
-			continue
-		}
-		if v := t.ordRep[m]; v < min {
+	for m, v := range t.ordRep {
+		if m != t.selfSlot && v < min {
 			min = v
 		}
 	}
 	return min
 }
 
-// Advance re-runs the stability computation (pruning newly stable casts)
-// without a fresh report; the recovery timer calls it so sole members and
-// idle groups still converge.
-func (t *Tracker) Advance() { t.advanceStability() }
-
 // Stable returns the stability watermark for a sender.
-func (t *Tracker) Stable(p types.ProcessID) uint64 { return t.sender(p).stable }
+func (t *Tracker) Stable(p types.ProcessID) uint64 { return t.peek(p).stable }
 
 // SetFloor advances a sender's stability watermark to an externally computed
 // floor, pruning the buffered casts at or below it. It is the pruning path
 // for trackers that aggregate stability out of band — the treecast hop
 // tracker learns its floor from the broadcast initiator's cumulative
-// watermark rather than from per-member Reports — so it never consults
-// t.members. The floor is clamped to the sender's own contiguous watermark:
-// pruning past casts this member has not yet received would make Note
-// misclassify them as duplicates when they finally arrive.
+// watermark rather than from per-member Reports. The floor is clamped to the
+// sender's own contiguous watermark: pruning past casts this member has not
+// yet received would make Note misclassify them as duplicates when they
+// finally arrive.
 func (t *Tracker) SetFloor(sender types.ProcessID, floor uint64) {
 	s := t.sender(sender)
 	if floor > s.ctg {
 		floor = s.ctg
 	}
-	if floor <= s.stable {
-		return
-	}
-	for seq := s.stable + 1; seq <= floor; seq++ {
-		if s.buf[seq] != nil {
-			delete(s.buf, seq)
-			t.stats.StablePruned++
-		}
-	}
-	s.stable = floor
+	t.raiseStable(s, floor)
 }
 
 // Expect records that sender has issued casts up to seq without requiring a
@@ -367,22 +515,9 @@ func (t *Tracker) Bootstrap(sender types.ProcessID, seq uint64) bool {
 // that are not buffered. These are the casts a NAK asks for.
 func (t *Tracker) Missing() []SeqRange {
 	var out []SeqRange
-	for p, s := range t.senders {
-		lo := uint64(0)
-		for seq := s.ctg + 1; seq <= s.maxSeen; seq++ {
-			if s.buf[seq] == nil {
-				if lo == 0 {
-					lo = seq
-				}
-				continue
-			}
-			if lo != 0 {
-				out = append(out, SeqRange{Sender: p, Lo: lo, Hi: seq - 1})
-				lo = 0
-			}
-		}
-		if lo != 0 {
-			out = append(out, SeqRange{Sender: p, Lo: lo, Hi: s.maxSeen})
+	for i := range t.senders {
+		if s := &t.senders[i]; s.ctg < s.maxSeen {
+			out = s.gaps(out, s.maxSeen)
 		}
 	}
 	return out
@@ -397,23 +532,8 @@ func (t *Tracker) MissingBelow(cut map[types.ProcessID]uint64) []SeqRange {
 		if p == t.self {
 			continue
 		}
-		s := t.sender(p)
-		lo := uint64(0)
-		for seq := s.ctg + 1; seq <= target; seq++ {
-			if s.buf[seq] == nil {
-				if lo == 0 {
-					lo = seq
-				}
-				continue
-			}
-			if lo != 0 {
-				out = append(out, SeqRange{Sender: p, Lo: lo, Hi: seq - 1})
-				lo = 0
-			}
-		}
-		if lo != 0 {
-			out = append(out, SeqRange{Sender: p, Lo: lo, Hi: target})
-		}
+		s := t.peek(p)
+		out = s.gaps(out, target)
 	}
 	return out
 }
@@ -425,7 +545,8 @@ func (t *Tracker) MissingBelow(cut map[types.ProcessID]uint64) []SeqRange {
 // senders with gaps; zero means no gaps.
 func (t *Tracker) GapTick() int {
 	max := 0
-	for _, s := range t.senders {
+	for i := range t.senders {
+		s := &t.senders[i]
 		if s.ctg < s.maxSeen {
 			s.gapTicks++
 			if s.gapTicks > max {
@@ -442,12 +563,13 @@ func (t *Tracker) GapTick() int {
 // Any member may serve it: the buffer holds every unstable cast the member
 // has received, not just its own.
 func (t *Tracker) Retrieve(r SeqRange, max int) []*types.Message {
-	s, ok := t.senders[r.Sender]
-	if !ok {
-		return nil
+	s := t.peek(r.Sender)
+	hi := r.Hi // off the wire: never walk past what exists
+	if hi > s.maxSeen {
+		hi = s.maxSeen
 	}
 	var out []*types.Message
-	for seq := r.Lo; seq <= r.Hi && len(out) < max; seq++ {
+	for seq := r.Lo; seq <= hi && len(out) < max; seq++ {
 		if m := s.buf[seq]; m != nil {
 			out = append(out, m)
 		}
@@ -459,8 +581,12 @@ func (t *Tracker) Retrieve(r SeqRange, max int) []*types.Message {
 // survivor re-multicasts during a view-change flush (flush forwarding). The
 // result is ordered per sender by sequence number.
 func (t *Tracker) Unstable() []*types.Message {
-	var out []*types.Message
-	for _, s := range t.senders {
+	out := make([]*types.Message, 0, t.Buffered())
+	for i := range t.senders {
+		s := &t.senders[i]
+		if len(s.buf) == 0 {
+			continue
+		}
 		for seq := s.stable + 1; seq <= s.maxSeen; seq++ {
 			if m := s.buf[seq]; m != nil {
 				out = append(out, m)
@@ -502,8 +628,8 @@ func (t *Tracker) NakTarget(sender types.ProcessID, excluded func(types.ProcessI
 // O(unstable) quantity stability keeps bounded.
 func (t *Tracker) Buffered() int {
 	n := 0
-	for _, s := range t.senders {
-		n += len(s.buf)
+	for i := range t.senders {
+		n += len(t.senders[i].buf)
 	}
 	return n
 }

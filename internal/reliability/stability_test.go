@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/types"
@@ -238,5 +239,135 @@ func TestTrackerNakTargetRotatesAndSkipsExcluded(t *testing.T) {
 	}
 	if !seen[pid(2)] || !seen[pid(3)] {
 		t.Errorf("rotation did not cover sender and peers: %v", seen)
+	}
+}
+
+// viewOf returns n member ids in view order.
+func viewOf(n int) []types.ProcessID {
+	members := make([]types.ProcessID, n)
+	for i := range members {
+		members[i] = pid(uint32(i + 1))
+	}
+	return members
+}
+
+func TestTrackerEagerStabilityNeedsNoAdvance(t *testing.T) {
+	// Stability is settled where it moves — in Note when our own watermark
+	// was the one holding it back, in Report when the reporter's was — so a
+	// sole member prunes as it goes and nothing waits for a timer.
+	solo := NewTracker(pid(1), viewOf(1), nil)
+	solo.Note(castFrom(pid(1), 1))
+	if solo.Stable(pid(1)) != 1 || solo.Buffered() != 0 {
+		t.Fatalf("sole member: stable=%d buffered=%d, want 1 and 0", solo.Stable(pid(1)), solo.Buffered())
+	}
+	tr := newTestTracker()
+	tr.Report(pid(2), []types.StabEntry{{Sender: pid(3), Seq: 2}}, 0)
+	tr.Report(pid(3), []types.StabEntry{{Sender: pid(3), Seq: 2}}, 0)
+	tr.Note(castFrom(pid(3), 1)) // everyone else already holds it: we were last
+	if tr.Stable(pid(3)) != 1 || tr.Buffered() != 0 {
+		t.Fatalf("last holder: stable=%d buffered=%d, want 1 and 0", tr.Stable(pid(3)), tr.Buffered())
+	}
+}
+
+func TestTrackerIgnoresReportsFromAndAboutOutsiders(t *testing.T) {
+	tr := newTestTracker()
+	tr.Note(castFrom(pid(2), 1))
+	slots := len(tr.senders)
+	// About an outsider: no state, no NAKable gap, no allocation.
+	vec := []types.StabEntry{{Sender: pid(9), Seq: 5}}
+	if n := testing.AllocsPerRun(100, func() { tr.Report(pid(2), vec, 0) }); n != 0 {
+		t.Errorf("a report entry naming an outsider allocates %v times, want 0", n)
+	}
+	if len(tr.senders) != slots || len(tr.Missing()) != 0 || tr.Reported(pid(2), pid(9)) != 0 {
+		t.Errorf("outsider entry left state behind: %d slots (was %d), Missing=%v", len(tr.senders), slots, tr.Missing())
+	}
+	// From an outsider: not folded, cannot acknowledge or reveal anything.
+	before := tr.Stats().Reports
+	tr.Report(pid(9), []types.StabEntry{{Sender: pid(2), Seq: 7}}, 3)
+	if tr.Stats().Reports != before || tr.Reported(pid(9), pid(2)) != 0 || len(tr.Missing()) != 0 {
+		t.Errorf("a report from outside the view was folded: reports %d→%d, Missing=%v", before, tr.Stats().Reports, tr.Missing())
+	}
+	// The hop tracker has no member list: every report is from outside.
+	hop := NewTracker(pid(1), nil, nil)
+	hop.Note(castFrom(pid(2), 1))
+	hop.Report(pid(2), []types.StabEntry{{Sender: pid(2), Seq: 1}}, 0)
+	if hop.Stable(pid(2)) != 0 || hop.Buffered() != 1 {
+		t.Errorf("memberless tracker derived stability from a report: stable=%d buffered=%d", hop.Stable(pid(2)), hop.Buffered())
+	}
+}
+
+func TestTrackerSteadyStateAllocatesNothing(t *testing.T) {
+	// One round: every member casts once and every member's report of the
+	// round arrives. Note buffers the cast, the last report prunes it, and
+	// neither allocates once the per-sender buffers exist.
+	const n, runs = 8, 200
+	members := viewOf(n)
+	tr := NewTracker(members[0], members, nil)
+	casts := make([][]*types.Message, runs+2)
+	for r := range casts {
+		casts[r] = make([]*types.Message, n)
+		for i, p := range members {
+			casts[r][i] = castFrom(p, uint64(r+1))
+		}
+	}
+	vec := make([]types.StabEntry, n)
+	round := 0
+	step := func() {
+		for i, p := range members {
+			tr.Note(casts[round][i])
+			vec[i] = types.StabEntry{Sender: p, Seq: uint64(round + 1)}
+		}
+		for _, p := range members[1:] {
+			tr.Report(p, vec, uint64(round))
+		}
+		round++
+	}
+	step() // warm-up: rows and buffers come into being
+	if n := testing.AllocsPerRun(runs, step); n != 0 {
+		t.Errorf("steady-state Note+Report round allocates %v times, want 0", n)
+	}
+	if tr.Buffered() != 0 || tr.Stable(members[3]) != uint64(round) {
+		t.Errorf("after %d rounds: buffered=%d stable=%d, want 0 and %d", round, tr.Buffered(), tr.Stable(members[3]), round)
+	}
+}
+
+// BenchmarkTrackerFold measures what receiving one cast costs the tracker
+// when every member is casting: one Note plus the fold of the sender's
+// piggybacked n-entry watermark vector, every entry of which has advanced
+// since that member's previous report.
+func BenchmarkTrackerFold(b *testing.B) {
+	for _, n := range []int{8, 16, 64} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			members := viewOf(n)
+			tr := NewTracker(members[0], members, nil)
+			// Casts are recycled: the tracker only stores the pointers, and
+			// everything is stable (and dropped) within two rounds.
+			ring := make([]types.Message, 4*n)
+			vec := make([]types.StabEntry, n)
+			for i, p := range members {
+				vec[i].Sender = p
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				from, seq := i%n, uint64(i/n+1)
+				m := &ring[i%len(ring)]
+				m.ID = types.MsgID{Sender: members[from], Seq: seq}
+				tr.Note(m)
+				// The sender holds this round's casts from the members
+				// before it and the previous round's from the rest.
+				for k := range vec {
+					vec[k].Seq = seq
+					if k > from {
+						vec[k].Seq = seq - 1
+					}
+				}
+				tr.Report(members[from], vec, 0)
+			}
+			b.StopTimer()
+			if tr.Buffered() > 2*n {
+				b.Fatalf("%d casts still buffered: stability is not keeping up", tr.Buffered())
+			}
+		})
 	}
 }

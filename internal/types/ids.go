@@ -10,7 +10,7 @@ package types
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // SiteID identifies a workstation (a machine on the network). In the
@@ -127,17 +127,33 @@ func (g GroupID) String() string {
 	if g.Kind == KindFlat && len(g.Path) == 0 {
 		return g.Name
 	}
-	parts := make([]string, len(g.Path))
-	for i, p := range g.Path {
-		parts[i] = fmt.Sprintf("%d", p)
-	}
-	return fmt.Sprintf("%s[%s:%s]", g.Name, g.Kind, strings.Join(parts, "."))
+	var buf [64]byte
+	return string(g.AppendKey(buf[:0]))
 }
 
 // Key returns a map-key representation of the group id. GroupID itself is
 // not comparable because of the Path slice, so protocol state tables index
 // by Key().
 func (g GroupID) Key() string { return g.String() }
+
+// AppendKey appends Key() to b. A table keyed by Key() can be read without
+// allocating the key: groups[string(gid.AppendKey(buf[:0]))].
+func (g GroupID) AppendKey(b []byte) []byte {
+	b = append(b, g.Name...)
+	if g.Kind == KindFlat && len(g.Path) == 0 {
+		return b
+	}
+	b = append(b, '[')
+	b = append(b, g.Kind.String()...)
+	b = append(b, ':')
+	for i, p := range g.Path {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(p), 10)
+	}
+	return append(b, ']')
+}
 
 // Equal reports whether two group ids identify the same group.
 func (g GroupID) Equal(o GroupID) bool {

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +70,63 @@ func TestGroupIDStringAndKey(t *testing.T) {
 	leader := LeaderGroup("quotes")
 	if branch.Key() == leader.Key() {
 		t.Error("branch and leader of the same path share a Key")
+	}
+}
+
+// fmtGroupKey is the fmt-based rendering String() and Key() used before they
+// were rebuilt on strconv. WAL file names and chaos history keys are made of
+// these strings, so the output must stay byte-identical.
+func fmtGroupKey(g GroupID) string {
+	if g.Kind == KindFlat && len(g.Path) == 0 {
+		return g.Name
+	}
+	parts := make([]string, len(g.Path))
+	for i, p := range g.Path {
+		parts[i] = fmt.Sprintf("%d", p)
+	}
+	return fmt.Sprintf("%s[%s:%s]", g.Name, g.Kind, strings.Join(parts, "."))
+}
+
+func TestGroupIDKeyMatchesFmtRendering(t *testing.T) {
+	long := strings.Repeat("n", 100) // outgrows the stack buffer
+	paths := [][]uint32{nil, {0}, {7}, {0, 2}, {1, 0, 4294967295, 10}, {9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}}
+	for _, name := range []string{"", "quotes", "chaos-svc", "a[b:c]", long} {
+		for kind := KindFlat; kind <= KindLeader+1; kind++ {
+			for _, path := range paths {
+				g := GroupID{Name: name, Kind: kind, Path: path}
+				want := fmtGroupKey(g)
+				if got := g.String(); got != want {
+					t.Errorf("String() = %q, want %q", got, want)
+				}
+				if got := g.Key(); got != want {
+					t.Errorf("Key() = %q, want %q", got, want)
+				}
+				if got := string(g.AppendKey([]byte("x"))); got != "x"+want {
+					t.Errorf("AppendKey = %q, want %q", got, "x"+want)
+				}
+			}
+		}
+	}
+	for _, g := range []GroupID{FlatGroup("q"), LeafGroup("q", 0, 2), BranchGroup("q"), BranchGroup("q", 3), LeaderGroup("q"), LeaderGroup("q", 1, 1)} {
+		if got, want := g.Key(), fmtGroupKey(g); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
+		}
+	}
+}
+
+func TestGroupIDKeyAllocations(t *testing.T) {
+	leaf := LeafGroup("quotes", 0, 2)
+	if n := testing.AllocsPerRun(100, func() { _ = leaf.Key() }); n > 1 {
+		t.Errorf("leaf Key() allocates %v times, want at most 1", n)
+	}
+	table := map[string]int{leaf.Key(): 1}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [64]byte
+		if table[string(leaf.AppendKey(buf[:0]))] != 1 {
+			t.Fatal("AppendKey lookup missed")
+		}
+	}); n != 0 {
+		t.Errorf("AppendKey lookup allocates %v times, want 0", n)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment table (E1–E10) and ablation
+// Benchmarks regenerating every experiment table (E1–E8, E10–E14) and ablation
 // (A1–A3) from EXPERIMENTS.md, one benchmark per experiment. Each benchmark
 // runs the Quick-scale sweep once per iteration and reports the headline
 // number as a custom metric; `cmd/isis-bench -scale full` prints the
@@ -95,15 +95,6 @@ func BenchmarkE8SplitMerge(b *testing.B) {
 	b.ReportMetric(float64(t.Rows()), "phases")
 }
 
-// BenchmarkE9BatchingThroughput regenerates E9: broadcast hot-path
-// throughput with the batching pipeline on vs off. The recorded table
-// (BENCH_batching.json) is the perf trajectory the ROADMAP asks for; the
-// acceptance bar is a ≥2x delivered-msgs/sec speedup at quick scale.
-func BenchmarkE9BatchingThroughput(b *testing.B) {
-	t := runTable(b, experiments.E9BatchingThroughput)
-	b.ReportMetric(float64(t.Rows()), "rows")
-}
-
 // BenchmarkE10ChaosSurvival regenerates E10: seeded fault scenarios with
 // the invariant checkers as the pass/fail gate. The reported metric is the
 // scenario count; any invariant violation fails the benchmark.
@@ -131,27 +122,17 @@ func BenchmarkAblationOrdering(b *testing.B) {
 }
 
 // BenchmarkE11LossyThroughput regenerates E11: delivered throughput and
-// completeness under random loss, with the NAK/retransmit layer on vs off.
+// completeness under random loss (BENCH_lossy.json).
 func BenchmarkE11LossyThroughput(b *testing.B) {
 	t := runTable(b, experiments.E11LossyThroughput)
 	b.ReportMetric(float64(t.Rows()), "rows")
 }
 
 // BenchmarkE12MemberScaling regenerates E12: delivered throughput and
-// acknowledgement volume vs group size, cumulative watermark acks against
-// the retired per-cast acks, plus the gob-vs-binary codec comparison. The
-// recorded table (BENCH_scaling.json) is this PR's perf trajectory; the
-// acceptance bar is a ≥5x ack-volume reduction at 16+ members.
+// stability reports per cast vs group size (BENCH_scaling.json).
 func BenchmarkE12MemberScaling(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t1, t2, err := experiments.E12MemberScaling(experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = t1.Rows() + t2.Rows()
-	}
-	b.ReportMetric(float64(rows), "rows")
+	t := runTable(b, experiments.E12MemberScaling)
+	b.ReportMetric(float64(t.Rows()), "rows")
 }
 
 // BenchmarkE13StateTransfer regenerates E13: KV write throughput with the

@@ -1,19 +1,19 @@
 // Command isis-bench regenerates the experiment tables recorded in
-// EXPERIMENTS.md: one table (or pair of tables) per experiment E1–E14 plus
-// the ablations A1–A3.
+// EXPERIMENTS.md: one table (or pair of tables) per experiment E1–E8 and
+// E10–E14 plus the ablations A1–A3.
 //
 // Usage:
 //
 //	isis-bench                         # run every experiment at quick scale
 //	isis-bench -scale full             # paper-scale sweeps (slower)
 //	isis-bench -experiment E1,E5       # run a subset
-//	isis-bench -experiment E9 -json .  # also write BENCH_batching.json
+//	isis-bench -experiment E11 -json . # also write BENCH_lossy.json
 //	isis-bench -experiment E12 -cpuprofile cpu.out -memprofile mem.out
 //
 // With -json DIR each selected experiment additionally writes its tables as
-// a JSON array to DIR/BENCH_<name>.json (E9 is named "batching", E12
-// "scaling", E13 "state", E14 "net"); CI runs a smoke subset and uploads these files as
-// build artifacts. -cpuprofile and -memprofile write pprof profiles covering
+// a JSON array to DIR/BENCH_<name>.json (E10 is named "chaos", E11 "lossy",
+// E12 "scaling", E13 "state", E14 "net"); CI runs a smoke subset and uploads
+// these files as build artifacts. -cpuprofile and -memprofile write pprof profiles covering
 // the selected experiments (see EXPERIMENTS.md, "Profiling the hot path").
 package main
 
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "sweep scale: quick or full")
-	expFlag := flag.String("experiment", "all", "comma-separated experiment ids (E1..E13, A1..A3) or 'all'")
+	expFlag := flag.String("experiment", "all", "comma-separated experiment ids (E1..E8, E10..E14, A1..A3) or 'all'")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<name>.json files into (empty: text only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the runs) to this file")
@@ -88,7 +88,7 @@ func run(scaleName, expList, jsonDir string) bool {
 
 	selected := map[string]bool{}
 	if strings.EqualFold(expList, "all") {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "A1", "A2", "A3"} {
+		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E10", "E11", "E12", "E13", "E14", "A1", "A2", "A3"} {
 			selected[id] = true
 		}
 	} else {
@@ -122,13 +122,9 @@ func run(scaleName, expList, jsonDir string) bool {
 		}},
 		{"E7", "E7", wrap1(experiments.E7TradingRoom)},
 		{"E8", "E8", wrap1(experiments.E8SplitMerge)},
-		{"E9", "batching", wrap1(experiments.E9BatchingThroughput)},
 		{"E10", "chaos", wrap1(experiments.E10ChaosSurvival)},
 		{"E11", "lossy", wrap1(experiments.E11LossyThroughput)},
-		{"E12", "scaling", func() ([]*metrics.Table, error) {
-			t1, t2, err := experiments.E12MemberScaling(scale)
-			return []*metrics.Table{t1, t2}, err
-		}},
+		{"E12", "scaling", wrap1(experiments.E12MemberScaling)},
 		{"E13", "state", func() ([]*metrics.Table, error) {
 			t1, t2, err := experiments.E13StateTransfer(scale)
 			return []*metrics.Table{t1, t2}, err

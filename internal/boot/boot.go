@@ -36,9 +36,9 @@ type Proc struct {
 // detector's suspicions feed the group stack, and the stack's views feed the
 // detector's monitored set — identical wiring over any transport. The
 // batching knobs configure the node's outbox coalescing (the zero value
-// selects the defaults; node.Batching{Disable: true} turns it off). A
-// non-empty walDir makes this process's stateful groups durable: applied
-// deliveries are logged there and recovered at group Create.
+// selects the defaults). A non-empty walDir makes this process's stateful
+// groups durable: applied deliveries are logged there and recovered at group
+// Create.
 func Spawn(pid types.ProcessID, network transport.Network, det fdetect.Config, batching node.Batching, walDir string) (*Proc, error) {
 	n, err := node.NewWithBatching(pid, network, batching)
 	if err != nil {

@@ -31,10 +31,6 @@ type Options struct {
 	// Detector configures the failure detectors. The zero value disables
 	// heartbeat traffic; failures are then injected explicitly.
 	Detector fdetect.Config
-	// Batching configures every node's outbox coalescing. The zero value
-	// selects the defaults; node.Batching{Disable: true} restores
-	// one-frame-per-message sending (the E9 baseline).
-	Batching node.Batching
 	// WALDir, when non-empty, gives every process a write-ahead-log
 	// directory (<WALDir>/site-<n>, keyed by site so a restarted site
 	// recovers its predecessor's log).
@@ -95,7 +91,7 @@ func (c *Cluster) AddProcess() (*Proc, error) {
 	if c.opts.WALDir != "" {
 		walDir = filepath.Join(c.opts.WALDir, fmt.Sprintf("site-%d", c.nextSite))
 	}
-	bp, err := boot.Spawn(pid, c.Net, c.opts.Detector, c.opts.Batching, walDir)
+	bp, err := boot.Spawn(pid, c.Net, c.opts.Detector, node.Batching{}, walDir)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: add process %v: %w", pid, err)
 	}

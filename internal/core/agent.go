@@ -916,24 +916,6 @@ func (a *Agent) sendDirective(to types.ProcessID, d directive) {
 	})
 }
 
-// onLeafFailed records the total failure of a leaf subgroup: the leader
-// removes it from the tree so routing and placement stop using it.
-func (a *Agent) onLeafFailed(m *types.Message) {
-	if !a.leaderCoordinator() {
-		a.forwardToLeader(m)
-		return
-	}
-	id, _, ok := decodeGroupID(m.Payload)
-	if !ok {
-		return
-	}
-	a.tree.RemoveLeaf(id)
-	a.replicateTree()
-	if m.Corr != 0 {
-		_ = a.stackNode().Reply(m, nil, "")
-	}
-}
-
 // onRedirect relocates this process to another leaf, as instructed by the
 // leader during a split or merge.
 func (a *Agent) onRedirect(m *types.Message) {

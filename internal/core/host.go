@@ -26,7 +26,6 @@ func NewHost(stack *group.Stack) *Host {
 	n := stack.Node()
 	n.Handle(types.KindHJoinRequest, h.route((*Agent).onJoinRequest))
 	n.Handle(types.KindHLeafReport, h.route((*Agent).onLeafReport))
-	n.Handle(types.KindHLeafFailed, h.route((*Agent).onLeafFailed))
 	n.Handle(types.KindHJoinRedirect, h.route((*Agent).onRedirect))
 	n.Handle(types.KindHRoute, h.route((*Agent).onRoute))
 	n.Handle(types.KindTreeCast, h.route((*Agent).onTreeCast))

@@ -1,15 +1,14 @@
 // Package experiments implements the benchmark harness that regenerates
-// every experiment in EXPERIMENTS.md (E1–E11 plus the ablations A1–A3). The
-// same code backs cmd/isis-bench and the testing.B benchmarks in
+// every experiment in EXPERIMENTS.md (E1–E8, E10–E14 plus the ablations
+// A1–A3). The same code backs cmd/isis-bench and the testing.B benchmarks in
 // bench_test.go, so the printed tables and the benchmark metrics always come
 // from one implementation.
 //
 // Because the source paper is a position paper with no measured figures,
-// each experiment reifies one of its quantitative claims (E9, the batching
-// throughput experiment, instead reifies the ROADMAP's measurably-faster
-// hot-path goal, E10 drives the chaos harness's fault scenarios, and E11
-// measures the reliability layer's recovery under loss); see
-// DESIGN.md §9 for the claim-to-experiment mapping.
+// each experiment reifies one of its quantitative claims (E10 instead drives
+// the chaos harness's fault scenarios, and E11 measures the reliability
+// layer's recovery under loss); see DESIGN.md §9 for the claim-to-experiment
+// mapping.
 package experiments
 
 import (

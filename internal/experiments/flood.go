@@ -8,28 +8,89 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/group"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/node"
 	"repro/internal/reliability"
 	"repro/internal/types"
 )
 
-// floodResult is one measured flood round: wall-clock, group-wide delivery
-// rate, and the fabric counters for exactly that round.
-type floodResult struct {
-	elapsed time.Duration
-	rate    float64 // delivered msgs/sec across the whole group
-	stats   netsim.Stats
+// E11LossyThroughput measures the reliability layer on an unreliable
+// network: one member of a flat group floods FIFO multicasts while the
+// fabric drops a fixed fraction of messages. The headline columns are the
+// fraction of the offered load the whole group delivered — NAK/retransmit
+// must keep it at 1 — and the delivered msgs/sec that recovery leaves, which
+// is the paper's survives-faults claim made quantitative.
+func E11LossyThroughput(s Scale) (*metrics.Table, error) {
+	n := 6
+	casts := 600
+	switch s {
+	case Full:
+		casts = 2000
+	case Smoke:
+		n = 4
+		casts = 200
+	}
+	t := metrics.NewTable("E11: lossy-network throughput under NAK/retransmit",
+		"members", "loss", "casts", "delivered frac", "delivered msgs/sec", "naks", "served")
+	for _, loss := range []float64{0.01, 0.05} {
+		res, err := runFloodLoad(n, casts, loss)
+		if err != nil {
+			return nil, fmt.Errorf("E11 loss=%.2f: %w", loss, err)
+		}
+		t.AddRow(n, fmt.Sprintf("%.0f%%", loss*100), casts, res.fraction, res.rate, res.naks, res.served)
+	}
+	return t, nil
 }
 
-// runFloodLoad is the shared hot-path load harness behind E9 and E12: build
-// a flat group of n members with the given batching and reliability knobs,
-// flood casts from one member, and wait until every member has delivered
-// every cast. Keeping one implementation means the two experiments (and any
-// future one) measure identical flow control — only the knob under test
-// differs.
-func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodResult, error) {
-	c, err := cluster.New(n, cluster.Options{Batching: b})
+// E12MemberScaling measures the flat group's broadcast hot path as a
+// function of group size: one member floods FIFO casts at an n-member group
+// on a lossless fabric. It reports delivered msgs/sec and the
+// acknowledgement overhead — standalone stability reports per cast, which
+// stays below one because a single report covers an entire prefix of casts.
+func E12MemberScaling(s Scale) (*metrics.Table, error) {
+	sizes := []int{8, 16}
+	casts := 3000
+	switch s {
+	case Full:
+		sizes = []int{8, 16, 32, 64}
+		casts = 5000
+	case Smoke:
+		sizes = []int{8}
+		casts = 800
+	}
+	t := metrics.NewTable("E12: member scaling of the flat-group broadcast path",
+		"members", "casts", "elapsed", "delivered msgs/sec", "msgs/frame", "stability msgs", "stability/cast")
+	for _, n := range sizes {
+		res, err := runFloodLoad(n, casts, 0)
+		if err != nil {
+			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
+		}
+		if res.fraction < 1 {
+			return nil, fmt.Errorf("E12 n=%d: delivered fraction %.3f: %w", n, res.fraction, types.ErrTimeout)
+		}
+		t.AddRow(n, casts, res.elapsed, res.rate,
+			float64(res.stats.MessagesSent)/float64(res.stats.FramesSent),
+			res.stats.StabilitySent, float64(res.stats.StabilitySent)/float64(casts))
+	}
+	return t, nil
+}
+
+// floodResult is one measured flood round: wall-clock, group-wide delivery,
+// and the fabric and recovery counters for exactly that round.
+type floodResult struct {
+	elapsed  time.Duration
+	fraction float64 // delivered / offered, across the whole group
+	rate     float64 // delivered msgs/sec across the whole group
+	stats    netsim.Stats
+	naks     uint64 // retransmission requests sent
+	served   uint64 // casts retransmitted in answer
+}
+
+// runFloodLoad is the load harness behind E11 and E12: build a flat group of
+// n members, start dropping the given fraction of messages, flood casts from
+// one member, and wait until every member has delivered every cast.
+func runFloodLoad(n, casts int, loss float64) (floodResult, error) {
+	c, err := cluster.New(n, cluster.Options{})
 	if err != nil {
 		return floodResult{}, err
 	}
@@ -37,10 +98,7 @@ func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodR
 
 	var delivered atomic.Int64
 	gid := types.FlatGroup("flood")
-	cfg := group.Config{
-		OnDeliver:   func(group.Delivery) { delivered.Add(1) },
-		Reliability: rel,
-	}
+	cfg := group.Config{OnDeliver: func(group.Delivery) { delivered.Add(1) }}
 	groups := make([]*group.Group, n)
 	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
 	if err != nil {
@@ -57,24 +115,35 @@ func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodR
 	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
 		return floodResult{}, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
 	}
+	// Loss starts after the membership is settled: the experiments measure
+	// the data path, not join robustness (the chaos harness covers that).
+	c.Fabric.SetLossRate(loss)
+	recovery := func() reliability.Stats {
+		var sum reliability.Stats
+		for i := 0; i < n; i++ {
+			sum.Add(c.Proc(i).Stack.ReliabilityStats())
+		}
+		return sum
+	}
 
 	// Two rounds on the same (warmed) cluster; the better one is reported.
 	// Short runs on shared CI hardware jitter enough that a single round
-	// under-reports whichever mode the scheduler happened to preempt.
+	// under-reports whenever the scheduler happens to preempt it.
 	payload := []byte("flood-throughput-payload-0123456789abcdef")
 	var best floodResult
 	for round := 0; round < 2; round++ {
 		already := delivered.Load()
 		want := already + int64(n)*int64(casts)
 		c.Fabric.ResetStats()
+		before := recovery()
 		start := time.Now()
-		// Windowed flood: cap casts in flight so no mode can overflow the
-		// receivers' bounded inbound queues (the netsim overloaded-
-		// workstation model would silently drop the excess and wedge the
-		// FIFO streams). Every mode runs the same flow control, like any
-		// real pipelined producer.
+		deadline := start.Add(opTimeout)
+		// Windowed flood: cap casts in flight so the flood cannot overflow
+		// the receivers' bounded inbound queues (the netsim overloaded-
+		// workstation model would drop the excess), like any real pipelined
+		// producer.
 		const window = 1024
-		for sent := 0; sent < casts; {
+		for sent := 0; sent < casts && time.Now().Before(deadline); {
 			doneCasts := (delivered.Load() - already) / int64(n)
 			inFlight := int64(sent) - doneCasts
 			if inFlight >= window {
@@ -92,20 +161,24 @@ func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodR
 		}
 		// Tight polling: cluster.WaitFor's 2ms granularity would be a
 		// visible constant error on runs this short.
-		deadline := time.Now().Add(opTimeout)
-		for delivered.Load() < want {
-			if time.Now().After(deadline) {
-				return floodResult{}, fmt.Errorf("delivered %d of %d: %w", delivered.Load()-already, want-already, types.ErrTimeout)
-			}
+		for delivered.Load() < want && time.Now().Before(deadline) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		elapsed := time.Since(start)
+		got := delivered.Load() - already
+		after := recovery()
 		res := floodResult{
-			elapsed: elapsed,
-			rate:    float64(want-already) / elapsed.Seconds(),
-			stats:   c.Fabric.Stats(),
+			elapsed:  elapsed,
+			fraction: float64(got) / float64(want-already),
+			rate:     float64(got) / elapsed.Seconds(),
+			stats:    c.Fabric.Stats(),
+			naks:     after.NaksSent - before.NaksSent,
+			served:   after.NaksServed - before.NaksServed,
 		}
-		if best.rate == 0 || res.rate > best.rate {
+		if res.fraction < 1 {
+			return res, nil // stalled: a later round's baseline would be polluted
+		}
+		if res.rate > best.rate {
 			best = res
 		}
 	}

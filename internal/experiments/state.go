@@ -103,7 +103,7 @@ func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
 		return kvLoadResult{}, err
 	}
 
-	// Windowed flood, same flow control as the E9/E12 harness: cap the ops
+	// Windowed flood, same flow control as the E11/E12 harness: cap the ops
 	// in flight so the bounded inbound queues never overflow.
 	const window = 1024
 	payload := func(i int) []byte {

@@ -54,16 +54,6 @@ type Config struct {
 	// get WAL-recovered deliveries through Apply instead of OnDeliver.
 	State StateHandler
 
-	// StateProvider and StateReceiver are the deprecated one-shot transfer
-	// hooks, kept as an adapter: when State is nil and either func is set,
-	// they are wrapped into a StateHandler and served by the same chunked,
-	// reliable transfer path.
-	//
-	// Deprecated: set State instead.
-	StateProvider func() []byte
-	// Deprecated: set State instead.
-	StateReceiver func([]byte)
-
 	// StateChunkBytes is the checkpoint transfer's chunk size. Zero selects
 	// 32KiB.
 	StateChunkBytes int
@@ -96,17 +86,13 @@ type Config struct {
 	FlushRetry time.Duration
 
 	// Reliability tunes the message-stability and NAK/retransmit layer
-	// (zero fields select the defaults; DisableRetransmit turns recovery
-	// off for baseline measurements).
+	// (zero fields select the defaults).
 	Reliability reliability.Config
 }
 
 func (c Config) withDefaults() Config {
 	if c.Resiliency <= 0 {
 		c.Resiliency = 1
-	}
-	if c.State == nil && (c.StateProvider != nil || c.StateReceiver != nil) {
-		c.State = funcHandler{provide: c.StateProvider, receive: c.StateReceiver}
 	}
 	if c.StateChunkBytes <= 0 {
 		c.StateChunkBytes = 32 << 10

@@ -27,10 +27,8 @@ type Group struct {
 	wedged bool
 
 	// Sender-side state. acks tracks blocking casts still waiting for their
-	// resiliency quorum. With cumulative acknowledgements (the default) it is
-	// keyed by the cast's own send sequence and resolved from the members'
-	// receive-watermark reports; in the legacy per-cast-ack mode (the E12
-	// baseline) it is keyed by correlation id and resolved by KindCastAck.
+	// resiliency quorum, keyed by the cast's own send sequence and resolved
+	// from the members' receive-watermark reports.
 	sendSeq uint64
 	acks    map[uint64]*ackWaiter
 
@@ -212,8 +210,8 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 		fmt.Printf("[views] %v installs %v (was %v)\n", self, v, g.view)
 	}
 
-	// With cumulative acknowledgements, the install settles every waiter
-	// still pending from the closing view, judged against the delivery cut:
+	// The install settles every waiter still pending from the closing view,
+	// judged against the delivery cut:
 	// a cast at or below the cut's entry for this sender is held (and
 	// delivered) by every survivor that honoured the cut — view agreement
 	// now guarantees what the per-member quorum was waiting to observe — so
@@ -221,24 +219,21 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 	// guarantee (the sender's flush acknowledgement was never collected:
 	// lost propose plus suspicion mid-flush, or a skipped install whose cut
 	// describes a later view), and its per-view report state is about to be
-	// discarded, so its waiter fails like the timeout the retired per-cast
-	// path would have produced. (A sender that did not survive never
-	// reaches this path: removal goes through markLeft, which fails the
-	// waiters with ErrNotMember.) Success still inherits the InstallGrace
-	// escape hatch's weakening exactly as set agreement itself does: a
-	// member that timed out waiting for the cut installed without some
-	// casts, and the sender cannot observe that remotely.
-	if !g.cfg.Reliability.PerCastAck {
-		for seq, w := range g.acks {
-			delete(g.acks, seq)
-			var res error
-			if seq > cut[self] {
-				res = fmt.Errorf("cast %d to %s: view changed before the quorum formed: %w", seq, g.id, types.ErrTimeout)
-			}
-			select {
-			case w.done <- res:
-			default:
-			}
+	// discarded, so its waiter fails as a timeout. (A sender that did not
+	// survive never reaches this path: removal goes through markLeft, which
+	// fails the waiters with ErrNotMember.) Success still inherits the
+	// InstallGrace escape hatch's weakening exactly as set agreement itself
+	// does: a member that timed out waiting for the cut installed without
+	// some casts, and the sender cannot observe that remotely.
+	for seq, w := range g.acks {
+		delete(g.acks, seq)
+		var res error
+		if seq > cut[self] {
+			res = fmt.Errorf("cast %d to %s: view changed before the quorum formed: %w", seq, g.id, types.ErrTimeout)
+		}
+		select {
+		case w.done <- res:
+		default:
 		}
 	}
 
@@ -349,12 +344,12 @@ func (g *Group) markLeft() {
 		close(g.leftC)
 	}
 	// Fail any casts still waiting for acknowledgements.
-	for corr, w := range g.acks {
+	for seq, w := range g.acks {
 		select {
 		case w.done <- fmt.Errorf("group %s: %w", g.id, types.ErrNotMember):
 		default:
 		}
-		delete(g.acks, corr)
+		delete(g.acks, seq)
 	}
 	g.stack.remove(g.id)
 }
@@ -550,7 +545,7 @@ func (g *Group) startViewChange() {
 // casts whose sender crashed mid-fanout. Stability bounds the forwarded set:
 // casts every member already holds are never re-sent.
 func (g *Group) flushForward(proposed member.View) {
-	if g.cfg.Reliability.DisableRetransmit || g.rel == nil || !g.joined {
+	if g.rel == nil || !g.joined {
 		return
 	}
 	if g.forwardedFor == proposed.ID {
@@ -569,10 +564,8 @@ func (g *Group) flushForward(proposed member.View) {
 	}
 	for _, m := range g.rel.Unstable() {
 		c := m.Clone()
-		// Forwarded copies must not re-trigger resiliency acknowledgements
-		// under the forwarder's correlation space, and must not replay the
-		// original sender's stale stability report as the forwarder's own.
-		c.Corr = 0
+		// Forwarded copies must not replay the original sender's stale
+		// stability report as the forwarder's own.
 		c.Stab, c.StabOrd = nil, 0
 		g.stack.node.SendCopies(dests, c)
 		g.relStats.Forwarded++
@@ -655,26 +648,24 @@ func (g *Group) finishFlush() {
 	// re-announced slot ignore it as stale; within one view there is a
 	// single sequencer, so re-announced bindings can never conflict.
 	abCut := lastSlot
-	if !g.cfg.Reliability.DisableRetransmit {
-		anns := reannounce
-		for _, id := range unbound {
-			abCut++
-			anns = append(anns, types.SeqBinding{Seq: abCut, ID: id})
+	anns := reannounce
+	for _, id := range unbound {
+		abCut++
+		anns = append(anns, types.SeqBinding{Seq: abCut, ID: id})
+	}
+	for _, b := range anns {
+		om := &types.Message{
+			Kind:  types.KindOrder,
+			Group: g.id,
+			View:  g.view.ID,
+			ID:    b.ID,
+			Seq:   b.Seq,
 		}
-		for _, b := range anns {
-			om := &types.Message{
-				Kind:  types.KindOrder,
-				Group: g.id,
-				View:  g.view.ID,
-				ID:    b.ID,
-				Seq:   b.Seq,
-			}
-			g.stack.node.SendCopies(g.view.Members, om)
-			for _, d := range g.total.AddOrder(b.Seq, b.ID) {
-				g.deliver(d)
-			}
-			g.relStats.Reannounced++
+		g.stack.node.SendCopies(g.view.Members, om)
+		for _, d := range g.total.AddOrder(b.Seq, b.ID) {
+			g.deliver(d)
 		}
+		g.relStats.Reannounced++
 	}
 
 	// Replay casts parked during the wedge, up to the cut, before the
@@ -1057,13 +1048,6 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 		Ordering: o,
 		Payload:  payload,
 	}
-	perCast := g.cfg.Reliability.PerCastAck
-	if perCast {
-		// Legacy mode: the per-cast acknowledgements are correlated
-		// explicitly. The cumulative path needs no correlation id — the
-		// cast's identity (sender + sequence) is what watermarks cover.
-		msg.Corr = g.stack.node.NextCorr()
-	}
 	switch o {
 	case types.Causal:
 		vt := g.causal.Clock()
@@ -1088,12 +1072,7 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 		need = max
 	}
 	if need > 0 && done != nil {
-		w := &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
-		if perCast {
-			g.acks[msg.Corr] = w
-		} else {
-			g.acks[g.sendSeq] = w
-		}
+		g.acks[g.sendSeq] = &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
 	}
 
 	g.stack.node.SendCopies(g.view.Members, msg)
@@ -1120,7 +1099,7 @@ func (g *Group) onCast(m *types.Message) {
 	g.ingestStab(m)
 	if g.parksCast(m) {
 		g.parked = append(g.parked, m)
-		g.ackCast(m)
+		g.sendReportTo(m.ID.Sender)
 		return
 	}
 	g.processCast(m, g.maySequence(m), true)
@@ -1149,18 +1128,17 @@ func (g *Group) maySequence(m *types.Message) bool {
 // filtering and buffering in the reliability tracker, the receipt
 // acknowledgement, sequencing (when allowed) and the ordering engines.
 func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
-	if !g.rel.Note(m) {
-		// Already held (network duplicate or a retransmission of something
-		// we have): re-acknowledge — the ack may have been lost — and drop.
-		// This receive-side filter is what lets the ordering engines prune
-		// their duplicate-suppression state to the unstable suffix.
-		if ack {
-			g.ackCast(m)
-		}
-		return
-	}
+	fresh := g.rel.Note(m)
 	if ack {
-		g.ackCast(m)
+		// Duplicates re-acknowledge too: the first report may have been lost.
+		g.sendReportTo(m.ID.Sender)
+	}
+	if !fresh {
+		// Already held (network duplicate or a retransmission of something
+		// we have). This receive-side filter is what lets the ordering
+		// engines prune their duplicate-suppression state to the unstable
+		// suffix.
+		return
 	}
 	// The sequencer assigns the total order for casts that need one. The
 	// Ordered check keeps an already-sequenced retransmission from being
@@ -1196,36 +1174,13 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 	}
 }
 
-// ackCast acknowledges receipt for the sender's resiliency accounting. In
-// the default cumulative mode the acknowledgement IS a stability report: one
-// watermark vector sent to the cast's originator covers every cast of its
-// prefix at once (and duplicates re-send it, since the first report may have
-// been the casualty). The legacy per-cast mode answers with one KindCastAck
-// per message, the retired O(n²) path kept for the E12 baseline.
-func (g *Group) ackCast(m *types.Message) {
-	if !g.cfg.Reliability.PerCastAck {
-		g.sendReportTo(m.ID.Sender)
-		return
-	}
-	if m.From == g.stack.node.PID() || m.Corr == 0 {
-		return
-	}
-	_ = g.stack.node.Send(m.From, &types.Message{
-		Kind:    types.KindCastAck,
-		Group:   g.id,
-		View:    m.View,
-		Corr:    m.Corr,
-		Stab:    g.rel.StabVector(),
-		StabOrd: g.total.NextSeq(),
-	})
-}
-
 // sendReportTo sends this member's cumulative stability report (the per-
 // sender contiguous-receive watermarks plus the delivered ABCAST prefix) to
-// one peer. It is the cumulative acknowledgement: the receiver folds it into
-// its tracker, which both advances stability and resolves any resiliency
-// waiters the watermarks now cover. The report rides the batching outbox, so
-// a frame of casts is answered by (at most) one report per sender in it.
+// one peer. Sent to a cast's originator it is the acknowledgement of that
+// cast and of its whole prefix: the receiver folds it into its tracker, which
+// both advances stability and resolves any resiliency waiters the watermarks
+// now cover. The report rides the batching outbox, so a frame of casts is
+// answered by (at most) one report per sender in it.
 func (g *Group) sendReportTo(p types.ProcessID) {
 	if p == g.stack.node.PID() || g.rel == nil {
 		return
@@ -1263,11 +1218,10 @@ func (g *Group) ingestStab(m *types.Message) {
 
 // resolveCastWaiters re-checks pending resiliency waiters against one
 // member's freshly ingested receive-watermark report: every waiting cast
-// whose sequence the report covers gains that member as an acker. This is
-// the cumulative replacement for per-cast acknowledgements — a single
+// whose sequence the report covers gains that member as an acker — a single
 // watermark entry acknowledges an entire prefix of casts at once.
 func (g *Group) resolveCastWaiters(from types.ProcessID) {
-	if g.cfg.Reliability.PerCastAck || len(g.acks) == 0 {
+	if len(g.acks) == 0 {
 		return
 	}
 	self := g.stack.node.PID()
@@ -1296,9 +1250,9 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 // and everything cumulative is settled once for the whole frame — the
 // piggybacked stability report is folded once per source, the frame is
 // acknowledged by one stability report per originator in it, and the
-// pending-install cut is rechecked once. The legacy per-cast mode's acks
-// (and the order announcements) coalesce in the node's outbox, so they cost
-// at most a frame rather than one transmission each.
+// pending-install cut is rechecked once. The order announcements coalesce in
+// the node's outbox, so they cost at most a frame rather than one
+// transmission each.
 func (g *Group) onCastBatch(ms []*types.Message) {
 	if len(ms) == 1 {
 		g.onCast(ms[0])
@@ -1308,7 +1262,6 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		return
 	}
 	self := g.stack.node.PID()
-	perCast := g.cfg.Reliability.PerCastAck
 
 	// byOrdering[o] collects the current-view casts for engine o; anything
 	// outside the known orderings is delivered directly, like onCast does.
@@ -1320,20 +1273,12 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// each in turn would. A frame has one source; should the source change
 	// mid-run the previous one's report is folded on the spot.
 	var report *types.Message
-	// Cumulative mode acknowledges per sender, not per message: one
-	// stability report to each distinct originator in the frame, sent after
-	// intake so it covers the whole frame (parked casts and duplicates count
-	// too — their earlier report may have been the casualty). reportTo stays
-	// tiny, so a linear membership test beats a map.
+	// Acknowledgement is per sender, not per message: one stability report to
+	// each distinct originator in the frame, sent after intake so it covers
+	// the whole frame (parked casts and duplicates count too — their earlier
+	// report may have been the casualty). reportTo stays tiny, so a linear
+	// membership test beats a map.
 	var reportTo []types.ProcessID
-	// Legacy mode collects per-cast acknowledgements and sends them after
-	// the loop so they all carry the frame's final stability report; one
-	// backing allocation, and the append never exceeds the fixed capacity,
-	// so the pointers handed to Send stay stable.
-	var ackBlock []types.Message
-	if perCast {
-		ackBlock = make([]types.Message, 0, len(ms))
-	}
 	for _, m := range ms {
 		if !g.joined || m.View != g.view.ID {
 			if m.View > g.view.ID || !g.joined {
@@ -1349,19 +1294,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			}
 			report = m
 		}
-		// Acknowledge receipt (duplicates re-acknowledge: the first ack may
-		// have been the casualty).
-		if perCast {
-			if m.From != self && m.Corr != 0 {
-				ackBlock = append(ackBlock, types.Message{
-					Kind:  types.KindCastAck,
-					To:    m.From, // destination, re-stamped by Send
-					Group: g.id,
-					View:  m.View,
-					Corr:  m.Corr,
-				})
-			}
-		} else if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
+		if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
 			reportTo = append(reportTo, s)
 		}
 		if g.parksCast(m) {
@@ -1415,41 +1348,10 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	if report != nil {
 		g.ingestStab(report)
 	}
-	// Cumulative mode: one report per distinct originator, covering every
-	// cast of the frame at once. Legacy mode: one ack per cast, sharing one
-	// (read-only) stability report for the whole frame.
 	for _, p := range reportTo {
 		g.sendReportTo(p)
 	}
-	if len(ackBlock) > 0 {
-		stab := g.rel.StabVector()
-		ord := g.total.NextSeq()
-		for i := range ackBlock {
-			ackBlock[i].Stab = stab
-			ackBlock[i].StabOrd = ord
-			_ = g.stack.node.Send(ackBlock[i].To, &ackBlock[i])
-		}
-	}
 	g.recheckPendingInstall()
-}
-
-func (g *Group) onCastAck(m *types.Message) {
-	g.ingestStab(m)
-	w, ok := g.acks[m.Corr]
-	if !ok {
-		return
-	}
-	if w.from[m.From] {
-		return // a duplicated ack must not inflate the quorum
-	}
-	w.from[m.From] = true
-	if len(w.from) >= w.need {
-		delete(g.acks, m.Corr)
-		select {
-		case w.done <- nil:
-		default:
-		}
-	}
 }
 
 func (g *Group) onOrder(m *types.Message) {

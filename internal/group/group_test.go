@@ -354,21 +354,20 @@ func TestStateTransferToJoiner(t *testing.T) {
 	c := cluster.MustNew(2, cluster.Options{})
 	defer c.Stop()
 	gid := types.FlatGroup("kv")
-	state := []byte("snapshot-of-application-state")
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{StateProvider: func() []byte { return state }})
+	holder := newTestStore()
+	holder.put("snapshot-of-application-state", 1)
+	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: holder})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var received []byte
-	_, err = c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{
-		StateReceiver: func(b []byte) { mu.Lock(); received = b; mu.Unlock() },
-	})
+	joiner := newTestStore()
+	_, err = c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: joiner})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { mu.Lock(); defer mu.Unlock(); return string(received) == string(state) }) {
-		t.Fatalf("state transfer missing or wrong: %q", received)
+	want := holder.snapshotString()
+	if !cluster.WaitFor(testTimeout, func() bool { return joiner.snapshotString() == want }) {
+		t.Fatalf("state transfer missing or wrong: %q", joiner.snapshotString())
 	}
 }
 
@@ -703,105 +702,98 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 }
 
 // TestResiliencyQuorumIgnoresDuplicatedAcks pins the resiliency semantics
-// under duplication injection, for both acknowledgement modes: the quorum
-// means "need distinct members hold the cast", so a network-duplicated
-// acknowledgement (a KindCastAck in legacy mode, a watermark report in the
-// default cumulative mode) from one member must not stand in for a missing
-// member. With every data-path message duplicated and one member's
-// acknowledgements dropped entirely, a resiliency-2 cast in a 3-member
-// group must time out rather than report success off one member's doubled
-// acknowledgement.
+// under duplication injection: the quorum means "need distinct members hold
+// the cast", so a network-duplicated watermark report from one member must
+// not stand in for a missing member. With every data-path message duplicated
+// and one member's reports dropped entirely, a resiliency-2 cast in a
+// 3-member group must time out rather than report success off one member's
+// doubled acknowledgement.
 func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
-	modes := []struct {
-		name    string
-		rel     reliability.Config
-		ackKind types.Kind
-	}{
-		{"cumulative", reliability.Config{}, types.KindStability},
-		{"per-cast", reliability.Config{PerCastAck: true}, types.KindCastAck},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			const n = 3
-			c := cluster.MustNew(n, cluster.Options{
-				Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
-			})
-			defer c.Stop()
-			groups := buildGroup(t, c, n, func(int) group.Config {
-				return group.Config{Resiliency: 2, Reliability: mode.rel}
-			})
-			// Silence the third member's acknowledgements — in cumulative
-			// mode its watermark reports, in legacy mode its cast acks. (Its
-			// own casts, which piggyback reports, are left alone: the sanity
-			// phase below casts from it.)
-			silenced := c.Proc(2).ID
-			c.Fabric.AddDropRule(func(p netsim.Packet) bool {
-				return p.From == silenced && p.Msg.Kind == mode.ackKind
-			})
-
-			ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
-			defer cancel()
-			err := groups[0].Cast(ctx, types.FIFO, []byte("needs-two-distinct-ackers"))
-			if !errors.Is(err, types.ErrTimeout) {
-				t.Fatalf("Cast err = %v, want timeout: only one distinct member acked (its ack was merely duplicated)", err)
-			}
-
-			// Sanity: two distinct ackers still satisfy the quorum under the
-			// same duplication — cast from the silenced member, whose own
-			// acknowledgements are the only ones the drop rule removes.
-			ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel2()
-			if err := groups[2].Cast(ctx2, types.FIFO, []byte("quorum from the other two")); err != nil {
-				t.Fatalf("cast with two ackable members failed: %v", err)
-			}
+	t.Run("cumulative", func(t *testing.T) {
+		const n = 3
+		c := cluster.MustNew(n, cluster.Options{
+			Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
 		})
-	}
+		defer c.Stop()
+		groups := buildGroup(t, c, n, func(int) group.Config {
+			return group.Config{Resiliency: 2}
+		})
+		// Silence the third member's watermark reports. (Its own casts,
+		// which piggyback reports, are left alone: the sanity phase below
+		// casts from it.)
+		silenced := c.Proc(2).ID
+		c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+			return p.From == silenced && p.Msg.Kind == types.KindStability
+		})
+
+		ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+		defer cancel()
+		err := groups[0].Cast(ctx, types.FIFO, []byte("needs-two-distinct-ackers"))
+		if !errors.Is(err, types.ErrTimeout) {
+			t.Fatalf("Cast err = %v, want timeout: only one distinct member acked (its ack was merely duplicated)", err)
+		}
+
+		// Sanity: two distinct ackers still satisfy the quorum under the
+		// same duplication — cast from the silenced member, whose own
+		// acknowledgements are the only ones the drop rule removes.
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel2()
+		if err := groups[2].Cast(ctx2, types.FIFO, []byte("quorum from the other two")); err != nil {
+			t.Fatalf("cast with two ackable members failed: %v", err)
+		}
+	})
 }
 
-// TestCumulativeAckRetiresPerCastAcks pins the tentpole claim directly: with
-// the default configuration, a resilient blocking cast completes with ZERO
-// KindCastAck messages on the wire — the piggybacked/standalone stability
-// watermarks are the only acknowledgement signal — and the ack traffic for a
-// stream of casts is bounded by reports, not by casts × members.
-func TestCumulativeAckRetiresPerCastAcks(t *testing.T) {
-	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
+// TestRetiredKindIsIgnored: number 4 was the per-cast acknowledgement. A
+// mixed-version peer or a stale WAL can still present it; a joined stack must
+// route it to no group handler and change no state.
+func TestRetiredKindIsIgnored(t *testing.T) {
+	c := cluster.MustNew(2, cluster.Options{})
 	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
-		return group.Config{Resiliency: n - 1}
+	// The recovery timer is parked so the only traffic is what the test sends.
+	groups := buildGroup(t, c, 2, func(int) group.Config {
+		return group.Config{Resiliency: 1, Reliability: reliability.Config{NakInterval: time.Hour}}
 	})
+	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
 
-	for i := 0; i < 50; i++ {
-		if err := groups[0].Cast(ctxT(t), types.FIFO, []byte{byte(i)}); err != nil {
-			t.Fatalf("cast %d: %v", i, err)
-		}
-	}
-	st := c.Fabric.Stats()
-	if got := st.PerKind[types.KindCastAck]; got != 0 {
-		t.Errorf("%d KindCastAck messages on the wire, want 0 (per-cast acks are retired)", got)
-	}
-	if st.PerKind[types.KindStability] == 0 {
-		t.Error("no stability reports on the wire: nothing acknowledged the casts")
-	}
-}
-
-// TestPerCastAckModeStillWorks pins the legacy baseline the E12 experiment
-// measures against: with PerCastAck set, resilient casts complete via
-// KindCastAck exactly as before the cumulative path landed.
-func TestPerCastAckModeStillWorks(t *testing.T) {
-	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
-		return group.Config{Resiliency: 2, Reliability: reliability.Config{PerCastAck: true}}
+	// Nothing claims the number, so the message falls through to the node's
+	// default handler — which doubles as the barrier: once it has run, the
+	// actor is past the message.
+	unclaimed := make(chan *types.Message, 1)
+	c.Proc(0).Node.HandleDefault(func(m *types.Message) { unclaimed <- m })
+	view := groups[0].CurrentView()
+	before := groups[0].ReliabilityStats()
+	err := c.Fabric.Send(&types.Message{
+		Kind:    types.Kind(4),
+		From:    c.Proc(1).ID,
+		To:      c.Proc(0).ID,
+		Group:   groups[0].ID(),
+		View:    view.ID,
+		Corr:    1,
+		Stab:    []types.StabEntry{{Sender: c.Proc(0).ID, Seq: 1 << 40}},
+		StabOrd: 1 << 40,
 	})
-	for i := 0; i < 20; i++ {
-		if err := groups[0].Cast(ctxT(t), types.FIFO, []byte{byte(i)}); err != nil {
-			t.Fatalf("cast %d: %v", i, err)
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.Fabric.Stats().PerKind[types.KindCastAck]; got == 0 {
-		t.Error("legacy mode produced no KindCastAck messages")
+	select {
+	case m := <-unclaimed:
+		if m.Kind != types.Kind(4) {
+			t.Fatalf("default handler saw %v, want the retired kind", m.Kind)
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("retired kind never reached the default handler: some handler still claims number 4")
+	}
+	if after := groups[0].ReliabilityStats(); after != before {
+		t.Errorf("reliability state moved: %+v -> %+v", before, after)
+	}
+	if got := groups[0].CurrentView(); got.ID != view.ID || got.Size() != view.Size() {
+		t.Errorf("view moved: %v -> %v", view, got)
+	}
+	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("after")); err != nil {
+		t.Fatalf("cast after the retired kind: %v", err)
 	}
 }
 

@@ -58,16 +58,11 @@ func (g *Group) onRecoveryTick() {
 		g.stateXferTick()
 	}
 
-	if rcfg.DisableRetransmit {
-		return
-	}
-
-	// Resiliency repair (cumulative-ack mode): a blocking cast still waiting
-	// after a full interval re-sends itself to the members whose watermark
-	// reports have not covered it. Receivers treat the copy as a duplicate
-	// and re-send their cumulative report — which is exactly the message
-	// whose loss left the waiter stuck.
-	if !rcfg.PerCastAck && len(g.acks) > 0 {
+	// Resiliency repair: a blocking cast still waiting after a full interval
+	// re-sends itself to the members whose watermark reports have not covered
+	// it. Receivers treat the copy as a duplicate and re-send their cumulative
+	// report — which is exactly the message whose loss left the waiter stuck.
+	if len(g.acks) > 0 {
 		g.renotifyWaiters()
 	}
 
@@ -253,9 +248,8 @@ func (g *Group) renotifyWaiters() {
 			continue
 		}
 		c := held[0].Clone()
-		// Like every retransmission: no correlation, no stale piggybacked
-		// report attributed to the wrong moment.
-		c.Corr = 0
+		// Like every retransmission: no stale piggybacked report attributed
+		// to the wrong moment.
 		c.Stab, c.StabOrd = nil, 0
 		g.stack.node.SendCopies(dests, c)
 	}
@@ -265,7 +259,7 @@ func (g *Group) renotifyWaiters() {
 // requester's current view may be the one we just left, which is why the
 // previous view's tracker is retained for one view change.
 func (g *Group) onNak(m *types.Message) {
-	if g.closed || g.cfg.Reliability.DisableRetransmit {
+	if g.closed {
 		return
 	}
 	var tr *reliability.Tracker
@@ -289,10 +283,7 @@ func (g *Group) onNak(m *types.Message) {
 		}
 		for _, held := range tr.Retrieve(r, budget) {
 			c := held.Clone()
-			// No resiliency correlation (the retransmitter must not collect
-			// acks in its own correlation space) and no stale stability
-			// report attributed to the wrong process.
-			c.Corr = 0
+			// No stale stability report attributed to the wrong process.
 			c.Stab, c.StabOrd = nil, 0
 			_ = g.stack.node.Send(m.From, c)
 			g.relStats.NaksServed++
@@ -304,7 +295,7 @@ func (g *Group) onNak(m *types.Message) {
 // onNakOrder answers with the ABCAST bindings we retain above the
 // requester's delivered prefix.
 func (g *Group) onNakOrder(m *types.Message) {
-	if g.closed || g.cfg.Reliability.DisableRetransmit {
+	if g.closed {
 		return
 	}
 	var tt *order.Total

@@ -58,7 +58,6 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindStateNak, s.route((*Group).onStateNak))
 	n.Handle(types.KindCast, s.route((*Group).onCast))
 	n.HandleBatch(types.KindCast, s.routeCastBatch)
-	n.Handle(types.KindCastAck, s.route((*Group).onCastAck))
 	n.Handle(types.KindOrder, s.route((*Group).onOrder))
 	n.Handle(types.KindNak, s.route((*Group).onNak))
 	n.Handle(types.KindNakOrder, s.route((*Group).onNakOrder))

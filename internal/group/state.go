@@ -41,28 +41,6 @@ type StateApplier interface {
 	Apply(Delivery)
 }
 
-// funcHandler adapts the deprecated StateProvider/StateReceiver func pair to
-// the StateHandler interface. Either side may be nil (the legacy fields were
-// set one-sided: provider on existing members, receiver on joiners).
-type funcHandler struct {
-	provide func() []byte
-	receive func([]byte)
-}
-
-func (h funcHandler) Snapshot() ([]byte, error) {
-	if h.provide == nil {
-		return nil, nil
-	}
-	return h.provide(), nil
-}
-
-func (h funcHandler) Restore(b []byte) error {
-	if h.receive != nil {
-		h.receive(b)
-	}
-	return nil
-}
-
 // StateTransferStats counts the durable-state machinery's work on one group:
 // transfer traffic on both sides, restores, held-delivery accounting and WAL
 // activity.

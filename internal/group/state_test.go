@@ -340,36 +340,3 @@ func TestWALRecoveryAfterFullRestart(t *testing.T) {
 		t.Fatalf("recovered state differs: %d keys, want %d", s2.len(), s.len())
 	}
 }
-
-// TestLegacyFuncPairStillServed: the deprecated StateProvider/StateReceiver
-// fields ride the chunked path through the adapter (TestStateTransferToJoiner
-// covers the happy path; this one pins the stats so the adapter demonstrably
-// uses the new machinery).
-func TestLegacyFuncPairStillServed(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("legacy")
-	state := strings.Repeat("legacy-state ", 1000)
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{
-		StateProvider:   func() []byte { return []byte(state) },
-		StateChunkBytes: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got string
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{
-		StateReceiver:   func(b []byte) { mu.Lock(); got = string(b); mu.Unlock() },
-		StateChunkBytes: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cluster.WaitFor(testTimeout, func() bool { mu.Lock(); defer mu.Unlock(); return got == state }) {
-		t.Fatal("legacy transfer missing or wrong")
-	}
-	if st := g1.StateStats(); st.ChunksReceived < 2 {
-		t.Errorf("legacy transfer not chunked: %d chunks", st.ChunksReceived)
-	}
-}

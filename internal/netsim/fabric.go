@@ -186,7 +186,7 @@ type Stats struct {
 	MessagesDropped uint64
 	// FramesSent counts transmission units: one per Send, one per
 	// SendBatch regardless of batch size. MessagesSent/FramesSent is the
-	// batching amortization factor the E9 experiment reports.
+	// batching amortization factor.
 	FramesSent uint64
 	// MessagesDuplicated counts data-path messages the fabric delivered a
 	// second time because of duplication injection. Duplicates are not
@@ -198,13 +198,9 @@ type Stats struct {
 	MessagesReordered uint64
 	// BytesSent is the total wire size of all send attempts.
 	BytesSent uint64
-	// AcksSent counts per-cast acknowledgement messages (KindCastAck, the
-	// legacy resiliency path) and StabilitySent counts cumulative watermark
-	// reports (KindStability). Together they are a run's acknowledgement
-	// overhead — the quantity the E12 member-scaling experiment reports the
-	// reduction of. Both are also present in PerKind; the dedicated counters
-	// exist so experiments read them without map lookups on a hot path.
-	AcksSent      uint64
+	// StabilitySent counts cumulative watermark reports (KindStability), a
+	// run's acknowledgement overhead. It is also present in PerKind; the
+	// dedicated counter exists so experiments read it without a map lookup.
 	StabilitySent uint64
 	// PerKind breaks MessagesSent down by protocol message kind.
 	PerKind map[types.Kind]uint64
@@ -467,10 +463,7 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 	var kindN uint64
 	addKindRun := func() {
 		f.stats.PerKind[kindRun] += kindN
-		switch kindRun {
-		case types.KindCastAck:
-			f.stats.AcksSent += kindN
-		case types.KindStability:
+		if kindRun == types.KindStability {
 			f.stats.StabilitySent += kindN
 		}
 	}
@@ -604,7 +597,7 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 // It mirrors the node outbox's batchable set.
 func dataPathKind(k types.Kind) bool {
 	switch k {
-	case types.KindCast, types.KindCastAck, types.KindOrder, types.KindStability:
+	case types.KindCast, types.KindOrder, types.KindStability:
 		return true
 	}
 	return false
@@ -648,7 +641,6 @@ func (f *Fabric) Stats() Stats {
 		MessagesDuplicated: f.stats.MessagesDuplicated,
 		MessagesReordered:  f.stats.MessagesReordered,
 		BytesSent:          f.stats.BytesSent,
-		AcksSent:           f.stats.AcksSent,
 		StabilitySent:      f.stats.StabilitySent,
 		PerKind:            make(map[types.Kind]uint64, len(f.stats.PerKind)),
 		PerSender:          make(map[types.ProcessID]uint64, len(f.stats.PerSender)),

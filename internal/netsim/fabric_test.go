@@ -264,7 +264,7 @@ func TestSendBatchDeliversOneFrame(t *testing.T) {
 	_, _ = f.Attach(a)
 	chB, _ := f.Attach(b)
 
-	batch := []*types.Message{msg(a, b, types.KindCast), msg(a, b, types.KindCast), msg(a, b, types.KindCastAck)}
+	batch := []*types.Message{msg(a, b, types.KindCast), msg(a, b, types.KindCast), msg(a, b, types.KindOrder)}
 	if err := f.SendBatch(batch); err != nil {
 		t.Fatalf("SendBatch: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestSendBatchDeliversOneFrame(t *testing.T) {
 	if st.FramesSent != 1 {
 		t.Errorf("FramesSent = %d, want 1 (single batch frame)", st.FramesSent)
 	}
-	if st.PerKind[types.KindCast] != 2 || st.PerKind[types.KindCastAck] != 1 {
+	if st.PerKind[types.KindCast] != 2 || st.PerKind[types.KindOrder] != 1 {
 		t.Errorf("per-kind accounting = %v", st.PerKind)
 	}
 	// Receiver-side mutation must not reach the sender (clone-on-deliver).
@@ -289,10 +289,10 @@ func TestSendBatchDeliversOneFrame(t *testing.T) {
 	}
 }
 
-// TestAckAndStabilityCounters pins the dedicated acknowledgement counters:
-// KindCastAck and KindStability get their own Stats fields (matching their
-// PerKind entries), counted per message whether sent alone or mid-frame, so
-// E12 can report the ack-volume reduction without walking the kind map.
+// TestAckAndStabilityCounters pins the dedicated acknowledgement counter:
+// KindStability — the cumulative acknowledgement — gets its own Stats field
+// (matching its PerKind entry), counted per message whether sent alone or
+// mid-frame.
 func TestAckAndStabilityCounters(t *testing.T) {
 	f := New(DefaultConfig())
 	a, b := pid(1), pid(2)
@@ -301,9 +301,9 @@ func TestAckAndStabilityCounters(t *testing.T) {
 
 	batch := []*types.Message{
 		msg(a, b, types.KindCast),
-		msg(a, b, types.KindCastAck),
-		msg(a, b, types.KindCastAck),
 		msg(a, b, types.KindStability),
+		msg(a, b, types.KindStability),
+		msg(a, b, types.KindOrder),
 		msg(a, b, types.KindCast),
 	}
 	if err := f.SendBatch(batch); err != nil {
@@ -316,20 +316,17 @@ func TestAckAndStabilityCounters(t *testing.T) {
 	recvFrame(t, chB)
 
 	st := f.Stats()
-	if st.AcksSent != 2 {
-		t.Errorf("AcksSent = %d, want 2", st.AcksSent)
+	if st.StabilitySent != 3 {
+		t.Errorf("StabilitySent = %d, want 3", st.StabilitySent)
 	}
-	if st.StabilitySent != 2 {
-		t.Errorf("StabilitySent = %d, want 2", st.StabilitySent)
-	}
-	if st.AcksSent != st.PerKind[types.KindCastAck] || st.StabilitySent != st.PerKind[types.KindStability] {
-		t.Errorf("dedicated counters disagree with PerKind: acks %d/%d stability %d/%d",
-			st.AcksSent, st.PerKind[types.KindCastAck], st.StabilitySent, st.PerKind[types.KindStability])
+	if st.StabilitySent != st.PerKind[types.KindStability] {
+		t.Errorf("dedicated counter disagrees with PerKind: stability %d/%d",
+			st.StabilitySent, st.PerKind[types.KindStability])
 	}
 
 	f.ResetStats()
-	if st := f.Stats(); st.AcksSent != 0 || st.StabilitySent != 0 {
-		t.Errorf("ResetStats left ack counters at %d/%d", st.AcksSent, st.StabilitySent)
+	if st := f.Stats(); st.StabilitySent != 0 {
+		t.Errorf("ResetStats left the stability counter at %d", st.StabilitySent)
 	}
 }
 
@@ -353,15 +350,15 @@ func TestSendBatchDropRuleFiltersWithinFrame(t *testing.T) {
 	a, b := pid(1), pid(2)
 	_, _ = f.Attach(a)
 	chB, _ := f.Attach(b)
-	f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindCastAck })
+	f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindStability })
 
-	batch := []*types.Message{msg(a, b, types.KindCast), msg(a, b, types.KindCastAck), msg(a, b, types.KindCast)}
+	batch := []*types.Message{msg(a, b, types.KindCast), msg(a, b, types.KindStability), msg(a, b, types.KindCast)}
 	if err := f.SendBatch(batch); err != nil {
 		t.Fatalf("SendBatch: %v", err)
 	}
 	frame := recvFrame(t, chB)
 	if len(frame) != 2 {
-		t.Fatalf("frame carries %d messages, want 2 (ack filtered out)", len(frame))
+		t.Fatalf("frame carries %d messages, want 2 (report filtered out)", len(frame))
 	}
 	for _, m := range frame {
 		if m.Kind != types.KindCast {
@@ -381,23 +378,23 @@ func TestDropRuleOutOfOrderRemoval(t *testing.T) {
 	chB, _ := f.Attach(b)
 
 	removeCast := f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindCast })
-	removeAck := f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindCastAck })
+	removeStab := f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindStability })
 	removeOrder := f.AddDropRule(func(p Packet) bool { return p.Msg.Kind == types.KindOrder })
 
 	// Remove the middle rule first, then the first: the last rule's identity
 	// must survive both compactions.
-	removeAck()
+	removeStab()
 	removeCast()
-	removeAck() // double-remove is a no-op
+	removeStab() // double-remove is a no-op
 
-	_ = f.Send(msg(a, b, types.KindCast))    // rule removed: delivered
-	_ = f.Send(msg(a, b, types.KindCastAck)) // rule removed: delivered
-	_ = f.Send(msg(a, b, types.KindOrder))   // rule still active: dropped
+	_ = f.Send(msg(a, b, types.KindCast))      // rule removed: delivered
+	_ = f.Send(msg(a, b, types.KindStability)) // rule removed: delivered
+	_ = f.Send(msg(a, b, types.KindOrder))     // rule still active: dropped
 	if got := recvOne(t, chB); got.Kind != types.KindCast {
 		t.Errorf("first delivery kind = %v, want cast", got.Kind)
 	}
-	if got := recvOne(t, chB); got.Kind != types.KindCastAck {
-		t.Errorf("second delivery kind = %v, want cast-ack", got.Kind)
+	if got := recvOne(t, chB); got.Kind != types.KindStability {
+		t.Errorf("second delivery kind = %v, want stability", got.Kind)
 	}
 	if st := f.Stats(); st.MessagesDropped != 1 {
 		t.Errorf("MessagesDropped = %d, want 1 (only the order message)", st.MessagesDropped)

@@ -15,9 +15,8 @@
 // # Batching and pipelining
 //
 // Outbound multicast traffic (casts, stability reports, ABCAST order
-// announcements, legacy cast acks)
-// is coalesced by a per-destination outbox: sends enqueue, and the pending
-// queues are flushed as transport batch frames when the actor runs out of
+// announcements) is coalesced by a per-destination outbox: sends enqueue,
+// and the pending queues are flushed as transport batch frames when the actor runs out of
 // queued work, when a queue reaches Batching.MaxBatch, or at the latest
 // after Batching.Window. Because the flush-on-idle path runs before the
 // actor blocks, batching adds no latency when the process is idle and
@@ -55,7 +54,7 @@ type BatchHandler func([]*types.Message)
 type Node struct {
 	pid types.ProcessID
 	ep  transport.Endpoint
-	ob  *outbox // nil when batching is disabled
+	ob  *outbox
 
 	handlersMu sync.RWMutex
 	handlers   map[types.Kind]Handler
@@ -97,9 +96,7 @@ func NewWithBatching(pid types.ProcessID, network transport.Network, b Batching)
 		stop:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 		timers:   make(map[*time.Timer]struct{}),
-	}
-	if !b.Disable {
-		n.ob = newOutbox(ep, b.withDefaults())
+		ob:       newOutbox(ep, b.withDefaults()),
 	}
 	return n, nil
 }
@@ -161,9 +158,7 @@ func (n *Node) Stop() {
 		if n.started.Load() {
 			<-n.stopped
 		}
-		if n.ob != nil {
-			n.ob.stop()
-		}
+		n.ob.stop()
 		n.timerMu.Lock()
 		for t := range n.timers {
 			t.Stop()
@@ -196,9 +191,7 @@ func (n *Node) loop() {
 		default:
 			// Out of queued work: flush coalesced sends before blocking, so
 			// batching never delays a message while the process is idle.
-			if n.ob != nil {
-				n.ob.flushAll()
-			}
+			n.ob.flushAll()
 			select {
 			case <-n.stop:
 				return
@@ -293,21 +286,18 @@ func (n *Node) Call(fn func()) error {
 // Send fills in the sender and transmits msg. It may be called from any
 // goroutine, including handlers.
 //
-// Hot-path multicast kinds (casts, stability reports, order announcements,
-// legacy cast acks) are
-// coalesced through the outbox and flushed as batch frames; their transport
+// Hot-path multicast kinds (casts, stability reports, order announcements)
+// are coalesced through the outbox and flushed as batch frames; their transport
 // errors surface asynchronously, like loss on a real network. All other
 // kinds are transmitted synchronously, after flushing anything the outbox
 // holds for the same destination so per-destination FIFO order is kept.
 func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 	msg.From = n.pid
 	msg.To = to
-	if n.ob != nil {
-		if batchable(msg.Kind) {
-			return n.ob.enqueue(msg)
-		}
-		n.ob.flushDest(to)
+	if batchable(msg.Kind) {
+		return n.ob.enqueue(msg)
 	}
+	n.ob.flushDest(to)
 	return n.ep.Send(msg)
 }
 

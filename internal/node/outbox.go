@@ -9,10 +9,8 @@ import (
 )
 
 // Batching configures the sender-side outbox that coalesces hot-path
-// multicast traffic (KindCast, KindOrder, KindStability and — in the
-// legacy per-cast-ack mode — KindCastAck) into batch frames. The zero
-// value selects the defaults; set Disable to get the historical
-// one-frame-per-message behaviour.
+// multicast traffic (KindCast, KindOrder, KindStability) into batch frames.
+// The zero value selects the defaults.
 type Batching struct {
 	// MaxBatch caps how many messages one flushed frame may carry. A queue
 	// reaching the cap is flushed immediately. Zero selects 256.
@@ -23,10 +21,6 @@ type Batching struct {
 	// actor loop flushes whenever it runs out of queued work. Zero selects
 	// 2ms, comfortably inside the group layer's view-install grace.
 	Window time.Duration
-	// Disable bypasses the outbox entirely: every send is transmitted on
-	// its own, the pre-batching behaviour. The E9 experiment uses it as
-	// the baseline.
-	Disable bool
 }
 
 // DefaultBatching returns the default knob settings.
@@ -46,17 +40,17 @@ func (b Batching) withDefaults() Batching {
 
 // batchable reports whether a message kind rides the coalescing outbox.
 // Only the multicast data path qualifies: casts, stability reports (the
-// cumulative acknowledgements), legacy per-cast acknowledgements and
-// ABCAST order announcements are fire-and-forget
-// (protocols recover from their loss via acks, NAKs, retries and failure
-// detection), so reporting their transport errors asynchronously is safe.
+// cumulative acknowledgements) and ABCAST order announcements are
+// fire-and-forget (protocols recover from their loss via acks, NAKs, retries
+// and failure detection), so reporting their transport errors
+// asynchronously is safe.
 // Everything else — RPC, membership, state transfer, heartbeats, hierarchy
 // management — keeps the synchronous direct path because callers act on its
 // errors (contact fallback in tree broadcast and leaf reports, dial errors
 // on TCP).
 func batchable(k types.Kind) bool {
 	switch k {
-	case types.KindCast, types.KindCastAck, types.KindOrder, types.KindStability:
+	case types.KindCast, types.KindOrder, types.KindStability:
 		return true
 	}
 	return false

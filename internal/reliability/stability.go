@@ -44,18 +44,6 @@ type Config struct {
 	// n-member group costs O(n·fanout) messages per tick instead of O(n²) —
 	// the term that would otherwise dominate large groups. Zero selects 4.
 	StabilityFanout int
-	// DisableRetransmit turns the NAK/retransmit machinery and flush
-	// forwarding off, restoring the pre-stability best-effort behaviour.
-	// The E11 experiment uses it as the baseline; deployments do not.
-	DisableRetransmit bool
-	// PerCastAck restores the retired per-cast acknowledgement path: every
-	// received cast is answered with one KindCastAck per receiver, O(n²)
-	// messages per broadcast round. The default (false) acknowledges
-	// cumulatively instead — the piggybacked/standalone stability watermarks
-	// are the only ack signal, so one report covers an entire prefix of
-	// casts. The E12 experiment uses PerCastAck as the baseline; deployments
-	// do not.
-	PerCastAck bool
 }
 
 // WithDefaults fills zero fields with the default knob settings.

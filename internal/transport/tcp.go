@@ -31,10 +31,10 @@ import (
 //
 // On the wire every frame is a 4-byte big-endian payload length followed by
 // the internal/wire binary encoding of the batch (plus optional hello
-// metadata). The codec replaced encoding/gob: fixed layout instead of
-// per-frame type metadata, an append into a pooled scratch buffer instead of
-// reflective encoding, so steady-state sending performs near-zero
-// allocations per frame and decoding is a bounds-checked linear scan.
+// metadata): a fixed layout with no per-frame type metadata, appended into a
+// pooled scratch buffer without reflection, so steady-state sending performs
+// near-zero allocations per frame and decoding is a bounds-checked linear
+// scan.
 //
 // # Connection management
 //

@@ -11,6 +11,8 @@ import (
 // and hierarchy protocols.
 type Kind uint16
 
+// Retired kinds keep their numbers as _ placeholders: wal records and
+// KindStateTransfer snapshots store Kind numerically on disk.
 const (
 	KindInvalid Kind = iota
 
@@ -19,9 +21,9 @@ const (
 	KindReply   // RPC reply
 
 	// Group multicast data path.
-	KindCast    // ordered multicast payload (FIFO/causal/total per header)
-	KindCastAck // legacy per-cast acknowledgement (PerCastAck mode only; cumulative watermarks replaced it)
-	KindOrder   // sequencer order announcement for ABCAST
+	KindCast  // ordered multicast payload (FIFO/causal/total per header)
+	_         // 4: retired (per-cast acknowledgement)
+	KindOrder // sequencer order announcement for ABCAST
 
 	// Failure detection.
 	KindHeartbeat
@@ -36,20 +38,20 @@ const (
 	KindStateTransfer
 
 	// Hierarchical group management.
-	KindHJoinRequest   // ask the leader group to place a process in a leaf
-	KindHJoinRedirect  // leader's placement decision
-	KindHLeafReport    // leaf -> leader status report (size, load)
-	KindHLeafFailed    // total leaf failure escalation
-	KindHSplit         // leader instructs a leaf to split
-	KindHMerge         // leader instructs two leaves to merge
-	KindHViewUpdate    // branch view update distributed to leader members
-	KindHRoute         // client request routed through the hierarchy
-	KindHRouteReply    // reply to a routed request
-	KindTreeCast       // tree-structured whole-group broadcast stage
-	KindTreeCastAck    // aggregated acknowledgement travelling back up
-	KindNameLookup     // naming service query
-	KindNameLookupResp // naming service response
-	KindNameRegister   // naming service registration
+	KindHJoinRequest  // ask the leader group to place a process in a leaf
+	KindHJoinRedirect // leader's placement decision
+	KindHLeafReport   // leaf -> leader status report (size, load)
+	_                 // 17: retired (leaf-failed escalation)
+	_                 // 18: retired (split instruction)
+	_                 // 19: retired (merge instruction)
+	_                 // 20: retired (branch view update)
+	KindHRoute        // client request routed through the hierarchy
+	KindHRouteReply   // reply to a routed request
+	KindTreeCast      // tree-structured whole-group broadcast stage
+	KindTreeCastAck   // aggregated acknowledgement travelling back up
+	KindNameLookup    // naming service query
+	_                 // 26: retired (naming service response)
+	KindNameRegister  // naming service registration
 
 	// Toolkit protocols.
 	KindLockRequest
@@ -64,7 +66,7 @@ const (
 	// Reliability layer (message stability, NAK/retransmit, recovery).
 	KindNak       // receiver asks a holder to retransmit missing casts
 	KindNakOrder  // ABCAST member asks for order announcements it is missing
-	KindStability // periodic stability report (per-sender receive watermarks)
+	KindStability // stability report (per-sender receive watermarks): the cumulative acknowledgement
 	KindViewNak   // wedged member asks for a view install it never received
 
 	// Hierarchy recovery (treecast stability, NAK/retransmit across leaves).
@@ -77,35 +79,37 @@ const (
 	KindStateOffer // holder announces a checkpoint for a view (size, chunking, digest)
 	KindStateChunk // one checkpoint chunk (Seq carries the chunk index)
 	KindStateNak   // joiner asks a holder for missing chunks or a fresh offer
+
+	kindEnd // one past the last declared kind
 )
+
+// kindNames is indexed by Kind; retired numbers stay empty.
+var kindNames = [kindEnd]string{
+	KindInvalid: "invalid", KindRequest: "request", KindReply: "reply",
+	KindCast: "cast", KindOrder: "order",
+	KindHeartbeat: "heartbeat", KindHeartbeatAck: "heartbeat-ack",
+	KindJoinRequest: "join", KindLeaveRequest: "leave",
+	KindViewPropose: "view-propose", KindViewFlushAck: "view-flush-ack",
+	KindViewInstall: "view-install", KindStateTransfer: "state-transfer",
+	KindHJoinRequest: "hjoin", KindHJoinRedirect: "hjoin-redirect",
+	KindHLeafReport: "hleaf-report",
+	KindHRoute:      "hroute", KindHRouteReply: "hroute-reply",
+	KindTreeCast: "treecast", KindTreeCastAck: "treecast-ack",
+	KindNameLookup: "name-lookup", KindNameRegister: "name-register",
+	KindLockRequest: "lock-request", KindLockGrant: "lock-grant", KindLockRelease: "lock-release",
+	KindTxnPrepare: "txn-prepare", KindTxnVote: "txn-vote", KindTxnDecision: "txn-decision",
+	KindTaskAssign: "task-assign", KindTaskResult: "task-result",
+	KindNak: "nak", KindNakOrder: "nak-order", KindStability: "stability",
+	KindViewNak:     "view-nak",
+	KindTreeCastNak: "treecast-nak", KindTreeCastRepair: "treecast-repair",
+	KindHLeaderInvite: "hleader-invite", KindHLeaderUpdate: "hleader-update",
+	KindStateOffer: "state-offer", KindStateChunk: "state-chunk", KindStateNak: "state-nak",
+}
 
 // String returns the symbolic name of the kind for logs and tests.
 func (k Kind) String() string {
-	names := map[Kind]string{
-		KindInvalid: "invalid", KindRequest: "request", KindReply: "reply",
-		KindCast: "cast", KindCastAck: "cast-ack", KindOrder: "order",
-		KindHeartbeat: "heartbeat", KindHeartbeatAck: "heartbeat-ack",
-		KindJoinRequest: "join", KindLeaveRequest: "leave",
-		KindViewPropose: "view-propose", KindViewFlushAck: "view-flush-ack",
-		KindViewInstall: "view-install", KindStateTransfer: "state-transfer",
-		KindHJoinRequest: "hjoin", KindHJoinRedirect: "hjoin-redirect",
-		KindHLeafReport: "hleaf-report", KindHLeafFailed: "hleaf-failed",
-		KindHSplit: "hsplit", KindHMerge: "hmerge", KindHViewUpdate: "hview-update",
-		KindHRoute: "hroute", KindHRouteReply: "hroute-reply",
-		KindTreeCast: "treecast", KindTreeCastAck: "treecast-ack",
-		KindNameLookup: "name-lookup", KindNameLookupResp: "name-lookup-resp",
-		KindNameRegister: "name-register",
-		KindLockRequest:  "lock-request", KindLockGrant: "lock-grant", KindLockRelease: "lock-release",
-		KindTxnPrepare: "txn-prepare", KindTxnVote: "txn-vote", KindTxnDecision: "txn-decision",
-		KindTaskAssign: "task-assign", KindTaskResult: "task-result",
-		KindNak: "nak", KindNakOrder: "nak-order", KindStability: "stability",
-		KindViewNak:     "view-nak",
-		KindTreeCastNak: "treecast-nak", KindTreeCastRepair: "treecast-repair",
-		KindHLeaderInvite: "hleader-invite", KindHLeaderUpdate: "hleader-update",
-		KindStateOffer: "state-offer", KindStateChunk: "state-chunk", KindStateNak: "state-nak",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if k < kindEnd && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }

@@ -258,6 +258,61 @@ func TestKindAndOrderingStrings(t *testing.T) {
 	}
 }
 
+// retiredKinds are the numbers message.go keeps as _ placeholders.
+var retiredKinds = map[Kind]bool{4: true, 17: true, 18: true, 19: true, 20: true, 26: true}
+
+// TestKindNumbersPinned: wal records and state snapshots store Kind
+// numerically on disk, so a surviving kind must never be renumbered.
+func TestKindNumbersPinned(t *testing.T) {
+	pinned := map[Kind]uint16{
+		KindInvalid: 0, KindRequest: 1, KindReply: 2, KindCast: 3, KindOrder: 5,
+		KindHeartbeat: 6, KindHeartbeatAck: 7,
+		KindJoinRequest: 8, KindLeaveRequest: 9, KindViewPropose: 10, KindViewFlushAck: 11,
+		KindViewInstall: 12, KindStateTransfer: 13,
+		KindHJoinRequest: 14, KindHJoinRedirect: 15, KindHLeafReport: 16,
+		KindHRoute: 21, KindHRouteReply: 22, KindTreeCast: 23, KindTreeCastAck: 24,
+		KindNameLookup: 25, KindNameRegister: 27,
+		KindLockRequest: 28, KindLockGrant: 29, KindLockRelease: 30,
+		KindTxnPrepare: 31, KindTxnVote: 32, KindTxnDecision: 33,
+		KindTaskAssign: 34, KindTaskResult: 35,
+		KindNak: 36, KindNakOrder: 37, KindStability: 38, KindViewNak: 39,
+		KindTreeCastNak: 40, KindTreeCastRepair: 41, KindHLeaderInvite: 42, KindHLeaderUpdate: 43,
+		KindStateOffer: 44, KindStateChunk: 45, KindStateNak: 46,
+	}
+	for k, want := range pinned {
+		if uint16(k) != want {
+			t.Errorf("%s = %d, want %d", k, uint16(k), want)
+		}
+	}
+	if len(pinned)+len(retiredKinds) != int(kindEnd) {
+		t.Errorf("%d pinned + %d retired kinds, but %d are declared: pin the new kind here", len(pinned), len(retiredKinds), kindEnd)
+	}
+}
+
+// TestEveryDeclaredKindIsNamed fails when a kind is added without a name.
+func TestEveryDeclaredKindIsNamed(t *testing.T) {
+	for k := KindInvalid; k < kindEnd; k++ {
+		unnamed := strings.HasPrefix(k.String(), "kind(")
+		if unnamed != retiredKinds[k] {
+			t.Errorf("Kind(%d).String() = %q, retired = %t", uint16(k), k.String(), retiredKinds[k])
+		}
+	}
+}
+
+func TestKindStringDoesNotAllocate(t *testing.T) {
+	var sink string
+	if n := testing.AllocsPerRun(100, func() {
+		for k := KindInvalid; k < kindEnd; k++ {
+			if !retiredKinds[k] {
+				sink = k.String()
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Kind.String() allocates %.1f times per pass over the declared kinds", n)
+	}
+	_ = sink
+}
+
 func TestEncodeDecodeHelpers(t *testing.T) {
 	b := EncodeUint64(nil, 42)
 	b = EncodeString(b, "hello")

@@ -1,14 +1,15 @@
 // Package wire is the hand-rolled binary codec for transport frames: the
-// encoding the TCP transport puts on the wire in place of encoding/gob.
+// encoding the TCP transport puts on the wire.
 //
-// Gob was convenient but expensive in exactly the way the hot path cannot
-// afford: every frame re-transmits type metadata, every encode walks the
-// struct reflectively, and every decode allocates. The wire codec instead
-// fixes the layout at compile time — a fixed-width per-message header for
-// the fields every message carries, varint-length-prefixed sections for the
-// optional ones — so encoding is a straight append into a caller-owned
-// buffer (zero allocations steady-state) and decoding is a bounds-checked
-// linear scan that can reuse a Decoder's buffers frame over frame.
+// A reflective, self-describing encoding is expensive in exactly the way the
+// hot path cannot afford: every frame re-transmits type metadata, every
+// encode walks the struct reflectively, and every decode allocates. The wire
+// codec instead fixes the layout at compile time — a fixed-width per-message
+// header for the fields every message carries, varint-length-prefixed
+// sections for the optional ones — so encoding is a straight append into a
+// caller-owned buffer (zero allocations steady-state) and decoding is a
+// bounds-checked linear scan that can reuse a Decoder's buffers frame over
+// frame.
 //
 // # Frame layout
 //

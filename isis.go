@@ -216,35 +216,19 @@ func WithHeartbeats() Option {
 // reaches maxBatch messages, or at the latest after the flush window. Both
 // substrates batch — the simulated fabric delivers a frame as one queue
 // operation, TCP writes it as one length-prefixed wire frame. Zero values
-// select the defaults (256 messages, 2ms). Batching is on by default;
-// WithBatching is only needed to tune it.
+// select the defaults (256 messages, 2ms); WithBatching is only needed to
+// tune them.
 func WithBatching(maxBatch int, window time.Duration) Option {
 	return func(o *options) {
 		o.batching = BatchingConfig{MaxBatch: maxBatch, Window: window}
 	}
 }
 
-// WithoutBatching disables send coalescing: every message is transmitted as
-// its own frame, the pre-batching behaviour. The E9 experiment uses it as
-// the baseline; real deployments have no reason to.
-func WithoutBatching() Option {
-	return func(o *options) { o.batching = BatchingConfig{Disable: true} }
-}
-
 // WithReliability tunes the message-stability and NAK/retransmit layer used
 // by every group the runtime's processes join (zero fields keep the
-// defaults). Recovery is on by default; WithReliability is only needed to
-// tune it.
+// defaults); WithReliability is only needed to tune it.
 func WithReliability(cfg ReliabilityConfig) Option {
 	return func(o *options) { o.reliability = cfg }
-}
-
-// WithoutRetransmit disables the NAK/retransmit machinery, flush forwarding
-// and sequencer failover, restoring the pre-stability best-effort multicast.
-// The E11 experiment uses it as the lossy-network baseline; real deployments
-// have no reason to.
-func WithoutRetransmit() Option {
-	return func(o *options) { o.reliability = ReliabilityConfig{DisableRetransmit: true} }
 }
 
 // WithFaultPlan attaches a fault plan to a simulated runtime: a timeline of

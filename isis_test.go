@@ -369,8 +369,8 @@ func TestFacadeFaultPlanAndObserver(t *testing.T) {
 }
 
 // TestFacadeBatchingOptions pins the batching knobs: casts flow end to end
-// with tuned batching, with batching disabled, and (the default) with it
-// on — and the simulated fabric's frame counters reflect the difference.
+// with 16-message frames and with one-message frames, and the simulated
+// fabric's frame counters reflect the difference.
 func TestFacadeBatchingOptions(t *testing.T) {
 	run := func(rt *isis.Runtime) (delivered int32, st isis.Stats) {
 		defer rt.Shutdown()
@@ -397,21 +397,21 @@ func TestFacadeBatchingOptions(t *testing.T) {
 	}
 
 	_, tuned := run(isis.NewSimulated(isis.WithBatching(16, time.Millisecond)))
-	_, off := run(isis.NewSimulated(isis.WithoutBatching()))
+	_, off := run(isis.NewSimulated(isis.WithBatching(1, time.Millisecond)))
 	if tuned.FramesSent >= off.FramesSent {
-		t.Errorf("tuned batching sent %d frames, unbatched %d: coalescing had no effect",
+		t.Errorf("16-message frames: %d frames sent, one-message frames: %d: coalescing had no effect",
 			tuned.FramesSent, off.FramesSent)
 	}
 	// Batching must not change how many CASTS are sent — only how they are
 	// framed. (Total message counts legitimately differ: cumulative
 	// acknowledgements answer per frame, so better framing means fewer
-	// stability reports. That is the point, and E12 measures it.)
+	// stability reports. That is the point.)
 	if tuned.PerKind[types.KindCast] != off.PerKind[types.KindCast] {
-		t.Errorf("cast counts differ across batching modes: %d vs %d (batching must only change framing)",
+		t.Errorf("cast counts differ across frame caps: %d vs %d (batching must only change framing)",
 			tuned.PerKind[types.KindCast], off.PerKind[types.KindCast])
 	}
 	if tuned.MessagesSent > off.MessagesSent {
-		t.Errorf("batched run sent MORE messages than unbatched (%d vs %d): per-frame acknowledgement coalescing regressed",
+		t.Errorf("16-message frames sent MORE messages than one-message frames (%d vs %d): per-frame acknowledgement coalescing regressed",
 			tuned.MessagesSent, off.MessagesSent)
 	}
 }

@@ -485,7 +485,7 @@ func (a *Agent) sendLeafReport(r leafReport) {
 			a.onLeafReport(msg)
 			return
 		}
-		if err := a.stackNode().Send(dest, msg.Clone()); err == nil {
+		if err := a.stackNode().Send(dest, msg); err == nil {
 			return
 		}
 	}
@@ -728,7 +728,8 @@ func (a *Agent) leaderCoordinator() bool {
 // accepted the message.
 func (a *Agent) forwardToLeader(m *types.Message) bool {
 	self := a.stackNode().PID()
-	fwd := m.Clone()
+	// Send borrows its message, so one envelope serves every attempt.
+	fwd := *m
 	if fwd.ReplyTo.IsNil() {
 		fwd.ReplyTo = m.From
 	}
@@ -738,7 +739,7 @@ func (a *Agent) forwardToLeader(m *types.Message) bool {
 			return false
 		}
 		tried = append(tried, dest)
-		return a.stackNode().Send(dest, fwd.Clone()) == nil
+		return a.stackNode().Send(dest, &fwd) == nil
 	}
 	if a.leader != nil && !a.leader.Closed() {
 		lv := a.leader.CurrentView()

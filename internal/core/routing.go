@@ -317,7 +317,7 @@ func (a *Agent) sendStageTo(cs *childState, corr uint64, rec record) error {
 		if c == self {
 			continue
 		}
-		if err := a.stackNode().Send(c, msg.Clone()); err == nil {
+		if err := a.stackNode().Send(c, msg); err == nil {
 			cs.cursor = idx
 			return nil
 		} else {

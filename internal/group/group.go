@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -65,6 +66,7 @@ type Group struct {
 	// breaking set agreement. They are replayed (up to the cut) when the
 	// install arrives and discarded beyond it.
 	parked       []*types.Message
+	intake       castIntake      // onCastBatch's per-frame scratch
 	forwardedFor types.ViewID    // proposed view we already flush-forwarded for
 	proposeFrom  types.ProcessID // proposer of the in-progress view change
 	proposedView types.ViewID
@@ -108,6 +110,28 @@ type Group struct {
 	snapMu     sync.Mutex
 	snap       member.View
 	closedSnap bool
+}
+
+// castIntake is the scratch onCastBatch sorts one frame into, kept across
+// frames so intake allocates no per-frame lists. byOrdering[o] collects the
+// current-view casts for engine o; direct holds the casts outside the known
+// orderings, delivered directly like onCast does; reportTo lists the
+// originators the frame is acknowledged to.
+type castIntake struct {
+	byOrdering [4][]*types.Message
+	direct     []*types.Message
+	reportTo   []types.ProcessID
+}
+
+// reset empties the scratch, dropping the message pointers so a quiet group
+// pins no cast.
+func (in *castIntake) reset() {
+	for o := range in.byOrdering {
+		clear(in.byOrdering[o])
+		in.byOrdering[o] = in.byOrdering[o][:0]
+	}
+	clear(in.direct)
+	in.direct, in.reportTo = in.direct[:0], in.reportTo[:0]
 }
 
 // ackWaiter tracks one cast's resiliency acknowledgements. Ackers are
@@ -563,11 +587,7 @@ func (g *Group) flushForward(proposed member.View) {
 		return
 	}
 	for _, m := range g.rel.Unstable() {
-		c := m.Clone()
-		// Forwarded copies must not replay the original sender's stale
-		// stability report as the forwarder's own.
-		c.Stab, c.StabOrd = nil, 0
-		g.stack.node.SendCopies(dests, c)
+		g.stack.node.SendCopies(dests, retransmission(m))
 		g.relStats.Forwarded++
 	}
 }
@@ -1076,8 +1096,15 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 	}
 
 	g.stack.node.SendCopies(g.view.Members, msg)
-	// Self-delivery through the same path as remote copies.
-	g.onCast(msg.Clone())
+	// Self-delivery through the same path as remote copies, in an envelope
+	// of its own: msg now belongs to the outbox, and the ordering engines
+	// write delivered envelopes (order.Total stamps Seq). The VT is shared
+	// read-only; the payload is copied because the delivery hands it to the
+	// application. No stability report: ingestStab ignores our own.
+	own := *msg
+	own.Payload = bytes.Clone(payload)
+	own.Stab, own.StabOrd = nil, 0
+	g.onCast(&own)
 
 	if need <= 0 && done != nil {
 		done <- nil
@@ -1262,11 +1289,9 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		return
 	}
 	self := g.stack.node.PID()
+	in := &g.intake
+	defer in.reset()
 
-	// byOrdering[o] collects the current-view casts for engine o; anything
-	// outside the known orderings is delivered directly, like onCast does.
-	var byOrdering [4][]*types.Message
-	var direct []*types.Message
 	// Watermarks are cumulative and monotone, so the last report a source put
 	// in the frame is pointwise at least every earlier one: folding it alone,
 	// after the frame's casts are noted, leaves the tracker where folding
@@ -1278,7 +1303,6 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// the whole frame (parked casts and duplicates count too — their earlier
 	// report may have been the casualty). reportTo stays tiny, so a linear
 	// membership test beats a map.
-	var reportTo []types.ProcessID
 	for _, m := range ms {
 		if !g.joined || m.View != g.view.ID {
 			if m.View > g.view.ID || !g.joined {
@@ -1294,8 +1318,8 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			}
 			report = m
 		}
-		if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
-			reportTo = append(reportTo, s)
+		if s := m.ID.Sender; s != self && !types.ContainsProcess(in.reportTo, s) {
+			in.reportTo = append(in.reportTo, s)
 		}
 		if g.parksCast(m) {
 			g.parked = append(g.parked, m)
@@ -1322,25 +1346,25 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		}
 		switch m.Ordering {
 		case types.FIFO, types.Causal, types.Total:
-			byOrdering[m.Ordering] = append(byOrdering[m.Ordering], m)
+			in.byOrdering[m.Ordering] = append(in.byOrdering[m.Ordering], m)
 		default: // Unordered
-			direct = append(direct, m)
+			in.direct = append(in.direct, m)
 		}
 	}
-	for _, d := range direct {
+	for _, d := range in.direct {
 		g.deliver(d)
 	}
-	if batch := byOrdering[types.FIFO]; len(batch) > 0 {
+	if batch := in.byOrdering[types.FIFO]; len(batch) > 0 {
 		for _, d := range g.fifo.AddBatch(batch) {
 			g.deliver(d)
 		}
 	}
-	if batch := byOrdering[types.Causal]; len(batch) > 0 {
+	if batch := in.byOrdering[types.Causal]; len(batch) > 0 {
 		for _, d := range g.causal.AddBatch(batch) {
 			g.deliver(d)
 		}
 	}
-	if batch := byOrdering[types.Total]; len(batch) > 0 {
+	if batch := in.byOrdering[types.Total]; len(batch) > 0 {
 		for _, d := range g.total.AddBatch(batch) {
 			g.deliver(d)
 		}
@@ -1348,7 +1372,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	if report != nil {
 		g.ingestStab(report)
 	}
-	for _, p := range reportTo {
+	for _, p := range in.reportTo {
 		g.sendReportTo(p)
 	}
 	g.recheckPendingInstall()

@@ -19,8 +19,8 @@ import (
 // the member's actor, and everything it sends is recorded instead of
 // transmitted.
 
-// recorder is a transport.Network with a single endpoint that keeps what it
-// is asked to send.
+// recorder is a transport.Network with a single endpoint that keeps clones
+// of what it is asked to send (an endpoint only borrows a frame).
 type recorder struct {
 	pid   types.ProcessID
 	inbox chan []*types.Message
@@ -36,7 +36,9 @@ func (r *recorder) Send(m *types.Message) error                        { return 
 func (r *recorder) SendBatch(ms []*types.Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sent = append(r.sent, ms...)
+	for _, m := range ms {
+		r.sent = append(r.sent, m.Clone())
+	}
 	return nil
 }
 

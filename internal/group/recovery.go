@@ -247,12 +247,18 @@ func (g *Group) renotifyWaiters() {
 		if len(dests) == 0 {
 			continue
 		}
-		c := held[0].Clone()
-		// Like every retransmission: no stale piggybacked report attributed
-		// to the wrong moment.
-		c.Stab, c.StabOrd = nil, 0
-		g.stack.node.SendCopies(dests, c)
+		g.stack.node.SendCopies(dests, retransmission(held[0]))
 	}
+}
+
+// retransmission returns the envelope that re-sends a held cast: a shallow
+// copy, sharing the held cast's VT and payload (nothing writes either once
+// held), without its piggybacked stability report — a report re-sent later,
+// or by another member, would be attributed to the wrong moment or process.
+func retransmission(held *types.Message) *types.Message {
+	c := *held
+	c.Stab, c.StabOrd = nil, 0
+	return &c
 }
 
 // onNak serves a retransmission request from this member's buffers — the
@@ -282,10 +288,7 @@ func (g *Group) onNak(m *types.Message) {
 			break
 		}
 		for _, held := range tr.Retrieve(r, budget) {
-			c := held.Clone()
-			// No stale stability report attributed to the wrong process.
-			c.Stab, c.StabOrd = nil, 0
-			_ = g.stack.node.Send(m.From, c)
+			_ = g.stack.node.Send(m.From, retransmission(held))
 			g.relStats.NaksServed++
 			budget--
 		}

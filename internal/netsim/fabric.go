@@ -39,7 +39,7 @@ type Config struct {
 	// dropped. The in-memory transport is reliable when LossRate is zero.
 	LossRate float64
 	// DupRate is the probability in [0,1) that a multicast data-path
-	// message (cast, cast ack, order announcement) is delivered twice,
+	// message (cast, stability report, order announcement) is delivered twice,
 	// modelling a network-level duplicate. Protocol messages are never
 	// duplicated: the membership and RPC layers assume at-most-once links,
 	// while the ordering engines are required to tolerate duplicates — the
@@ -409,7 +409,8 @@ func (f *Fabric) AddDropRule(rule DropRule) (remove func()) {
 }
 
 // Watch installs a tap invoked (synchronously, under no lock) for every
-// send attempt. Passing nil removes the tap.
+// send attempt. The packet's Msg is the sender's, borrowed for the call: a
+// tap that keeps it must Clone it. Passing nil removes the tap.
 func (f *Fabric) Watch(w func(Packet)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -526,7 +527,7 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 		f.stats.MessagesDropped += uint64(len(msgs))
 	}
 	// Duplication and reordering apply per message, to the multicast data
-	// path only (casts, cast acks, order announcements): the ordering
+	// path only (casts, stability reports, order announcements): the ordering
 	// engines must tolerate both, while the membership and RPC protocols
 	// assume per-pair FIFO at-most-once links. A duplicated message is
 	// delivered a second time in its own frame; a reordered message is
@@ -609,24 +610,27 @@ func dataPathKind(k types.Kind) bool {
 // SendBatch returns.
 func (f *Fabric) transmit(dst *port, to types.ProcessID, msgs []*types.Message, delay time.Duration) {
 	frame := types.CloneFrame(msgs)
-	deliver := func() {
-		select {
-		case dst.queue <- frame:
-			f.mu.Lock()
-			f.stats.MessagesDelivered += uint64(len(frame))
-			f.stats.PerReceiver[to] += uint64(len(frame))
-			f.mu.Unlock()
-		default:
-			f.mu.Lock()
-			f.stats.MessagesDropped += uint64(len(frame))
-			f.mu.Unlock()
-		}
-	}
 	if delay <= 0 {
-		deliver()
+		f.deliver(dst, to, frame)
 		return
 	}
-	time.AfterFunc(delay, deliver)
+	time.AfterFunc(delay, func() { f.deliver(dst, to, frame) })
+}
+
+// deliver puts one cloned frame on dst's queue, or counts it dropped when
+// the queue is full.
+func (f *Fabric) deliver(dst *port, to types.ProcessID, frame []*types.Message) {
+	select {
+	case dst.queue <- frame:
+		f.mu.Lock()
+		f.stats.MessagesDelivered += uint64(len(frame))
+		f.stats.PerReceiver[to] += uint64(len(frame))
+		f.mu.Unlock()
+	default:
+		f.mu.Lock()
+		f.stats.MessagesDropped += uint64(len(frame))
+		f.mu.Unlock()
+	}
 }
 
 // Stats returns a copy of the fabric's counters.

@@ -24,7 +24,16 @@
 // kinds (RPC, membership, heartbeats, hierarchy management) keep the
 // synchronous direct path, and a direct send first flushes whatever the
 // outbox holds for that destination, so per-destination FIFO order is
-// preserved across both paths. Inbound frames are dispatched as batches:
+// preserved across both paths.
+//
+// A multicast is built once. SendCopies puts the caller's template itself on
+// every destination's queue; each destination's envelope is copied from it
+// only when that destination's frame is built, into pooled scratch the
+// transport borrows for the length of the send (transport.Endpoint's
+// contract). A fan-out of n therefore allocates nothing per destination,
+// and a template must not change after SendCopies returns.
+//
+// Inbound frames are dispatched as batches:
 // runs of consecutive same-kind messages go to a HandleBatch handler when
 // one is registered (the group layer registers one for casts), letting the
 // ordering engines release deliveries in one pass.
@@ -288,38 +297,46 @@ func (n *Node) Call(fn func()) error {
 //
 // Hot-path multicast kinds (casts, stability reports, order announcements)
 // are coalesced through the outbox and flushed as batch frames; their transport
-// errors surface asynchronously, like loss on a real network. All other
-// kinds are transmitted synchronously, after flushing anything the outbox
-// holds for the same destination so per-destination FIFO order is kept.
+// errors surface asynchronously, like loss on a real network. The outbox
+// keeps msg until the flush and stamps the destination into the frame's copy,
+// so msg must not change after the call. All other kinds are transmitted
+// synchronously, after flushing anything the outbox holds for the same
+// destination so per-destination FIFO order is kept.
 func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 	msg.From = n.pid
-	msg.To = to
 	if batchable(msg.Kind) {
-		return n.ob.enqueue(msg)
+		n.ob.enqueueTo(to, msg)
+		return nil
 	}
+	msg.To = to
 	n.ob.flushDest(to)
 	return n.ep.Send(msg)
 }
 
-// SendCopies sends a copy of the template to every listed destination
-// (skipping the node itself) and returns the number sent. The copies are
-// shallow — they share the template's payload and timestamp arrays, which
-// the transports never let a receiver alias — so a fan-out of n costs n
-// envelope copies, not n payload copies. The template's arrays must not be
-// mutated after the call: receiver isolation happens when each copy's
-// frame is transmitted, which for batched kinds can be up to a flush
-// window later.
+// SendCopies sends the template to every listed destination (skipping the
+// node itself) and returns the number sent. For the batched kinds the
+// template itself waits on every destination's outbox queue, and each
+// destination's envelope is stamped into a pooled frame at flush time, so a
+// fan-out of n allocates nothing per destination. The template — scalar
+// fields and arrays alike — is therefore immutable after the call: the
+// window timer may read it from another goroutine up to a flush window
+// later. Other kinds go out synchronously through one envelope reused for
+// every destination.
 func (n *Node) SendCopies(dests []types.ProcessID, template *types.Message) int {
-	// One backing allocation for all copies; the append never exceeds the
-	// fixed capacity, so the &block[...] pointers stay stable.
-	block := make([]types.Message, 0, len(dests))
+	template.From = n.pid
 	sent := 0
-	for _, d := range dests {
-		if d == n.pid {
-			continue
+	if batchable(template.Kind) {
+		for _, d := range dests {
+			if d != n.pid {
+				n.ob.enqueueTo(d, template)
+				sent++
+			}
 		}
-		block = append(block, *template)
-		if err := n.Send(d, &block[len(block)-1]); err == nil {
+		return sent
+	}
+	env := *template
+	for _, d := range dests {
+		if d != n.pid && n.Send(d, &env) == nil {
 			sent++
 		}
 	}

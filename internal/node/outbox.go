@@ -57,12 +57,15 @@ func batchable(k types.Kind) bool {
 }
 
 // outbox accumulates outbound messages per destination and flushes them as
-// batch frames. A short-held mutex (mu) guards the queue state; the
-// transport send itself happens under a per-destination lock instead, so a
-// destination whose connection has stalled (TCP backpressure) can only
-// block traffic to itself, never sends queued for other destinations.
-// Holding the destination lock across detach+send serialises frames per
-// destination and thereby preserves the transport's per-pair FIFO order.
+// batch frames. A queue holds the caller's message pointers, not copies: a
+// multicast template sits on every destination's queue at once, and each
+// destination's envelope is stamped only when its frame is built. A
+// short-held mutex (mu) guards the queue state; the transport send itself
+// happens under a per-destination lock instead, so a destination whose
+// connection has stalled (TCP backpressure) can only block traffic to
+// itself, never sends queued for other destinations. Holding the
+// destination lock across detach+send serialises frames per destination and
+// thereby preserves the transport's per-pair FIFO order.
 type outbox struct {
 	ep  transport.Endpoint
 	max int
@@ -71,12 +74,27 @@ type outbox struct {
 	mu     sync.Mutex
 	queues map[types.ProcessID][]*types.Message
 	order  []types.ProcessID             // destinations in first-enqueue order
+	spare  []types.ProcessID             // flushAll's recycled order buffer
 	locks  map[types.ProcessID]*destLock // per-destination send serialisation
 	free   [][]*types.Message            // recycled queue buffers (cap == max)
-	timer  *time.Timer                   // armed while anything is pending
+	timer  *time.Timer                   // the window timer, created on first arm
+	armed  bool                          // timer set for the pending messages
 }
 
 type destLock struct{ mu sync.Mutex }
+
+// frameBuf is the scratch one flush builds its frames in: envelope copies
+// of the queued messages, stamped with the destination, and the pointer
+// slice handed to the transport. Endpoints borrow a frame only for the
+// duration of SendBatch, so the buffer is reused across flushes through a
+// sync.Pool — which, unlike a buffer kept per destination, lets the
+// collector drop it when sends go quiet.
+type frameBuf struct {
+	envs []types.Message
+	ptrs []*types.Message
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 func newOutbox(ep transport.Endpoint, b Batching) *outbox {
 	return &outbox{
@@ -88,11 +106,12 @@ func newOutbox(ep transport.Endpoint, b Batching) *outbox {
 	}
 }
 
-// enqueue queues msg for its destination, flushing that destination's queue
-// once it reaches the batch cap.
-func (o *outbox) enqueue(msg *types.Message) error {
+// enqueueTo queues msg for destination to, flushing that destination's
+// queue once it reaches the batch cap. The same message may sit on several
+// queues; it is read, never written, until its last frame is built.
+func (o *outbox) enqueueTo(to types.ProcessID, msg *types.Message) {
 	o.mu.Lock()
-	q, ok := o.queues[msg.To]
+	q, ok := o.queues[to]
 	if !ok {
 		// Reuse a flushed buffer: queues cycle constantly on the hot path
 		// and reallocating the append ladder per frame is pure GC pressure.
@@ -104,19 +123,23 @@ func (o *outbox) enqueue(msg *types.Message) error {
 		}
 	}
 	q = append(q, msg)
-	o.queues[msg.To] = q
+	o.queues[to] = q
 	if len(q) == 1 {
-		o.order = append(o.order, msg.To)
+		o.order = append(o.order, to)
 	}
 	full := len(q) >= o.max
-	if !full && o.timer == nil {
-		o.timer = time.AfterFunc(o.win, o.onWindow)
+	if !full && !o.armed {
+		o.armed = true
+		if o.timer == nil {
+			o.timer = time.AfterFunc(o.win, o.onWindow)
+		} else {
+			o.timer.Reset(o.win)
+		}
 	}
 	o.mu.Unlock()
 	if full {
-		o.flushDest(msg.To)
+		o.flushDest(to)
 	}
-	return nil
 }
 
 // destLockFor returns the send lock for a destination, creating it on first
@@ -150,18 +173,14 @@ func (o *outbox) flushDest(to types.ProcessID) {
 	if len(q) == 0 {
 		return
 	}
+	fb := framePool.Get().(*frameBuf)
 	for start := 0; start < len(q); start += o.max {
-		end := start + o.max
-		if end > len(q) {
-			end = len(q)
-		}
-		_ = o.ep.SendBatch(q[start:end])
+		end := min(start+o.max, len(q))
+		_ = o.ep.SendBatch(fb.stamp(q[start:end], to))
 	}
-	// Both transports are done with the slice when SendBatch returns (the
-	// fabric clones at send time, TCP copies into its wire frame), so the
-	// buffer can be recycled — emptied first: a stale pointer would keep its
-	// message, and the whole SendCopies block the message was cut from, alive
-	// for as long as the buffer waits on the free list.
+	fb.release(min(len(q), o.max))
+	// The buffer goes back on the free list emptied: a stale pointer would
+	// keep its message alive for as long as the buffer waits there.
 	o.mu.Lock()
 	if cap(q) == o.max && len(o.free) < 64 {
 		clear(q)
@@ -170,35 +189,68 @@ func (o *outbox) flushDest(to types.ProcessID) {
 	o.mu.Unlock()
 }
 
+// stamp copies msgs into the buffer's envelopes, addressed to to, and
+// returns the frame of pointers to them.
+func (fb *frameBuf) stamp(msgs []*types.Message, to types.ProcessID) []*types.Message {
+	if len(msgs) > len(fb.envs) {
+		n := max(len(msgs), 2*len(fb.envs))
+		fb.envs = make([]types.Message, n)
+		fb.ptrs = make([]*types.Message, n)
+	}
+	ptrs := fb.ptrs[:len(msgs)]
+	for i, m := range msgs {
+		fb.envs[i] = *m
+		fb.envs[i].To = to
+		ptrs[i] = &fb.envs[i]
+	}
+	return ptrs
+}
+
+// release empties the first n envelopes — all a flush stamped — so a pooled
+// buffer pins no payload, and returns the buffer to the pool. The pointer
+// slice addresses the buffer's own envelopes only and needs no clearing.
+func (fb *frameBuf) release(n int) {
+	clear(fb.envs[:n])
+	framePool.Put(fb)
+}
+
 // flushAll flushes every pending queue, in first-enqueue order. The actor
 // loop calls it whenever it runs out of queued work; the window timer calls
 // it when the actor stays busy for longer than the flush window.
 func (o *outbox) flushAll() {
 	o.mu.Lock()
-	if len(o.queues) == 0 && o.timer == nil && len(o.order) == 0 {
+	if len(o.queues) == 0 && !o.armed && len(o.order) == 0 {
 		o.mu.Unlock()
 		return // fast path: nothing pending, nothing to reset
 	}
-	dests := make([]types.ProcessID, 0, len(o.order))
+	// Take the order list whole and hand the next enqueue the spare, so a
+	// flush allocates no destination list. A concurrent flush finds no
+	// spare and starts a fresh one.
+	dests := o.order[:0]
 	for _, to := range o.order {
 		if len(o.queues[to]) > 0 {
 			dests = append(dests, to)
 		}
 	}
-	o.order = o.order[:0]
-	if o.timer != nil {
+	o.order, o.spare = o.spare[:0], nil
+	if o.armed {
 		o.timer.Stop()
-		o.timer = nil
+		o.armed = false
 	}
 	o.mu.Unlock()
 	for _, to := range dests {
 		o.flushDest(to)
 	}
+	o.mu.Lock()
+	if o.spare == nil {
+		o.spare = dests[:0]
+	}
+	o.mu.Unlock()
 }
 
 func (o *outbox) onWindow() {
 	o.mu.Lock()
-	o.timer = nil
+	o.armed = false
 	o.mu.Unlock()
 	o.flushAll()
 }
@@ -212,8 +264,8 @@ func (o *outbox) stop() {
 	defer o.mu.Unlock()
 	if o.timer != nil {
 		o.timer.Stop()
-		o.timer = nil
+		o.armed = false
 	}
 	clear(o.queues)
-	o.order, o.free = nil, nil
+	o.order, o.spare, o.free = nil, nil, nil
 }

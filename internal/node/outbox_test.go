@@ -11,7 +11,8 @@ import (
 	"repro/internal/types"
 )
 
-// recordingEndpoint captures flushed frames without any real transport.
+// recordingEndpoint captures flushed frames without any real transport. It
+// records clones: the endpoint only borrows a frame for the call.
 type recordingEndpoint struct {
 	mu     sync.Mutex
 	frames [][]*types.Message
@@ -24,8 +25,7 @@ func (r *recordingEndpoint) Send(m *types.Message) error {
 func (r *recordingEndpoint) SendBatch(msgs []*types.Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	frame := append([]*types.Message(nil), msgs...)
-	r.frames = append(r.frames, frame)
+	r.frames = append(r.frames, types.CloneFrame(msgs))
 	return nil
 }
 func (r *recordingEndpoint) Inbox() <-chan []*types.Message { return nil }
@@ -49,9 +49,7 @@ func TestOutboxPartialFlushOnWindowExpiry(t *testing.T) {
 	ob := newOutbox(ep, Batching{MaxBatch: 100, Window: 15 * time.Millisecond})
 
 	for i := uint64(0); i < 3; i++ {
-		if err := ob.enqueue(cast(pid(2), i)); err != nil {
-			t.Fatal(err)
-		}
+		ob.enqueueTo(pid(2), cast(pid(2), i))
 	}
 	if got := ep.snapshot(); len(got) != 0 {
 		t.Fatalf("flushed %d frames before the window expired", len(got))
@@ -80,9 +78,7 @@ func TestOutboxMaxBatchFlushesInline(t *testing.T) {
 	ep := &recordingEndpoint{}
 	ob := newOutbox(ep, Batching{MaxBatch: 4, Window: time.Hour})
 	for i := uint64(0); i < 10; i++ {
-		if err := ob.enqueue(cast(pid(2), i)); err != nil {
-			t.Fatal(err)
-		}
+		ob.enqueueTo(pid(2), cast(pid(2), i))
 	}
 	frames := ep.snapshot()
 	if len(frames) != 2 {
@@ -119,16 +115,16 @@ func TestOutboxDirectSendBarrierFlush(t *testing.T) {
 }
 
 // TestOutboxReleasesWhatItNoLongerNeeds pins the outbox's retention: a
-// recycled queue buffer holds no message (a stale pointer would pin the whole
-// SendCopies block the message was cut from until the buffer's slot is
-// overwritten), and a stopped outbox holds nothing — a crashed process stays
+// recycled queue buffer holds no message (a stale pointer would pin the
+// message, payload and all, until the buffer's slot is overwritten), and a
+// stopped outbox holds nothing — a crashed process stays
 // reachable from its runtime, so whatever its outbox kept would never be
 // collected.
 func TestOutboxReleasesWhatItNoLongerNeeds(t *testing.T) {
 	ep := &recordingEndpoint{}
 	ob := newOutbox(ep, Batching{MaxBatch: 4, Window: time.Hour})
 	for i := uint64(0); i < 3; i++ {
-		_ = ob.enqueue(cast(pid(2), i))
+		ob.enqueueTo(pid(2), cast(pid(2), i))
 	}
 	ob.flushAll()
 	if len(ob.free) != 1 {
@@ -139,15 +135,15 @@ func TestOutboxReleasesWhatItNoLongerNeeds(t *testing.T) {
 			t.Errorf("recycled buffer still holds a message at %d", i)
 		}
 	}
-	_ = ob.enqueue(cast(pid(2), 9))
-	_ = ob.enqueue(cast(pid(3), 9))
+	ob.enqueueTo(pid(2), cast(pid(2), 9))
+	ob.enqueueTo(pid(3), cast(pid(3), 9))
 	ob.stop()
 	if len(ob.queues) != 0 || len(ob.free) != 0 {
 		t.Errorf("stopped outbox keeps %d queues and %d buffers", len(ob.queues), len(ob.free))
 	}
 	// A send racing the stop is dropped like one already handed to a closed
 	// endpoint, not a crash.
-	_ = ob.enqueue(cast(pid(2), 10))
+	ob.enqueueTo(pid(2), cast(pid(2), 10))
 	ob.stop() // and its window timer with it
 }
 

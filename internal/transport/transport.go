@@ -20,6 +20,14 @@ import (
 // Endpoint is one process's attachment to the network. Send and SendBatch
 // are safe for concurrent use; Inbox returns the single inbound channel
 // drained by the process's actor loop.
+//
+// Send and SendBatch borrow what they are given, as io.Writer borrows its
+// buffer: an implementation must not keep a message pointer, the batch
+// slice, or any slice inside a message (VT, Path, Payload, Stab,
+// Group.Path) after it returns. The memory transport clones the frame at
+// send time and TCP encodes it on the caller's goroutine. The node's outbox
+// depends on this: it builds every frame in scratch memory that the next
+// flush overwrites.
 type Endpoint interface {
 	// PID returns the process id this endpoint belongs to.
 	PID() types.ProcessID

@@ -124,41 +124,98 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
+// backends are the two transports every conformance test runs on: a pair
+// of endpoints, a sending to b.
+var backends = []struct {
+	name   string
+	attach func(t *testing.T) (a, b Endpoint)
+}{
+	{"memory", func(t *testing.T) (Endpoint, Endpoint) {
+		mem := NewMemory(netsim.New(netsim.DefaultConfig()))
+		a, err := mem.Attach(pid(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mem.Attach(pid(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}},
+	{"tcp", func(t *testing.T) (Endpoint, Endpoint) {
+		tn := NewTCP()
+		a, err := tn.Attach(pid(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		b, err := tn.Attach(pid(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		return a, b
+	}},
+}
+
+// fullMsg returns a message with every envelope field populated.
+func fullMsg() *types.Message {
+	return &types.Message{
+		Kind:     types.KindCast,
+		From:     pid(1),
+		To:       pid(2),
+		Group:    types.GroupID{Name: "conf", Kind: types.KindLeaf, Path: []uint32{2, 0, 7}},
+		View:     12,
+		ID:       types.MsgID{Sender: pid(1), Seq: 99},
+		Ordering: types.Causal,
+		Seq:      1 << 40,
+		VT:       []uint64{3, 1 << 50, 0, 7},
+		Corr:     987654321,
+		ReplyTo:  pid(3),
+		Hop:      4,
+		TTL:      9,
+		Path:     []uint32{1, 1 << 30},
+		Payload:  []byte("every field populated"),
+		Stab:     []types.StabEntry{{Sender: pid(1), Seq: 98}, {Sender: pid(2), Seq: 55}},
+		StabOrd:  54,
+		Err:      "negative reply text",
+	}
+}
+
+// checkEqual fails the test unless got matches want field for field.
+func checkEqual(t *testing.T, want, got *types.Message) {
+	t.Helper()
+	if got.Kind != want.Kind || got.From != want.From || got.To != want.To ||
+		!got.Group.Equal(want.Group) || got.View != want.View || got.ID != want.ID ||
+		got.Ordering != want.Ordering || got.Seq != want.Seq || got.Corr != want.Corr ||
+		got.ReplyTo != want.ReplyTo || got.Hop != want.Hop || got.TTL != want.TTL ||
+		got.StabOrd != want.StabOrd || got.Err != want.Err ||
+		string(got.Payload) != string(want.Payload) ||
+		len(got.VT) != len(want.VT) || len(got.Path) != len(want.Path) ||
+		len(got.Stab) != len(want.Stab) {
+		t.Fatalf("message mangled in transit:\n want %+v\n  got %+v", want, got)
+	}
+	for i := range want.VT {
+		if got.VT[i] != want.VT[i] {
+			t.Fatalf("VT[%d] = %d, want %d", i, got.VT[i], want.VT[i])
+		}
+	}
+	for i := range want.Path {
+		if got.Path[i] != want.Path[i] {
+			t.Fatalf("Path[%d] = %d, want %d", i, got.Path[i], want.Path[i])
+		}
+	}
+	for i := range want.Stab {
+		if got.Stab[i] != want.Stab[i] {
+			t.Fatalf("Stab[%d] = %v, want %v", i, got.Stab[i], want.Stab[i])
+		}
+	}
+}
+
 // TestBatchFramingConformance pins the batch frame contract on both
 // transports: a SendBatch arrives as ONE frame carrying the messages in
 // batch order, and per-pair FIFO holds across mixed Send/SendBatch traffic.
 func TestBatchFramingConformance(t *testing.T) {
-	backends := []struct {
-		name   string
-		attach func(t *testing.T) (a, b Endpoint)
-	}{
-		{"memory", func(t *testing.T) (Endpoint, Endpoint) {
-			mem := NewMemory(netsim.New(netsim.DefaultConfig()))
-			a, err := mem.Attach(pid(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := mem.Attach(pid(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a, b
-		}},
-		{"tcp", func(t *testing.T) (Endpoint, Endpoint) {
-			tn := NewTCP()
-			a, err := tn.Attach(pid(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { a.Close() })
-			b, err := tn.Attach(pid(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { b.Close() })
-			return a, b
-		}},
-	}
 	for _, backend := range backends {
 		t.Run(backend.name, func(t *testing.T) {
 			a, b := backend.attach(t)
@@ -207,81 +264,6 @@ func TestBatchFramingConformance(t *testing.T) {
 // (1MB payload) must survive unharmed. Memory passes trivially (it clones);
 // TCP exercises the binary codec end to end.
 func TestFrameCodecConformance(t *testing.T) {
-	fullMsg := func() *types.Message {
-		return &types.Message{
-			Kind:     types.KindCast,
-			From:     pid(1),
-			To:       pid(2),
-			Group:    types.GroupID{Name: "conf", Kind: types.KindLeaf, Path: []uint32{2, 0, 7}},
-			View:     12,
-			ID:       types.MsgID{Sender: pid(1), Seq: 99},
-			Ordering: types.Causal,
-			Seq:      1 << 40,
-			VT:       []uint64{3, 1 << 50, 0, 7},
-			Corr:     987654321,
-			ReplyTo:  pid(3),
-			Hop:      4,
-			TTL:      9,
-			Path:     []uint32{1, 1 << 30},
-			Payload:  []byte("every field populated"),
-			Stab:     []types.StabEntry{{Sender: pid(1), Seq: 98}, {Sender: pid(2), Seq: 55}},
-			StabOrd:  54,
-			Err:      "negative reply text",
-		}
-	}
-	checkEqual := func(t *testing.T, want, got *types.Message) {
-		t.Helper()
-		if got.Kind != want.Kind || got.From != want.From || got.To != want.To ||
-			!got.Group.Equal(want.Group) || got.View != want.View || got.ID != want.ID ||
-			got.Ordering != want.Ordering || got.Seq != want.Seq || got.Corr != want.Corr ||
-			got.ReplyTo != want.ReplyTo || got.Hop != want.Hop || got.TTL != want.TTL ||
-			got.StabOrd != want.StabOrd || got.Err != want.Err ||
-			string(got.Payload) != string(want.Payload) ||
-			len(got.VT) != len(want.VT) || len(got.Path) != len(want.Path) ||
-			len(got.Stab) != len(want.Stab) {
-			t.Fatalf("message mangled in transit:\n want %+v\n  got %+v", want, got)
-		}
-		for i := range want.VT {
-			if got.VT[i] != want.VT[i] {
-				t.Fatalf("VT[%d] = %d, want %d", i, got.VT[i], want.VT[i])
-			}
-		}
-		for i := range want.Path {
-			if got.Path[i] != want.Path[i] {
-				t.Fatalf("Path[%d] = %d, want %d", i, got.Path[i], want.Path[i])
-			}
-		}
-		for i := range want.Stab {
-			if got.Stab[i] != want.Stab[i] {
-				t.Fatalf("Stab[%d] = %v, want %v", i, got.Stab[i], want.Stab[i])
-			}
-		}
-	}
-	backends := []struct {
-		name   string
-		attach func(t *testing.T) (a, b Endpoint)
-	}{
-		{"memory", func(t *testing.T) (Endpoint, Endpoint) {
-			mem := NewMemory(netsim.New(netsim.DefaultConfig()))
-			a, _ := mem.Attach(pid(1))
-			b, _ := mem.Attach(pid(2))
-			return a, b
-		}},
-		{"tcp", func(t *testing.T) (Endpoint, Endpoint) {
-			tn := NewTCP()
-			a, err := tn.Attach(pid(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { a.Close() })
-			b, err := tn.Attach(pid(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { b.Close() })
-			return a, b
-		}},
-	}
 	for _, backend := range backends {
 		t.Run(backend.name, func(t *testing.T) {
 			a, b := backend.attach(t)
@@ -323,6 +305,59 @@ func TestFrameCodecConformance(t *testing.T) {
 				if gotBig.Payload[i] != big.Payload[i] {
 					t.Fatalf("payload corrupted at byte %d", i)
 				}
+			}
+		})
+	}
+}
+
+// TestEndpointBorrowConformance pins Endpoint's borrow contract on both
+// transports: once Send or SendBatch returns, the sender may overwrite every
+// field and every array of what it sent — the node's outbox reuses its frame
+// scratch on the next flush — and the receiver still gets the originals.
+func TestEndpointBorrowConformance(t *testing.T) {
+	scribble := func(msgs ...*types.Message) {
+		for _, m := range msgs {
+			for i := range m.VT {
+				m.VT[i] = ^uint64(0)
+			}
+			for i := range m.Path {
+				m.Path[i] = ^uint32(0)
+			}
+			for i := range m.Group.Path {
+				m.Group.Path[i] = ^uint32(0)
+			}
+			for i := range m.Payload {
+				m.Payload[i] = 0xEE
+			}
+			for i := range m.Stab {
+				m.Stab[i] = types.StabEntry{Sender: pid(66), Seq: 66}
+			}
+			*m = types.Message{Kind: types.KindHeartbeat, From: pid(66), To: pid(2), Err: "scribbled"}
+		}
+	}
+	for _, backend := range backends {
+		t.Run(backend.name, func(t *testing.T) {
+			a, b := backend.attach(t)
+
+			one := fullMsg()
+			if err := a.Send(one); err != nil {
+				t.Fatal(err)
+			}
+			scribble(one)
+			checkEqual(t, fullMsg(), waitMsg(t, b))
+
+			batch := []*types.Message{fullMsg(), fullMsg(), fullMsg()}
+			if err := a.SendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			scribble(batch...)
+			batch[0], batch[1] = batch[2], nil // and the batch slice itself
+			frame := waitFrame(t, b)
+			if len(frame) != 3 {
+				t.Fatalf("batch of 3 arrived as frame of %d", len(frame))
+			}
+			for _, got := range frame {
+				checkEqual(t, fullMsg(), got)
 			}
 		})
 	}

@@ -135,11 +135,18 @@ func (h *History) Counts() (views, deliveries int) {
 	return views, deliveries
 }
 
-// EventCount returns the total number of recorded events (views plus
-// deliveries); the runner polls it to detect quiescence.
-func (h *History) EventCount() int {
-	v, d := h.Counts()
-	return v + d
+// addEventCounts adds this history's recorded events (views plus
+// deliveries) per group key into counts; the runner polls the sums to detect
+// quiescence.
+func (h *History) addEventCounts(counts map[string]int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for k, vs := range h.views {
+		counts[k] += len(vs)
+	}
+	for k, ds := range h.deliveries {
+		counts[k] += len(ds)
+	}
 }
 
 // recorder owns the histories of every process a run ever spawned.
@@ -162,13 +169,11 @@ func (r *recorder) histories() []*History {
 	return append([]*History(nil), r.hists...)
 }
 
-func (r *recorder) eventCount() int {
-	r.mu.Lock()
-	hs := append([]*History(nil), r.hists...)
-	r.mu.Unlock()
-	n := 0
-	for _, h := range hs {
-		n += h.EventCount()
+// eventCounts sums every history's events per group key.
+func (r *recorder) eventCounts() map[string]int {
+	counts := make(map[string]int)
+	for _, h := range r.histories() {
+		h.addEventCounts(counts)
 	}
-	return n
+	return counts
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,10 +291,12 @@ func Run(s Scenario) (*Result, error) {
 	// Settle: close out any still-open faults, let in-flight joins finish or
 	// time out, and wait for the event stream to go quiet.
 	rt.StepFaults(p.Steps)
-	quiesce(rec, p)
+	settle := quiesce(rec.eventCounts, nil, p)
 	cancelJoins()
 	wg.Wait()
-	quiesce(rec, p)
+	if v := quiesce(rec.eventCounts, nil, p); settle == nil {
+		settle = v
+	}
 
 	res.Stats = rt.Stats()
 	for _, proc := range rt.Processes() {
@@ -313,6 +318,9 @@ func Run(s Scenario) (*Result, error) {
 		orderings[types.FlatGroup(GroupName(o)).Key()] = o
 	}
 	res.Violations = CheckHistories(hists, orderings)
+	if settle != nil {
+		res.Violations = append(res.Violations, *settle)
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -345,33 +353,53 @@ func castPayload(site uint32, o types.Ordering, step, k int) []byte {
 	return b
 }
 
-// quiesce waits until no new views or deliveries have been recorded for a
-// quiet period (or the settle timeout expires). The quiet floor must
-// comfortably exceed the reliability layer's recovery cadence (NAK timer,
-// flush retry, stability reports — tens of milliseconds): declaring the run
-// settled between two recovery rounds would snapshot histories mid-repair
-// and report divergence the protocol was about to close, which is exactly
-// what happens under heavy -race parallelism if the floor is tight.
-func quiesce(rec *recorder, p Profile) { quiesceCount(rec.eventCount, p) }
-
-// quiesceCount is the generic quiesce loop over any monotone event counter;
-// the service runner feeds it the flat-group count plus tree-broadcast
-// deliveries.
-func quiesceCount(count func() int, p Profile) {
-	quiet := 5 * p.StepInterval
-	if quiet < 250*time.Millisecond {
-		quiet = 250 * time.Millisecond
-	}
+// quiesce waits until no group's event count (views plus deliveries, per
+// group key) has moved for a quiet period. The quiet floor must comfortably
+// exceed the reliability layer's recovery cadence (NAK timer, flush retry,
+// stability reports — tens of milliseconds): declaring the run settled
+// between two recovery rounds would snapshot histories mid-repair and report
+// divergence the protocol was about to close, which is exactly what happens
+// under heavy -race parallelism if the floor is tight.
+//
+// pending, when not nil, names work still in flight that produces no events
+// while it waits (a service member between leaves); the run is not quiet
+// until it is empty.
+//
+// It returns nil once the run is quiet. If the settle timeout expires first,
+// it returns a settle-timeout violation naming the groups whose counts still
+// moved in the last quiet window, and the pending work: the histories the
+// checkers are about to grade are still live.
+func quiesce(counts func() map[string]int, pending func() []string, p Profile) *Violation {
+	quiet := max(5*p.StepInterval, 250*time.Millisecond)
+	const polls = 5
 	deadline := time.Now().Add(p.SettleTimeout)
-	last, lastChange := count(), time.Now()
+	last, lastChange := counts(), time.Now()
+	window := []map[string]int{last} // the last quiet window's polls, oldest first
 	for time.Now().Before(deadline) {
-		time.Sleep(quiet / 5)
-		if n := count(); n != last {
+		time.Sleep(quiet / polls)
+		n := counts()
+		if window = append(window, n); len(window) > polls+1 {
+			window = window[1:]
+		}
+		if !maps.Equal(n, last) {
 			last, lastChange = n, time.Now()
 			continue
 		}
-		if time.Since(lastChange) >= quiet {
-			return
+		if time.Since(lastChange) >= quiet && (pending == nil || len(pending()) == 0) {
+			return nil
 		}
 	}
+	var moved []string
+	for k, n := range last {
+		if d := n - window[0][k]; d > 0 {
+			moved = append(moved, fmt.Sprintf("%s +%d", k, d))
+		}
+	}
+	sort.Strings(moved)
+	if pending != nil {
+		moved = append(moved, pending()...)
+	}
+	return &Violation{Check: "settle-timeout",
+		Detail: fmt.Sprintf("no %v without events within %v; still moving: %s",
+			quiet, p.SettleTimeout, strings.Join(moved, ", "))}
 }

@@ -373,18 +373,33 @@ func runService(s Scenario) (*Result, error) {
 	}
 	fwg.Wait()
 
-	countEvents := func() int {
-		n := rec.eventCount()
+	countEvents := func() map[string]int {
+		counts := rec.eventCounts()
 		for _, inc := range snapshotIncs() {
 			inc.mu.Lock()
 			for _, c := range inc.delivered {
-				n += c
+				counts[serviceName+"[broadcast]"] += c
 			}
 			inc.mu.Unlock()
 		}
-		return n
+		return counts
 	}
-	quiesceCount(countEvents, p)
+	// A member relocating between leaves can wait out a join timeout without
+	// a single event.
+	betweenLeaves := func() []string {
+		var out []string
+		for _, inc := range snapshotIncs() {
+			if a := inc.ready(); a != nil && !inc.isCrashed() {
+				if l := a.Leaf(); l == nil || l.Closed() {
+					out = append(out, fmt.Sprintf("%v between leaves", inc.proc.ID()))
+				}
+			}
+		}
+		return out
+	}
+	if v := quiesce(countEvents, betweenLeaves, p); v != nil {
+		report(*v)
+	}
 
 	// Post-heal availability: with every fault closed, the service must
 	// answer a leaf-routed request again.

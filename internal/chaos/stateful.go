@@ -368,7 +368,9 @@ func runStateful(s Scenario) (*Result, error) {
 	// then let the event stream go quiet.
 	rt.StepFaults(p.Steps)
 	wg.Wait()
-	quiesce(rec, p)
+	if v := quiesce(rec.eventCounts, nil, p); v != nil {
+		report(*v)
+	}
 
 	// Post-heal availability: with every fault closed, some replica must
 	// accept and apply a put again. Issued before the convergence check so

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/group"
 	"repro/internal/member"
@@ -34,6 +36,11 @@ type Agent struct {
 	reqCounter     uint64
 	pendingAggs    map[uint64]*aggState
 
+	// Tree inputs this member cast into the leader group whose side effects
+	// still wait for delivery and quorum, in cast order (see castInput).
+	inputSeq uint64
+	inputs   []*pendingInput
+
 	// Hierarchy recovery state (actor-owned; see recovery.go). trk tracks
 	// every tree-broadcast record by origin — duplicate filter, gap NAKs,
 	// retransmit buffer; it is driven by SetFloor, never Report/Advance.
@@ -50,6 +57,7 @@ type Agent struct {
 	doneStages    map[recordKey]doneStage
 	stageCorr     map[recordKey]uint64
 	nakRR         map[types.ProcessID]int
+	landing       uint64 // after a relocation: catch up until this recovery tick
 	recoveryStop  func()
 
 	// Statistics (actor-owned; snapshots taken via Stats).
@@ -78,6 +86,7 @@ type aggState struct {
 	children map[string]*childState
 	waters   map[string]uint64
 
+	local      uint64 // own watermark when the leaf cast went out (castToLeaf)
 	retryTicks int
 	retries    int
 	failed     bool   // a subtree was given up: ack with a zero watermark
@@ -96,6 +105,7 @@ func newAgent(h *Host, name string, cfg Config) *Agent {
 		host:        h,
 		name:        name,
 		cfg:         cfg,
+		tree:        NewTree(name, cfg.Fanout),
 		pendingAggs: make(map[uint64]*aggState),
 		relStats:    &reliability.Stats{},
 		leafWater:   make(map[string]uint64),
@@ -136,13 +146,8 @@ func (a *Agent) LeaderContacts() []types.ProcessID {
 // leader members hold one; others get an empty tree).
 func (a *Agent) Tree() *Tree {
 	var t *Tree
-	_ = a.stackNode().Call(func() {
-		if a.tree != nil {
-			t = a.tree.Clone()
-		}
-	})
-	if t == nil {
-		t = NewTree(a.name, a.cfg.Fanout)
+	if a.stackNode().Call(func() { t = a.tree.Clone() }) != nil {
+		return NewTree(a.name, a.cfg.Fanout)
 	}
 	return t
 }
@@ -192,11 +197,9 @@ func (a *Agent) stackNode() *node.Node { return a.host.stack.Node() }
 // member and the first (sole) member of leaf 0.
 func (a *Agent) bootstrap() error {
 	self := a.stackNode().PID()
-	tree := NewTree(a.name, a.cfg.Fanout)
-	info := tree.AddLeaf(self)
-
+	var info LeafInfo
 	if err := a.stackNode().Call(func() {
-		a.tree = tree
+		info = a.tree.AddLeaf(self)
 		a.leaderContacts = []types.ProcessID{self}
 	}); err != nil {
 		return err
@@ -231,12 +234,7 @@ func (a *Agent) joinVia(ctx context.Context, contact types.ProcessID) error {
 			return err
 		}
 
-		var leaf *group.Group
-		if pl.Create {
-			leaf, err = a.host.stack.Create(pl.Leaf, a.leafGroupConfig(pl.Leaf))
-		} else {
-			leaf, err = a.joinLeaf(ctx, pl.Leaf, pl.Contacts)
-		}
+		leaf, err := a.enterLeaf(ctx, pl)
 		if err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("join large group %q: %w", a.name, types.ErrTimeout)
@@ -248,12 +246,9 @@ func (a *Agent) joinVia(ctx context.Context, contact types.ProcessID) error {
 
 		var leader *group.Group
 		if pl.AlsoLeader {
-			lg, lerr := a.host.stack.Join(ctx, pl.LeaderGroup, pl.LeaderContacts[0], a.leaderGroupConfig())
-			if lerr == nil {
-				leader = lg
-			}
 			// Failing to join the leader group is not fatal: the process is
 			// still a regular member of the service.
+			leader, _ = a.joinLeader(ctx, pl.LeaderContacts[0])
 		}
 		return a.adopt(leaf, pl.Leaf, leader)
 	}
@@ -299,9 +294,6 @@ func (a *Agent) adopt(leaf *group.Group, leafID types.GroupID, leader *group.Gro
 		a.leafID = leafID
 		if leader != nil {
 			a.leader = leader
-			if a.tree == nil {
-				a.tree = NewTree(a.name, a.cfg.Fanout)
-			}
 		}
 		if a.recoveryStop == nil {
 			a.recoveryStop = a.stackNode().Every(a.cfg.RecoveryInterval, a.onRecoveryTick)
@@ -373,8 +365,36 @@ func (a *Agent) leaderGroupConfig() group.Config {
 		OnDeliver: func(d group.Delivery) {
 			a.onLeaderDelivery(d)
 		},
-		State: leaderState{a},
+		State:      leaderState{a: a},
+		StateGrace: a.cfg.OpTimeout,
 	}
+}
+
+// joinLeader joins the leader group through contact and returns it once the
+// tree checkpoint is restored. The checkpoint is the only whole-tree
+// transfer, so a recruit whose transfer ends without one — its holder
+// crashed mid-transfer and the StateGrace release handed it the held inputs
+// only, or Restore failed — would keep a tree nothing repairs. It leaves
+// again instead, with an empty tree; the leader coordinator re-invites while
+// the leader group is short.
+func (a *Agent) joinLeader(ctx context.Context, contact types.ProcessID) (*group.Group, error) {
+	restored := make(chan struct{})
+	cfg := a.leaderGroupConfig()
+	cfg.State = leaderState{a: a, restored: restored}
+	lg, err := a.host.stack.Join(ctx, types.LeaderGroup(a.name), contact, cfg)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-restored:
+		return lg, nil
+	case <-time.After(cfg.StateGrace):
+	}
+	leaveCtx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+	defer cancel()
+	_ = lg.Leave(leaveCtx)
+	_ = a.stackNode().Call(func() { a.tree = NewTree(a.name, a.cfg.Fanout) })
+	return nil, fmt.Errorf("join leader group of %q: tree checkpoint not restored: %w", a.name, types.ErrTimeout)
 }
 
 // leafState is a leaf group's checkpoint: the hierarchy's recovery state
@@ -436,15 +456,14 @@ func (s leafState) Apply(d group.Delivery) {
 	}
 }
 
-// leaderState is the leader group's checkpoint: the subgroup tree.
-type leaderState struct{ a *Agent }
-
-func (s leaderState) Snapshot() ([]byte, error) {
-	if s.a.tree == nil {
-		return NewTree(s.a.name, s.a.cfg.Fanout).Encode(), nil
-	}
-	return s.a.tree.Encode(), nil
+// leaderState is the leader group's checkpoint: the subgroup tree. A
+// joiner's restored channel is closed once the checkpoint is in place.
+type leaderState struct {
+	a        *Agent
+	restored chan struct{}
 }
+
+func (s leaderState) Snapshot() ([]byte, error) { return s.a.tree.Encode(), nil }
 
 func (s leaderState) Restore(b []byte) error {
 	t, err := DecodeTree(b)
@@ -452,13 +471,19 @@ func (s leaderState) Restore(b []byte) error {
 		return err
 	}
 	s.a.tree = t
+	if s.restored != nil {
+		select {
+		case <-s.restored:
+		default:
+			close(s.restored)
+		}
+	}
 	return nil
 }
 
-// Apply is a deliberate no-op: leader-group deliveries are placement and
-// reconfiguration decisions whose outcome is already folded into the tree
-// snapshot; replaying them at boot would re-issue directives.
-func (s leaderState) Apply(group.Delivery) {}
+// Apply replays a write-ahead-logged tree input into the tree. No input is
+// pending at boot, so replay re-issues no side effect.
+func (s leaderState) Apply(d group.Delivery) { s.a.onLeaderDelivery(d) }
 
 // onLeafView runs on the actor goroutine whenever the leaf installs a new
 // view. The leaf coordinator reports the membership to the leader group —
@@ -521,44 +546,126 @@ func (a *Agent) onLeafDelivery(d group.Delivery) {
 	}
 }
 
-// onLeaderDelivery applies tree replication casts within the leader group.
+// --- the replicated tree -----------------------------------------------------------
+//
+// The leader group's tree is a replicated state machine: the leader
+// coordinator never changes its tree directly. It ABCASTs each decision's
+// input — a joiner to place, a leaf report to apply — and every leader
+// member, the coordinator included, runs the same decision logic on
+// delivery, so every copy of the tree is a function of the agreed delivery
+// sequence. The checkpoint handed to a member joining the leader group is the
+// only whole-tree transfer. A decision's side effects — the placement reply,
+// relocation directives — run only at the member that cast the input, once
+// the input is delivered there and the leader group's resiliency quorum has
+// acknowledged it, so a coordinator crash cannot lose a placement a joiner
+// already holds. Mover pins are state, not effects: they must hold
+// the floor from the moment a leaf leaves the tree.
+
+// pendingInput is one tree input this member cast.
+type pendingInput struct {
+	id      uint64
+	lg      *group.Group
+	payload []byte
+	req     *types.Message           // the join request a placement answers
+	effect  func(req *types.Message) // the decision's side effect, set at delivery
+	acked   bool
+}
+
+// castInput queues a tree input for the leader group. Group.Cast blocks until
+// the resiliency quorum acknowledges, so one caster goroutine casts the
+// queue's unacknowledged tail, one input at a time: concurrent Casts could
+// reach the sequencer in any order, and a leaf's reports must apply in the
+// order it sent them. A caster runs exactly while the queue's last input is
+// unacknowledged.
+func (a *Agent) castInput(tag leafCastTag, r leafReport, req *types.Message) {
+	a.inputSeq++
+	p := &pendingInput{id: a.inputSeq, lg: a.leader, req: req,
+		payload: encodeLeafCast(tag, a.inputSeq, encodeLeafReport(r))}
+	idle := len(a.inputs) == 0 || a.inputs[len(a.inputs)-1].acked
+	a.inputs = append(a.inputs, p)
+	if idle {
+		go a.castInputs(p)
+	}
+}
+
+// castInputs is the caster goroutine, starting at p; it exits when every
+// queued input is acknowledged. A cast that fails drops the input and its
+// side effect; a joiner is told, rather than left to wait out its context.
+func (a *Agent) castInputs(p *pendingInput) {
+	for p != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+		err := p.lg.Cast(ctx, types.Total, p.payload)
+		cancel()
+		if a.stackNode().Call(func() {
+			p.acked = true
+			if err != nil {
+				a.inputs = slices.DeleteFunc(a.inputs, func(q *pendingInput) bool { return q == p })
+				if p.req != nil {
+					_ = a.stackNode().Reply(p.req, nil, err.Error())
+				}
+			}
+			a.settleInputs()
+			p = a.nextToCast()
+		}) != nil {
+			return
+		}
+	}
+}
+
+// nextToCast returns the oldest queued input not yet acknowledged, or nil.
+func (a *Agent) nextToCast() *pendingInput {
+	for _, q := range a.inputs {
+		if !q.acked {
+			return q
+		}
+	}
+	return nil
+}
+
+// settleInputs runs, in cast order, the side effects of the inputs at the
+// head of the queue that are both delivered and acknowledged.
+func (a *Agent) settleInputs() {
+	for len(a.inputs) > 0 && a.inputs[0].acked && a.inputs[0].effect != nil {
+		p := a.inputs[0]
+		a.inputs = a.inputs[1:]
+		p.effect(p.req)
+	}
+}
+
+// onLeaderDelivery applies one tree input in the leader group's agreed order.
 func (a *Agent) onLeaderDelivery(d group.Delivery) {
 	if a.closed {
 		return
 	}
-	// a.leader is still nil while a recruited member is mid-adoption
-	// (joinLeaderAsync); such a member is certainly not the coordinator, and
-	// dropping the replication cast here would leave it on the state-transfer
-	// snapshot until the next tree change.
-	if a.leader != nil && a.leader.CurrentView().Coordinator() == a.stackNode().PID() {
-		return // the coordinator's copy is authoritative
-	}
-	if t, err := DecodeTree(d.Payload); err == nil {
-		a.tree = t
-	}
-}
-
-// replicateTree pushes the coordinator's tree to the other leader members.
-func (a *Agent) replicateTree() {
-	if a.leader == nil || a.closed || a.tree == nil {
+	tag, id, r, ok := decodeTreeInput(d.Payload)
+	if !ok {
 		return
 	}
-	if a.leader.Size() <= 1 {
+	var effect func(*types.Message)
+	if tag == tagPlace {
+		effect = a.placeJoiner(r.Members[0])
+	} else {
+		effect = a.applyReport(r)
+	}
+	if d.From != a.stackNode().PID() {
 		return
 	}
-	a.leader.CastAsync(types.Total, a.tree.Encode())
+	for _, p := range a.inputs {
+		if p.id == id {
+			p.effect = effect
+			a.settleInputs()
+			return
+		}
+	}
 }
 
 // --- leader-group replenishment ---------------------------------------------------
 //
-// Leader-group membership originally only grew at join time, so every leader
-// crash shrank the group permanently — and once the last leader died the
-// whole hierarchy was headless: no tree, no placement, no broadcast
-// initiation, even with most members alive. The chaos soak surfaced exactly
-// that (two spaced crashes with LeaderSize 2). The coordinator now recruits
-// replacements from the leaf contacts whenever the leader view falls below
-// LeaderSize, and pushes the refreshed contact list down to the leaves so
-// non-leader members stop forwarding to dead leaders.
+// Every leader crash would shrink the leader group for good, until the
+// hierarchy was headless. So the coordinator recruits replacements from the
+// leaf contacts whenever the leader view falls below LeaderSize, and pushes
+// the refreshed contact list down to the leaves so non-leader members stop
+// forwarding to dead leaders.
 
 // onLeaderView runs on the actor goroutine whenever the leader group
 // installs a new view: every leader refreshes its contact cache, and the
@@ -571,10 +678,11 @@ func (a *Agent) onLeaderView(v member.View) {
 	if v.Coordinator() == a.stackNode().PID() {
 		a.replenishLeaders(v)
 		a.pushLeaderContacts(v)
-		// Re-replicate on every membership change: a recruit's state
-		// transfer may have come from a stale member, and the authoritative
-		// copy otherwise only travels on the next tree mutation.
-		a.replicateTree()
+		// The coordinator's own leaf learns through a leaf cast. The list
+		// only changes with the leader view, so only a view change casts it.
+		if a.leaf != nil && !a.leaf.Closed() && a.leaf.Size() > 1 {
+			a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagLeaderUpdate, 0, encodePIDs(nil, v.Members)))
+		}
 	}
 }
 
@@ -584,7 +692,7 @@ func (a *Agent) onLeaderView(v member.View) {
 // safe; a synchronous send error rotates to the next candidate.
 func (a *Agent) replenishLeaders(lv member.View) {
 	need := a.cfg.LeaderSize - lv.Size()
-	if need <= 0 || a.tree == nil {
+	if need <= 0 {
 		return
 	}
 	self := a.stackNode().PID()
@@ -612,9 +720,6 @@ func (a *Agent) replenishLeaders(lv member.View) {
 // leaf cast, so even members the tree does not name stop pointing at dead
 // leaders.
 func (a *Agent) pushLeaderContacts(lv member.View) {
-	if a.tree == nil {
-		return
-	}
 	self := a.stackNode().PID()
 	payload := encodePIDs(nil, lv.Members)
 	for _, l := range a.tree.Leaves {
@@ -628,10 +733,6 @@ func (a *Agent) pushLeaderContacts(lv member.View) {
 				Payload: payload,
 			})
 		}
-	}
-	// The coordinator's own leaf learns through its leaf cast.
-	if a.leaf != nil && !a.leaf.Closed() && a.leaf.Size() > 1 {
-		a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagLeaderUpdate, 0, payload))
 	}
 }
 
@@ -653,22 +754,18 @@ func (a *Agent) onLeaderInvite(m *types.Message) {
 func (a *Agent) joinLeaderAsync(contact types.ProcessID) {
 	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 	defer cancel()
-	lg, err := a.host.stack.Join(ctx, types.LeaderGroup(a.name), contact, a.leaderGroupConfig())
+	lg, err := a.joinLeader(ctx, contact)
+	// On a stopping node Call can return while its fn still runs, so
+	// adopted is read only after a Call that completed.
 	var adopted bool
-	_ = a.stackNode().Call(func() {
+	if a.stackNode().Call(func() {
 		a.leaderJoining = false
-		if err != nil || a.closed {
-			return
+		if adopted = err == nil && !a.closed; adopted {
+			a.leader = lg
 		}
-		a.leader = lg
-		if a.tree == nil {
-			// The coordinator's state transfer normally arrives with the
-			// install; an empty tree is a safe fallback until the next
-			// replication cast.
-			a.tree = NewTree(a.name, a.cfg.Fanout)
-		}
-		adopted = true
-	})
+	}) != nil {
+		return
+	}
 	if err == nil && !adopted && lg != nil && !lg.Closed() {
 		_ = lg.Leave(ctx) // the agent closed while we were joining
 	}
@@ -690,7 +787,7 @@ func (a *Agent) onLeaderUpdate(m *types.Message) {
 	if !ok || len(pids) == 0 {
 		return
 	}
-	if samePIDs(a.leaderContacts, pids) {
+	if slices.Equal(a.leaderContacts, pids) {
 		return // periodic re-push with nothing new: don't re-relay
 	}
 	a.leaderContacts = pids
@@ -698,18 +795,6 @@ func (a *Agent) onLeaderUpdate(m *types.Message) {
 		a.leaf.CurrentView().Coordinator() == a.stackNode().PID() {
 		a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagLeaderUpdate, 0, m.Payload))
 	}
-}
-
-func samePIDs(a, b []types.ProcessID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- leader duties ---------------------------------------------------------------
@@ -760,7 +845,9 @@ func (a *Agent) forwardToLeader(m *types.Message) bool {
 	return false
 }
 
-// onJoinRequest handles a placement request for a joining process.
+// onJoinRequest handles a placement request for a joining process: the
+// leader coordinator casts the joiner as a tree input and answers once it is
+// delivered and acknowledged (placeJoiner).
 func (a *Agent) onJoinRequest(m *types.Message) {
 	if !a.leaderCoordinator() {
 		if !a.forwardToLeader(m) {
@@ -772,149 +859,169 @@ func (a *Agent) onJoinRequest(m *types.Message) {
 	if joiner.IsNil() {
 		joiner = m.From
 	}
-	// Hand the joiner the full current leader view (answering coordinator
-	// first), not just one contact: a joiner that only ever knew the
-	// placement coordinator was stranded when that one process died.
-	self := a.stackNode().PID()
-	contacts := []types.ProcessID{self}
-	if a.leader != nil && !a.leader.Closed() {
-		for _, p := range a.leader.CurrentView().Members {
-			if p != self {
-				contacts = append(contacts, p)
-			}
-		}
-	}
-	pl := placement{LeaderGroup: types.LeaderGroup(a.name), LeaderContacts: contacts}
-
-	target, ok := a.tree.Place()
-	if !ok || target.Size >= a.cfg.MaxLeafSize {
-		info := a.tree.AddLeaf(joiner)
-		pl.Create = true
-		pl.Leaf = info.ID
-	} else {
-		pl.Leaf = target.ID
-		pl.Contacts = target.Contacts
-		a.tree.Update(target.ID, target.Size+1, target.Contacts)
-	}
-	if a.leader != nil {
-		lv := a.leader.CurrentView()
-		if lv.Size() < a.cfg.LeaderSize && !lv.Contains(joiner) {
-			pl.AlsoLeader = true
-		}
-	}
-	_ = a.stackNode().Reply(m, encodePlacement(pl), "")
-	a.replicateTree()
+	a.castInput(tagPlace, leafReport{Members: []types.ProcessID{joiner}}, m.Clone())
 }
 
-// onLeafReport handles a leaf coordinator's membership report.
+// onLeafReport handles a leaf coordinator's membership report. Leaf
+// coordinators re-send reports periodically, so the leader coordinator casts
+// only those that would change the tree.
 func (a *Agent) onLeafReport(m *types.Message) {
 	if !a.leaderCoordinator() {
 		a.forwardToLeader(m)
 		return
 	}
-	r, ok := decodeLeafReport(m.Payload)
-	if !ok {
-		return
+	if r, ok := decodeLeafReport(m.Payload); ok && a.reportChanges(r) {
+		a.castInput(tagReport, r, nil)
 	}
+}
+
+// reportChanges reports whether applying r (applyReport) would change the
+// tree, or would split the leaf: an oversized leaf's re-sent report repeats
+// its split's directives (splitLeaf).
+func (a *Agent) reportChanges(r leafReport) bool {
+	cur, known := a.tree.Lookup(r.Leaf)
+	size := len(r.Members)
+	switch {
+	case size == 0:
+		return known
+	case !known || size > a.cfg.MaxLeafSize || cur.Size != size ||
+		!slices.Equal(cur.Contacts, a.leafContacts(r.Members)):
+		return true
+	}
+	_, merge := a.mergeTarget(r)
+	return merge
+}
+
+// placeJoiner applies a placement input: the joiner goes to the smallest leaf,
+// or founds a new one when every leaf is full. The side effect answers the
+// join request.
+func (a *Agent) placeJoiner(joiner types.ProcessID) func(*types.Message) {
+	var pl placement
+	target, ok := a.tree.Place()
+	if !ok || target.Size >= a.cfg.MaxLeafSize {
+		pl.Create = true
+		pl.Leaf = a.tree.AddLeaf(joiner).ID
+	} else {
+		pl.Leaf = target.ID
+		pl.Contacts = target.Contacts
+		a.tree.Update(target.ID, target.Size+1, target.Contacts)
+	}
+	return func(req *types.Message) {
+		// Hand the joiner the full current leader view (answering
+		// coordinator first), not just one contact: a joiner that only ever
+		// knew the placement coordinator was stranded when that one process
+		// died.
+		self := a.stackNode().PID()
+		lv := a.leader.CurrentView()
+		pl.LeaderContacts = []types.ProcessID{self}
+		for _, p := range lv.Members {
+			if p != self {
+				pl.LeaderContacts = append(pl.LeaderContacts, p)
+			}
+		}
+		pl.AlsoLeader = lv.Size() < a.cfg.LeaderSize && !lv.Contains(joiner)
+		_ = a.stackNode().Reply(req, encodePlacement(pl), "")
+	}
+}
+
+// applyReport applies a leaf report input: record the leaf's size and
+// contacts, then split it if oversized or merge it if undersized. The side
+// effect sends the relocation directives.
+func (a *Agent) applyReport(r leafReport) func(*types.Message) {
 	size := len(r.Members)
 	if size == 0 {
 		a.tree.RemoveLeaf(r.Leaf)
-		a.replicateTree()
-		return
+		return func(*types.Message) {}
 	}
-	contacts := r.Members
-	if len(contacts) > a.cfg.Resiliency {
-		contacts = contacts[:a.cfg.Resiliency]
+	a.tree.Update(r.Leaf, size, a.leafContacts(r.Members))
+	if size > a.cfg.MaxLeafSize {
+		return a.splitLeaf(r)
 	}
-	a.tree.Update(r.Leaf, size, contacts)
-	// Members named by a leaf report have landed: the leaf-group state
-	// transfer has handed them the buffered records, so their relocation
-	// pins can stop holding the floor.
-	for _, p := range r.Members {
-		delete(a.moverWater, p)
+	target, ok := a.mergeTarget(r)
+	if !ok {
+		return func(*types.Message) {}
 	}
+	// Fold the undersized leaf into its sibling, which counts the movers
+	// from now on.
+	a.pinMovers(r.Leaf, r.Members)
+	a.tree.RemoveLeaf(r.Leaf)
+	a.tree.Update(target.ID, target.Size+size, target.Contacts)
+	return func(*types.Message) {
+		for _, p := range r.Members {
+			a.sendDirective(p, placement{Leaf: target.ID, Contacts: target.Contacts})
+		}
+	}
+}
 
-	switch {
-	case size > a.cfg.MaxLeafSize:
-		a.splitLeaf(r)
-	case size < a.cfg.MinLeafSize && a.tree.LeafCount() > 1:
-		a.mergeLeaf(r)
-	}
-	a.replicateTree()
+// leafContacts is the contact list the tree records for a leaf: its first
+// Resiliency members, coordinator first.
+func (a *Agent) leafContacts(members []types.ProcessID) []types.ProcessID {
+	return members[:min(len(members), a.cfg.Resiliency)]
 }
 
 // splitLeaf moves the youngest members of an oversized leaf into a freshly
-// created leaf.
-func (a *Agent) splitLeaf(r leafReport) {
-	target := (a.cfg.MaxLeafSize + a.cfg.MinLeafSize) / 2
-	if target < a.cfg.MinLeafSize {
-		target = a.cfg.MinLeafSize
+// created leaf, founded by the first mover.
+//
+// The leaf's coordinator re-sends its report until the movers are gone, and
+// a split must not repeat: a report that finds the leaf its first mover
+// founds already in the tree sends the same directives again instead, so a
+// lost directive or a failed input cast is retried. The new leaf counts
+// every mover from the first split on; the old leaf keeps its reported size
+// until a report shows the movers gone.
+func (a *Agent) splitLeaf(r leafReport) func(*types.Message) {
+	target := max((a.cfg.MaxLeafSize+a.cfg.MinLeafSize)/2, a.cfg.MinLeafSize)
+	remaining := min(target, len(r.Members))
+	movers := r.Members[remaining:]
+	if len(movers) == 0 {
+		return func(*types.Message) {}
 	}
-	moverCount := len(r.Members) - target
-	if moverCount <= 0 {
-		return
+	info, ok := a.tree.FoundedBy(movers[0])
+	if !ok {
+		info = a.tree.AddLeaf(movers[0])
+		a.tree.Update(info.ID, len(movers), info.Contacts)
 	}
-	movers := r.Members[len(r.Members)-moverCount:]
 	a.pinMovers(r.Leaf, movers)
-	info := a.tree.AddLeaf(movers[0])
-	for i, p := range movers {
-		d := directive{Leaf: info.ID}
-		if i == 0 {
-			d.Create = true
-		} else {
-			d.Contacts = []types.ProcessID{movers[0]}
+	return func(*types.Message) {
+		for i, p := range movers {
+			d := placement{Leaf: info.ID}
+			if i == 0 {
+				d.Create = true
+			} else {
+				d.Contacts = movers[:1]
+			}
+			a.sendDirective(p, d)
 		}
-		a.sendDirective(p, d)
 	}
-	// The old leaf's recorded size shrinks accordingly; the next report will
-	// confirm.
-	remaining := len(r.Members) - moverCount
-	contacts := r.Members[:minInt(remaining, a.cfg.Resiliency)]
-	a.tree.Update(r.Leaf, remaining, contacts)
 }
 
-// mergeLeaf folds an undersized leaf into a sibling, but only when the
-// combined leaf stays within the fanout bound. Without the capacity guard a
-// freshly founded leaf (size 1, still filling up) would be merged straight
+// mergeTarget picks the sibling an undersized leaf folds into, but only when
+// the combined leaf stays within the fanout bound. Without the capacity guard
+// a freshly founded leaf (size 1, still filling up) would be merged straight
 // back into the full leaf it was created to relieve, and the leader would
 // oscillate between creating, merging and splitting the same members.
-func (a *Agent) mergeLeaf(r leafReport) {
-	var target LeafInfo
-	found := false
+func (a *Agent) mergeTarget(r leafReport) (LeafInfo, bool) {
+	if len(r.Members) >= a.cfg.MinLeafSize || a.tree.LeafCount() <= 1 {
+		return LeafInfo{}, false
+	}
 	for _, sib := range a.tree.Siblings(r.Leaf) {
-		if len(sib.Contacts) == 0 {
-			continue
-		}
-		if sib.Size+len(r.Members) <= a.cfg.MaxLeafSize {
-			target = sib
-			found = true
-			break
+		if len(sib.Contacts) > 0 && sib.Size+len(r.Members) <= a.cfg.MaxLeafSize {
+			return sib, true
 		}
 	}
-	if !found {
-		return
-	}
-	a.pinMovers(r.Leaf, r.Members)
-	for _, p := range r.Members {
-		a.sendDirective(p, directive{Leaf: target.ID, Contacts: target.Contacts})
-	}
-	a.tree.RemoveLeaf(r.Leaf)
+	return LeafInfo{}, false
 }
 
-func (a *Agent) sendDirective(to types.ProcessID, d directive) {
-	if to == a.stackNode().PID() {
-		a.onRedirect(&types.Message{
-			Kind:    types.KindHJoinRedirect,
-			Group:   types.BranchGroup(a.name),
-			Payload: encodeDirective(d),
-		})
-		return
-	}
-	_ = a.stackNode().Send(to, &types.Message{
+func (a *Agent) sendDirective(to types.ProcessID, d placement) {
+	m := &types.Message{
 		Kind:    types.KindHJoinRedirect,
 		Group:   types.BranchGroup(a.name),
-		Payload: encodeDirective(d),
-	})
+		Payload: encodePlacement(d),
+	}
+	if to == a.stackNode().PID() {
+		a.onRedirect(m)
+		return
+	}
+	_ = a.stackNode().Send(to, m)
 }
 
 // onRedirect relocates this process to another leaf, as instructed by the
@@ -923,7 +1030,7 @@ func (a *Agent) onRedirect(m *types.Message) {
 	if a.closed || a.moving {
 		return
 	}
-	d, ok := decodeDirective(m.Payload)
+	d, ok := decodePlacement(m.Payload)
 	if !ok {
 		return
 	}
@@ -936,8 +1043,9 @@ func (a *Agent) onRedirect(m *types.Message) {
 }
 
 // relocate runs on its own goroutine: it leaves the current leaf and joins
-// (or founds) the directed one, then swaps the agent's leaf reference.
-func (a *Agent) relocate(oldLeaf *group.Group, d directive) {
+// (or founds) the directed one, then swaps the agent's leaf reference. A
+// zero placement skips straight to asking the leader for a fresh one.
+func (a *Agent) relocate(oldLeaf *group.Group, d placement) {
 	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 	defer cancel()
 
@@ -945,46 +1053,56 @@ func (a *Agent) relocate(oldLeaf *group.Group, d directive) {
 		_ = oldLeaf.Leave(ctx)
 	}
 	var newLeaf *group.Group
-	var err error
-	if d.Create {
-		newLeaf, err = a.host.stack.Create(d.Leaf, a.leafGroupConfig(d.Leaf))
-	} else {
-		newLeaf, err = a.joinLeaf(ctx, d.Leaf, d.Contacts)
+	err := error(types.ErrNoSuchGroup)
+	if d.Leaf.Name != "" {
+		newLeaf, err = a.enterLeaf(ctx, d)
 	}
 	if err != nil {
 		// Fall back to asking the leader for a fresh placement so the
-		// process does not end up outside every leaf.
-		contacts := a.LeaderContacts()
-		if len(contacts) > 0 {
-			if pl, perr := a.requestPlacement(ctx, contacts[0]); perr == nil {
-				if pl.Create {
-					newLeaf, err = a.host.stack.Create(pl.Leaf, a.leafGroupConfig(pl.Leaf))
-				} else {
-					newLeaf, err = a.joinLeaf(ctx, pl.Leaf, pl.Contacts)
-				}
-				if err == nil {
-					d.Leaf = pl.Leaf
-				}
-			}
-		}
+		// process does not end up outside every leaf. The failed join may
+		// have used up ctx, so the fallback gets an OpTimeout of its own.
+		ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+		defer cancel()
+		newLeaf, d, err = a.placeAnew(ctx)
 	}
 	_ = a.stackNode().Call(func() {
 		a.moving = false
-		if err == nil && newLeaf != nil {
+		if err == nil {
 			a.leaf = newLeaf
 			a.leafID = d.Leaf
+			a.landing = a.recoveryTicks + moverGraceTicks
 		}
 	})
-	if err == nil && newLeaf != nil {
+	if err == nil {
 		a.mu.Lock()
 		a.snapLeaf = newLeaf
 		a.mu.Unlock()
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// enterLeaf joins the leaf a placement names, or founds it.
+func (a *Agent) enterLeaf(ctx context.Context, pl placement) (*group.Group, error) {
+	if pl.Create {
+		return a.host.stack.Create(pl.Leaf, a.leafGroupConfig(pl.Leaf))
 	}
-	return b
+	return a.joinLeaf(ctx, pl.Leaf, pl.Contacts)
+}
+
+// placeAnew asks the leader contacts in turn for a fresh placement and
+// enters the leaf it names: the first contact may be a leader that died.
+func (a *Agent) placeAnew(ctx context.Context) (*group.Group, placement, error) {
+	err := error(types.ErrNoSuchGroup)
+	for _, c := range a.LeaderContacts() {
+		var pl placement
+		if pl, err = a.requestPlacement(ctx, c); err == nil {
+			var leaf *group.Group
+			if leaf, err = a.enterLeaf(ctx, pl); err == nil {
+				return leaf, pl, nil
+			}
+		}
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	return nil, placement{}, err
 }

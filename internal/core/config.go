@@ -145,7 +145,8 @@ func (c Config) Validate() error {
 // --- leaf-cast envelope --------------------------------------------------------
 //
 // The hierarchy multiplexes several uses onto ordinary leaf-group
-// multicasts. A one-byte tag plus a correlation id distinguishes them.
+// multicasts. A one-byte tag plus a correlation id distinguishes them. The
+// leader group's tree inputs ride the same envelope.
 
 type leafCastTag byte
 
@@ -155,6 +156,8 @@ const (
 	tagBroadcast                           // whole-group tree broadcast payload
 	tagAppCast                             // application-level leaf multicast
 	tagLeaderUpdate                        // refreshed leader contacts relayed leaf-wide
+	tagPlace                               // leader group: a joiner to place
+	tagReport                              // leader group: a leaf report to apply
 )
 
 func encodeLeafCast(tag leafCastTag, corr uint64, payload []byte) []byte {
@@ -194,9 +197,7 @@ type record struct {
 }
 
 func encodeRecord(r record) []byte {
-	b := types.EncodeUint64(nil, uint64(r.Origin.Site))
-	b = types.EncodeUint64(b, uint64(r.Origin.Incarnation))
-	b = types.EncodeUint64(b, uint64(r.Origin.Index))
+	b := encodePID(nil, r.Origin)
 	b = types.EncodeUint64(b, r.Seq)
 	b = types.EncodeUint64(b, r.Floor)
 	return append(b, r.Payload...)
@@ -204,15 +205,7 @@ func encodeRecord(r record) []byte {
 
 func decodeRecord(b []byte) (record, bool) {
 	var r record
-	site, b, ok := types.DecodeUint64(b)
-	if !ok {
-		return r, false
-	}
-	inc, b, ok := types.DecodeUint64(b)
-	if !ok {
-		return r, false
-	}
-	idx, b, ok := types.DecodeUint64(b)
+	origin, b, ok := decodePID(b)
 	if !ok {
 		return r, false
 	}
@@ -224,20 +217,20 @@ func decodeRecord(b []byte) (record, bool) {
 	if !ok {
 		return r, false
 	}
-	r.Origin = types.ProcessID{Site: types.SiteID(site), Incarnation: uint32(inc), Index: uint32(idx)}
-	r.Seq, r.Floor, r.Payload = seq, floor, b
+	r.Origin, r.Seq, r.Floor, r.Payload = origin, seq, floor, b
 	return r, true
 }
 
-// --- placement reply encoding ---------------------------------------------------
+// --- placement encoding --------------------------------------------------------
 
-// placement is the leader's answer to a join request.
+// placement tells a process which leaf to join or found: the leader's answer
+// to a join request and, unasked and without the leader fields, the
+// directive that moves a member during a split or merge.
 type placement struct {
 	Create         bool // true: found a new leaf; false: join an existing one
 	Leaf           types.GroupID
 	Contacts       []types.ProcessID
 	AlsoLeader     bool
-	LeaderGroup    types.GroupID
 	LeaderContacts []types.ProcessID
 }
 
@@ -253,9 +246,7 @@ func encodePlacement(p placement) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = encodeGroupID(b, p.LeaderGroup)
-	b = encodePIDs(b, p.LeaderContacts)
-	return b
+	return encodePIDs(b, p.LeaderContacts)
 }
 
 func decodePlacement(b []byte) (placement, bool) {
@@ -279,10 +270,6 @@ func decodePlacement(b []byte) (placement, bool) {
 	}
 	p.AlsoLeader = b[0] == 1
 	b = b[1:]
-	p.LeaderGroup, b, ok = decodeGroupID(b)
-	if !ok {
-		return p, false
-	}
 	p.LeaderContacts, _, ok = decodePIDs(b)
 	return p, ok
 }
@@ -313,51 +300,32 @@ func decodeLeafReport(b []byte) (leafReport, bool) {
 	return r, ok
 }
 
-// --- relocation directive -------------------------------------------------------
+// --- tree input encoding ----------------------------------------------------------
 
-// directive tells one process to move to (or found) another leaf; used by
-// the leader to split oversized leaves and merge undersized ones.
-type directive struct {
-	Create   bool
-	Leaf     types.GroupID
-	Contacts []types.ProcessID
-}
+// A leader-group tree input rides the leaf-cast envelope: tagPlace or
+// tagReport, the casting member's input id as the correlation, and a leaf
+// report as the body. A placement names its joiner as the report's only
+// member.
 
-func encodeDirective(d directive) []byte {
-	b := []byte{0}
-	if d.Create {
-		b[0] = 1
+func decodeTreeInput(b []byte) (tag leafCastTag, id uint64, r leafReport, ok bool) {
+	tag, id, body, ok := decodeLeafCast(b)
+	if !ok || tag != tagPlace && tag != tagReport {
+		return 0, 0, r, false
 	}
-	b = encodeGroupID(b, d.Leaf)
-	return encodePIDs(b, d.Contacts)
-}
-
-func decodeDirective(b []byte) (directive, bool) {
-	var d directive
-	if len(b) < 1 {
-		return d, false
-	}
-	d.Create = b[0] == 1
-	b = b[1:]
-	var ok bool
-	d.Leaf, b, ok = decodeGroupID(b)
-	if !ok {
-		return d, false
-	}
-	d.Contacts, _, ok = decodePIDs(b)
-	return d, ok
+	r, ok = decodeLeafReport(body)
+	return tag, id, r, ok && (tag == tagReport || len(r.Members) == 1)
 }
 
 // --- shared low-level codecs ----------------------------------------------------
+//
+// Counts come off the wire, so every preallocation is capped at the bytes
+// left: an absurd count fails on the missing bytes instead of panicking in
+// make.
 
 func encodeGroupID(b []byte, g types.GroupID) []byte {
 	b = types.EncodeString(b, g.Name)
 	b = types.EncodeUint64(b, uint64(g.Kind))
-	b = types.EncodeUint64(b, uint64(len(g.Path)))
-	for _, p := range g.Path {
-		b = types.EncodeUint64(b, uint64(p))
-	}
-	return b
+	return encodePath(b, g.Path)
 }
 
 func decodeGroupID(b []byte) (types.GroupID, []byte, bool) {
@@ -369,28 +337,64 @@ func decodeGroupID(b []byte) (types.GroupID, []byte, bool) {
 	if !ok {
 		return types.GroupID{}, b, false
 	}
-	n, b, ok := types.DecodeUint64(b)
+	path, b, ok := decodePath(b)
 	if !ok {
 		return types.GroupID{}, b, false
 	}
-	path := make([]uint32, 0, n)
+	return types.GroupID{Name: name, Kind: types.GroupKind(kind), Path: path}, b, true
+}
+
+func encodePath(b []byte, path []uint32) []byte {
+	b = types.EncodeUint64(b, uint64(len(path)))
+	for _, p := range path {
+		b = types.EncodeUint64(b, uint64(p))
+	}
+	return b
+}
+
+func decodePath(b []byte) ([]uint32, []byte, bool) {
+	n, b, ok := types.DecodeUint64(b)
+	if !ok {
+		return nil, b, false
+	}
+	path := make([]uint32, 0, min(n, uint64(len(b))))
 	for i := uint64(0); i < n; i++ {
 		var p uint64
 		p, b, ok = types.DecodeUint64(b)
 		if !ok {
-			return types.GroupID{}, b, false
+			return nil, b, false
 		}
 		path = append(path, uint32(p))
 	}
-	return types.GroupID{Name: name, Kind: types.GroupKind(kind), Path: path}, b, true
+	return path, b, true
+}
+
+func encodePID(b []byte, p types.ProcessID) []byte {
+	b = types.EncodeUint64(b, uint64(p.Site))
+	b = types.EncodeUint64(b, uint64(p.Incarnation))
+	return types.EncodeUint64(b, uint64(p.Index))
+}
+
+func decodePID(b []byte) (types.ProcessID, []byte, bool) {
+	site, b, ok := types.DecodeUint64(b)
+	if !ok {
+		return types.ProcessID{}, b, false
+	}
+	inc, b, ok := types.DecodeUint64(b)
+	if !ok {
+		return types.ProcessID{}, b, false
+	}
+	idx, b, ok := types.DecodeUint64(b)
+	if !ok {
+		return types.ProcessID{}, b, false
+	}
+	return types.ProcessID{Site: types.SiteID(site), Incarnation: uint32(inc), Index: uint32(idx)}, b, true
 }
 
 func encodePIDs(b []byte, ps []types.ProcessID) []byte {
 	b = types.EncodeUint64(b, uint64(len(ps)))
 	for _, p := range ps {
-		b = types.EncodeUint64(b, uint64(p.Site))
-		b = types.EncodeUint64(b, uint64(p.Incarnation))
-		b = types.EncodeUint64(b, uint64(p.Index))
+		b = encodePID(b, p)
 	}
 	return b
 }
@@ -400,22 +404,14 @@ func decodePIDs(b []byte) ([]types.ProcessID, []byte, bool) {
 	if !ok {
 		return nil, b, false
 	}
-	out := make([]types.ProcessID, 0, n)
+	out := make([]types.ProcessID, 0, min(n, uint64(len(b))))
 	for i := uint64(0); i < n; i++ {
-		var site, inc, idx uint64
-		site, b, ok = types.DecodeUint64(b)
+		var p types.ProcessID
+		p, b, ok = decodePID(b)
 		if !ok {
 			return nil, b, false
 		}
-		inc, b, ok = types.DecodeUint64(b)
-		if !ok {
-			return nil, b, false
-		}
-		idx, b, ok = types.DecodeUint64(b)
-		if !ok {
-			return nil, b, false
-		}
-		out = append(out, types.ProcessID{Site: types.SiteID(site), Incarnation: uint32(inc), Index: uint32(idx)})
+		out = append(out, p)
 	}
 	return out, b, true
 }

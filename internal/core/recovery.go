@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/reliability"
@@ -49,8 +50,10 @@ const leaderRefreshTicks = 8
 // merged away or split). Without the pin, removing the dissolved leaf from
 // the tree lets the floor jump past records the mover has not received, and
 // once every buffer prunes to the new floor no NAK or state transfer can
-// repair it. The pin is dropped when the mover lands in its destination leaf
-// (its leaf report names it) or after a grace period (a mover that crashed
+// repair it. Landing in the destination leaf is not enough: the mover still
+// misses what was cast while it was in flight. The pin is dropped once the
+// mover's own watermark, named by its catch-up request (catchUp), reaches
+// the floor the leaves allow, or after a grace period (a mover that crashed
 // in flight must not wedge the floor forever).
 type moverMark struct {
 	water  uint64
@@ -122,7 +125,16 @@ func (a *Agent) noteRecord(rec record) bool {
 // acknowledged nothing yet holds the floor at zero — conservative, never
 // wrong. Actor goroutine only.
 func (a *Agent) currentFloor() uint64 {
-	if a.tree == nil || a.tree.LeafCount() == 0 {
+	floor := a.leafFloor()
+	for _, mk := range a.moverWater {
+		floor = min(floor, mk.water)
+	}
+	return floor
+}
+
+// leafFloor is the floor the leaves alone allow, relocation pins aside.
+func (a *Agent) leafFloor() uint64 {
+	if a.tree.LeafCount() == 0 {
 		return 0
 	}
 	self := a.stackNode().PID()
@@ -138,16 +150,13 @@ func (a *Agent) currentFloor() uint64 {
 			floor = w
 		}
 	}
-	for _, mk := range a.moverWater {
-		if mk.water < floor {
-			floor = mk.water
-		}
-	}
 	return floor
 }
 
-// pinMovers records members the leader just directed to another leaf, pinning
-// the floor at their old leaf's acknowledged watermark until they land.
+// pinMovers records members a split or merge moves to another leaf, pinning
+// the floor at their old leaf's acknowledged watermark until they land. Every
+// leader member pins (only the coordinator's pins feed a floor), so a
+// coordinator that takes over inherits them, at watermark zero.
 func (a *Agent) pinMovers(from types.GroupID, movers []types.ProcessID) {
 	water := a.leafWater[from.Key()]
 	for _, p := range movers {
@@ -188,6 +197,15 @@ func (a *Agent) onRecoveryTick() {
 		if v.Coordinator() == a.stackNode().PID() {
 			a.sendLeafReport(leafReport{Leaf: a.leafID, Members: v.Members})
 		}
+		if a.recoveryTicks <= a.landing && !a.moving {
+			a.catchUp()
+		}
+	}
+	// A member whose relocation failed outright, or that its leaf
+	// excluded, sits in no leaf, and nothing else would place it again.
+	if a.recoveryTicks%leaderRefreshTicks == 0 && !a.moving && a.leaf != nil && a.leaf.Closed() {
+		a.moving = true
+		go a.relocate(nil, placement{})
 	}
 
 	// Initiator housekeeping: waters of leaves that left the tree must not
@@ -201,7 +219,6 @@ func (a *Agent) onRecoveryTick() {
 			lv := a.leader.CurrentView()
 			a.replenishLeaders(lv)
 			a.pushLeaderContacts(lv)
-			a.replicateTree()
 		}
 		live := make(map[string]bool, a.tree.LeafCount())
 		for _, l := range a.tree.Leaves {
@@ -263,22 +280,16 @@ func (a *Agent) retryPendingStages() {
 			if !st.agg.ChildOutstanding(cs.stage.Leaf) {
 				continue
 			}
-			if a.tree != nil {
-				if info, ok := a.tree.Lookup(cs.stage.Leaf); ok && len(info.Contacts) > 0 {
-					cs.stage.Contacts = types.CopyProcesses(info.Contacts)
-				}
+			if info, ok := a.tree.Lookup(cs.stage.Leaf); ok && len(info.Contacts) > 0 {
+				cs.stage.Contacts = types.CopyProcesses(info.Contacts)
 			}
 			// The refreshed plan can name this process itself as the child's
 			// representative — the tree caught up with an eviction that left
 			// us the only live contact of our own leaf. sendStageTo skips
 			// self, so without this the stage could never be delivered: run
-			// it locally and let its ack flow back through the normal path.
-			// The record was noted at initiation without a leaf cast, so
-			// re-cast it here; receivers dedup via noteRecord.
+			// it locally (it casts the record into the leaf) and let its ack
+			// flow back through the normal path.
 			if types.ContainsProcess(cs.stage.Contacts, a.stackNode().PID()) {
-				if a.leaf != nil && !a.leaf.Closed() {
-					a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagBroadcast, corr, encodeRecord(st.rec)))
-				}
 				a.handleStage(cs.stage, st.rec, corr, nil, a.stackNode().PID())
 				continue
 			}
@@ -326,6 +337,37 @@ func (a *Agent) nakGaps() {
 		})
 		if err == nil {
 			a.relStats.NaksSent += uint64(len(ranges))
+		}
+	}
+}
+
+// catchUp asks the leader for every record above this member's watermarks,
+// one open-ended NAK range per origin it knows plus the leader
+// coordinator's own. A relocated member misses what its old leaf was no
+// longer sent and its new leaf delivered before it arrived, and unless a
+// later record of the same origin reaches it, nothing shows it the gap. The
+// ranges also name its watermarks, which is what releases its relocation
+// pin (onTreeCastNak).
+func (a *Agent) catchUp() {
+	if len(a.leaderContacts) == 0 {
+		return
+	}
+	cut := a.trk.CutVector()
+	if _, ok := cut[a.leaderContacts[0]]; !ok {
+		cut[a.leaderContacts[0]] = 0
+	}
+	ranges := make([]reliability.SeqRange, 0, len(cut))
+	for p, ctg := range cut {
+		ranges = append(ranges, reliability.SeqRange{Sender: p, Lo: ctg + 1, Hi: math.MaxUint64})
+	}
+	msg := &types.Message{
+		Kind:    types.KindTreeCastNak,
+		Group:   types.BranchGroup(a.name),
+		Payload: reliability.EncodeNak(ranges),
+	}
+	for _, dest := range a.leaderContacts {
+		if dest != a.stackNode().PID() && a.stackNode().Send(dest, msg) == nil {
+			return
 		}
 	}
 }
@@ -440,6 +482,22 @@ func (a *Agent) onTreeCastNak(m *types.Message) {
 	ranges, ok := reliability.DecodeNak(m.Payload)
 	if !ok {
 		return
+	}
+	// Any NAK names its sender's contiguous watermark for our records (its
+	// lowest range starts just above it). A relocated member's pin can go
+	// once that reaches the floor the leaves allow: the floor then never
+	// rises above what the mover holds.
+	if _, pinned := a.moverWater[m.From]; pinned {
+		self := a.stackNode().PID()
+		lo := uint64(math.MaxUint64)
+		for _, r := range ranges {
+			if r.Sender == self {
+				lo = min(lo, r.Lo)
+			}
+		}
+		if lo != math.MaxUint64 && lo > a.leafFloor() {
+			delete(a.moverWater, m.From)
+		}
 	}
 	budget := 128
 	for _, r := range ranges {

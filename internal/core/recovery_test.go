@@ -3,13 +3,16 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fdetect"
+	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/types"
 )
@@ -391,5 +394,300 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	}
 	if s := client.CachedServer(); s == victimPID {
 		t.Error("client still bound to the dead server")
+	}
+}
+
+// TestLeaderCoordinatorCrashBetweenPlacementAndReplication pins the leader
+// tree's replication order: a placement answer is an external effect, and
+// it must not outlive a leader coordinator crash that loses the tree change
+// behind it. The coordinator places a joiner into a new leaf and crashes. At
+// the survivor's install of the view without it, no joiner may hold a leaf
+// the survivor's tree lacks. Cut off from the survivor, the coordinator can
+// get no quorum for the placement, so the join must fail; connected, the
+// joiner is placed and the survivor's tree holds its leaf.
+func TestLeaderCoordinatorCrashBetweenPlacementAndReplication(t *testing.T) {
+	for _, partitioned := range []bool{true, false} {
+		name := "connected"
+		if partitioned {
+			name = "partitioned"
+		}
+		t.Run(name, func(t *testing.T) { testCrashAfterPlacement(t, partitioned) })
+	}
+}
+
+func testCrashAfterPlacement(t *testing.T, partitioned bool) {
+	c := cluster.MustNew(3, cluster.Options{})
+	defer c.Stop()
+	cfg := func(int) core.Config {
+		// Fanout 2 caps leaves at two members, so the third process founds a
+		// new leaf.
+		return core.Config{Fanout: 2, Resiliency: 2, LeaderSize: 2, OpTimeout: time.Second,
+			RecoveryInterval: 10 * time.Millisecond}
+	}
+	_, agents := buildService(t, c, 2, cfg)
+	coord, surv := c.Proc(0).ID, c.Proc(1).ID
+	if !cluster.WaitFor(5*time.Second, func() bool {
+		return agents[1].IsLeader() && len(agents[1].LeaderContacts()) == 2 &&
+			agents[1].Tree().TotalMembers() == 2
+	}) {
+		t.Fatal("second member never joined the leader group with the tree")
+	}
+
+	// Keep leaf reports away from the survivor so none can heal its tree
+	// before the check, and cut the two leader members apart if asked.
+	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		cut := p.From == coord && p.To == surv || p.From == surv && p.To == coord
+		return partitioned && cut || p.To == surv && p.Msg.Kind == types.KindHLeafReport
+	})
+	type joined struct {
+		agent *core.Agent
+		err   error
+	}
+	result := make(chan joined, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		a, err := c.Proc(2).Host.Join(ctx, "svc", coord, cfg(2))
+		result <- joined{a, err}
+	}()
+	// Crash the coordinator once it has decided the placement: the joiner
+	// holds it, or the coordinator's own tree shows it.
+	var res *joined
+	if !cluster.WaitFor(2*time.Second, func() bool {
+		select {
+		case r := <-result:
+			res = &r
+			return true
+		default:
+			return agents[0].Tree().TotalMembers() == 3
+		}
+	}) {
+		t.Fatal("the coordinator never decided the placement")
+	}
+	c.Crash(0)
+	c.InjectFailure(0)
+	if !cluster.WaitFor(5*time.Second, func() bool {
+		return !types.ContainsProcess(agents[1].LeaderContacts(), coord)
+	}) {
+		t.Fatal("survivor never installed a leader view without the coordinator")
+	}
+	tree := agents[1].Tree()
+	if res == nil {
+		select {
+		case r := <-result:
+			res = &r
+		case <-time.After(3 * time.Second):
+			t.Fatal("the join never returned")
+		}
+	}
+	if partitioned {
+		if res.err == nil {
+			t.Fatalf("joiner placed into %v without the survivor's acknowledgement", res.agent.LeafID())
+		}
+		return
+	}
+	if res.err != nil {
+		t.Fatalf("join with both leader members connected: %v", res.err)
+	}
+	if id := res.agent.LeafID(); id.Name == "" {
+		t.Fatal("joined agent has no leaf")
+	} else if _, ok := tree.Lookup(id); !ok {
+		t.Fatalf("joiner holds leaf %v, which the surviving leader's tree lacks", id)
+	}
+}
+
+// TestRecruitWithoutCheckpointRejoinsLeaderGroup: the leader group's
+// checkpoint is the only whole-tree transfer. A recruit whose checkpoint
+// never arrives must not serve as a leader member with the empty tree it
+// started from; once the checkpoint gets through, a recruit holds the
+// coordinator's tree.
+func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
+	const n = 4
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	_, agents := buildService(t, c, n, func(int) core.Config {
+		return core.Config{Fanout: 2, Resiliency: 1, LeaderSize: 2, OpTimeout: 300 * time.Millisecond,
+			RecoveryInterval: 10 * time.Millisecond}
+	})
+	if !cluster.WaitFor(5*time.Second, func() bool { return agents[1].IsLeader() }) {
+		t.Fatal("second member never joined the leader group")
+	}
+	var dropping atomic.Bool
+	dropping.Store(true)
+	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		switch p.Msg.Kind {
+		case types.KindStateOffer, types.KindStateChunk, types.KindStateTransfer:
+			return dropping.Load() && p.Msg.Group.Kind == types.KindLeader
+		}
+		return false
+	})
+	// The leader coordinator recruits a replacement for the crashed leader.
+	c.Crash(1)
+	c.InjectFailure(1)
+	time.Sleep(time.Second)
+	for _, i := range []int{2, 3} {
+		if agents[i].IsLeader() {
+			t.Fatalf("member %d serves as a leader member without the tree checkpoint", i)
+		}
+	}
+	dropping.Store(false)
+	if !cluster.WaitFor(5*time.Second, func() bool {
+		ref := agents[0].Tree().Encode()
+		for _, i := range []int{2, 3} {
+			if agents[i].IsLeader() && bytes.Equal(agents[i].Tree().Encode(), ref) {
+				return true
+			}
+		}
+		return false
+	}) {
+		t.Fatal("no recruit holds the coordinator's tree once the checkpoint gets through")
+	}
+}
+
+// TestLostSplitDirectivesAreResent: a split's directives travel by one
+// unretried send. While they are lost the leaf stays oversized and must not
+// split again; its coordinator's re-sent report repeats the same directives,
+// so once they get through the movers land in the one leaf founded for them.
+func TestLostSplitDirectivesAreResent(t *testing.T) {
+	const n = 4
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	_, agents := buildService(t, c, n, func(int) core.Config {
+		return core.Config{Fanout: 4, Resiliency: 1, LeaderSize: 1, MinLeafSize: 1,
+			OpTimeout: time.Second, RecoveryInterval: 10 * time.Millisecond}
+	})
+	leaf := agents[0].LeafID()
+	for i, a := range agents {
+		if !a.LeafID().Equal(leaf) {
+			t.Fatalf("member %d placed outside the founder's leaf", i)
+		}
+	}
+	var dropping atomic.Bool
+	dropping.Store(true)
+	var dropped atomic.Int64
+	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		if p.Msg.Kind == types.KindHJoinRedirect && dropping.Load() {
+			dropped.Add(1)
+			return true
+		}
+		return false
+	})
+	// A bound of 3 makes the four-member leaf oversized: it splits 2 + 2.
+	agents[0].SetMaxLeafSize(3)
+	if !cluster.WaitFor(5*time.Second, func() bool { return dropped.Load() >= 4 }) {
+		t.Fatalf("split directives sent %d times, want them re-sent", dropped.Load())
+	}
+	if got := agents[0].Tree().LeafCount(); got != 2 {
+		t.Fatalf("tree has %d leaves after the re-sent report, want 2 (one split)", got)
+	}
+	for i, a := range agents {
+		if !a.LeafID().Equal(leaf) {
+			t.Fatalf("member %d left the leaf while its directive was dropped", i)
+		}
+	}
+	dropping.Store(false)
+	if !cluster.WaitFor(5*time.Second, func() bool {
+		moved := agents[2].LeafID()
+		return !moved.Equal(leaf) && agents[3].LeafID().Equal(moved) &&
+			agents[1].LeafID().Equal(leaf) && agents[0].Tree().LeafCount() == 2
+	}) {
+		t.Fatalf("movers never landed together: leaves %v %v %v %v, tree %d leaves",
+			agents[0].LeafID(), agents[1].LeafID(), agents[2].LeafID(), agents[3].LeafID(),
+			agents[0].Tree().LeafCount())
+	}
+}
+
+// TestIdleServiceIsQuiet proves the settled hierarchy carries no standing
+// background casts: with no requests or broadcasts, neither the leader group
+// nor any leaf delivers a single multicast over two seconds of recovery ticks.
+func TestIdleServiceIsQuiet(t *testing.T) {
+	const n = 9
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	_, agents := buildService(t, c, n, func(int) core.Config {
+		cfg := echoCfg(3, 2)
+		cfg.LeaderSize = 3
+		cfg.RecoveryInterval = 15 * time.Millisecond
+		return cfg
+	})
+	settled := func() bool {
+		var ref string
+		for _, a := range agents {
+			if !a.IsLeader() {
+				continue
+			}
+			tr := a.Tree()
+			if tr.TotalMembers() != n {
+				return false
+			}
+			if enc := string(tr.Encode()); ref == "" {
+				ref = enc
+			} else if enc != ref {
+				return false
+			}
+		}
+		return ref != ""
+	}
+	if !cluster.WaitFor(5*time.Second, settled) {
+		t.Fatal("leader trees never settled")
+	}
+	time.Sleep(300 * time.Millisecond)
+
+	var leaderCasts, leafCasts atomic.Int64
+	for _, p := range c.Procs {
+		p.Stack.SetObserver(group.Observer{OnDeliver: func(gid types.GroupID, _ group.Delivery) {
+			switch gid.Kind {
+			case types.KindLeader:
+				leaderCasts.Add(1)
+			case types.KindLeaf:
+				leafCasts.Add(1)
+			}
+		}})
+	}
+	time.Sleep(2 * time.Second)
+	if l, f := leaderCasts.Load(), leafCasts.Load(); l != 0 || f != 0 {
+		t.Errorf("idle service delivered %d leader-group and %d leaf casts in 2s, want 0", l, f)
+	}
+}
+
+// TestBroadcastBoundedWhenCoordinatorBlackHoled: a hop-0 broadcast forwarded
+// to a leader coordinator that silently died is never answered. Broadcast
+// must give up with ErrTimeout after its OpTimeout backstop rather than wait
+// out the caller's much longer context.
+func TestBroadcastBoundedWhenCoordinatorBlackHoled(t *testing.T) {
+	const n = 4
+	const opTimeout = 300 * time.Millisecond
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	log := newDeliveryLog(n)
+	_, agents := buildService(t, c, n, func(i int) core.Config {
+		cfg := recoveryCfg(3, 2, log, i)
+		cfg.LeaderSize = 1
+		cfg.OpTimeout = opTimeout
+		return cfg
+	})
+	caller := -1
+	for i, a := range agents {
+		if !a.IsLeader() {
+			caller = i
+			break
+		}
+	}
+	if caller < 0 {
+		t.Fatal("no non-leader member")
+	}
+	coord := c.Proc(0).ID
+	c.Fabric.AddDropRule(func(p netsim.Packet) bool { return p.To == coord })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*opTimeout)
+	defer cancel()
+	start := time.Now()
+	_, err := agents[caller].Broadcast(ctx, []byte("lost"))
+	elapsed := time.Since(start)
+	if !errors.Is(err, types.ErrTimeout) {
+		t.Fatalf("broadcast to a black-holed coordinator: err = %v, want ErrTimeout", err)
+	}
+	if elapsed >= 2*opTimeout {
+		t.Fatalf("broadcast returned after %v, want under %v", elapsed, 2*opTimeout)
 	}
 }

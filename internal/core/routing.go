@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/treecast"
 	"repro/internal/types"
@@ -109,7 +110,15 @@ func (a *Agent) serveRequest(m *types.Message) {
 // tree-structured broadcast, and blocks until the forwarding tree has
 // acknowledged (or ctx expires). It returns the number of members covered by
 // acknowledged leaves.
+//
+// The initiator answers within its OpTimeout stage backstop
+// (armTreeCastTimeout), so the wait is bounded at OpTimeout plus 100 ms for
+// the answer's trip back: a hop-0 request that is lost, or forwarded to a
+// leader coordinator that dies, gets ErrTimeout instead of waiting out ctx.
+// It is not retried, because a retry could deliver the payload twice.
 func (a *Agent) Broadcast(ctx context.Context, payload []byte) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, a.cfg.OpTimeout+100*time.Millisecond)
+	defer cancel()
 	reply, err := a.stackNode().Request(ctx, a.stackNode().PID(), &types.Message{
 		Kind:    types.KindTreeCast,
 		Group:   types.BranchGroup(a.name),
@@ -224,7 +233,7 @@ func (a *Agent) forwardTreeCast(m *types.Message) {
 // eventual ack at the newest parent.
 func (a *Agent) handleStage(plan *treecast.Stage, rec record, upCorr uint64, origin *types.Message, parent types.ProcessID) {
 	key := recordKey{origin: rec.Origin, seq: rec.Seq}
-	fresh := a.noteRecord(rec)
+	a.noteRecord(rec)
 	if origin == nil {
 		if d, ok := a.doneStages[key]; ok {
 			a.sendStageAck(parent, upCorr, rec.Origin, d.leafPath, d.covered, d.water)
@@ -237,6 +246,13 @@ func (a *Agent) handleStage(plan *treecast.Stage, rec record, upCorr uint64, ori
 				return
 			}
 			delete(a.stageCorr, key)
+		}
+		// A representative that has left the plan's leaf, or is leaving it,
+		// must not run the stage: its ack would vouch for members it no
+		// longer reaches. Dropping the frame lets the parent's retry fail
+		// over to the leaf's next contact.
+		if a.moving || a.leaf == nil || a.leaf.Closed() || !a.leafID.Equal(plan.Leaf) {
+			return
 		}
 	}
 	// Downstream stages are re-correlated with a locally unique id so
@@ -257,19 +273,18 @@ func (a *Agent) handleStage(plan *treecast.Stage, rec record, upCorr uint64, ori
 		st.children[c.Leaf.Key()] = &childState{stage: c}
 	}
 
-	// Deliver within our own leaf — but only for the first copy of the
-	// record; a duplicate frame means the leaf cast already went out (from
-	// us or from the contact the parent tried before us). If this process
-	// has moved away from the leaf named in the plan, it still delivers to
-	// the leaf it is in now; the leader's next plan will have caught up.
-	covered := 0
+	// Deliver within our own leaf. The leaf counts as covered only once
+	// another leaf member holds the leaf cast (castToLeaf), not when the cast
+	// is sent: a representative that crashed with its leaf cast in flight
+	// would vouch for records none of its leaf-mates hold, the floor would
+	// rise over them and no buffer would be left to serve their NAKs.
+	done := false
 	if a.leaf != nil && !a.leaf.Closed() {
-		if fresh {
-			a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagBroadcast, downCorr, encodeRecord(rec)))
-		}
-		covered = a.leaf.Size()
+		st.local = a.trk.Ctg(rec.Origin)
+		a.castToLeaf(downCorr, rec)
+	} else {
+		done = agg.LocalDone(0)
 	}
-	done := agg.LocalDone(covered)
 
 	for _, cs := range st.children {
 		if err := a.sendStageTo(cs, downCorr, rec); err != nil {
@@ -293,6 +308,30 @@ func (a *Agent) handleStage(plan *treecast.Stage, rec record, upCorr uint64, ori
 		a.stageCorr[key] = downCorr
 	}
 	st.cancel = a.armTreeCastTimeout(downCorr)
+}
+
+// castToLeaf casts a stage's record into the local leaf and completes the
+// stage's own part once another leaf member holds it (Group.CastAsyncHeld).
+// The cast goes out for a record this member already held too (receivers
+// dedup it): acknowledgements are cumulative, so its quorum also covers
+// every earlier cast of this member's into the leaf — everything up to the
+// watermark the stage acknowledges with (aggState.local). A cast that fails
+// leaves the stage failed: it acknowledges with a zero watermark.
+func (a *Agent) castToLeaf(corr uint64, rec record) {
+	size := a.leaf.Size()
+	a.leaf.CastAsyncHeld(a.cfg.Ordering, encodeLeafCast(tagBroadcast, corr, encodeRecord(rec)), func(err error) {
+		st, ok := a.pendingAggs[corr]
+		if !ok {
+			return // the stage's backstop finished it already
+		}
+		if err != nil {
+			st.failed, size = true, 0
+		}
+		if st.agg.LocalDone(size) {
+			delete(a.pendingAggs, corr)
+			a.finishStage(st)
+		}
+	})
 }
 
 // sendStageTo delivers a stage frame to the first reachable contact of one
@@ -364,7 +403,7 @@ func (a *Agent) finishStage(st *aggState) {
 	delete(a.stageCorr, key)
 	var water uint64
 	if !st.failed {
-		water = a.trk.Ctg(st.rec.Origin)
+		water = st.local
 		for _, cs := range st.children {
 			w, ok := st.waters[cs.stage.Leaf.Key()]
 			if !ok {
@@ -390,8 +429,8 @@ func (a *Agent) finishStage(st *aggState) {
 // at its own contiguous watermark. The per-leaf water table's minimum is the
 // floor later records carry down.
 func (a *Agent) absorbWaters(st *aggState) {
-	if a.leaf != nil && !a.leaf.Closed() {
-		a.raiseWater(a.leafID, a.trk.Ctg(st.rec.Origin))
+	if !st.failed && st.local > 0 {
+		a.raiseWater(a.leafID, st.local)
 	}
 	for _, cs := range st.children {
 		w := st.waters[cs.stage.Leaf.Key()]
@@ -430,7 +469,7 @@ func (a *Agent) armTreeCastTimeout(corr uint64) (cancel func()) {
 			return
 		}
 		delete(a.pendingAggs, corr)
-		if st.agg.Outstanding() > 0 {
+		if !st.agg.Done() {
 			st.failed = true
 		}
 		st.cancel = nil

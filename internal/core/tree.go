@@ -86,6 +86,16 @@ func (t *Tree) AddLeaf(founder types.ProcessID) LeafInfo {
 	return info.Clone()
 }
 
+// FoundedBy returns the leaf whose coordinator (first contact) is p.
+func (t *Tree) FoundedBy(p types.ProcessID) (LeafInfo, bool) {
+	for _, l := range t.Leaves {
+		if len(l.Contacts) > 0 && l.Contacts[0] == p {
+			return l.Clone(), true
+		}
+	}
+	return LeafInfo{}, false
+}
+
 // RemoveLeaf deletes a leaf descriptor (total failure or merge completion).
 // It reports whether the leaf was present.
 func (t *Tree) RemoveLeaf(id types.GroupID) bool {
@@ -277,25 +287,17 @@ func (t *Tree) CheckInvariants() error {
 
 // --- wire encoding --------------------------------------------------------------
 
-// Encode serialises the tree for replication within the leader group and
-// for handing routing plans to clients.
+// Encode serialises the tree for the leader group's checkpoint and for
+// handing routing plans to clients.
 func (t *Tree) Encode() []byte {
 	b := types.EncodeString(nil, t.Name)
 	b = types.EncodeUint64(b, uint64(t.Fanout))
 	b = types.EncodeUint64(b, uint64(t.nextOrdinal))
 	b = types.EncodeUint64(b, uint64(len(t.Leaves)))
 	for _, l := range t.Leaves {
-		b = types.EncodeUint64(b, uint64(len(l.ID.Path)))
-		for _, p := range l.ID.Path {
-			b = types.EncodeUint64(b, uint64(p))
-		}
+		b = encodePath(b, l.ID.Path)
 		b = types.EncodeUint64(b, uint64(l.Size))
-		b = types.EncodeUint64(b, uint64(len(l.Contacts)))
-		for _, c := range l.Contacts {
-			b = types.EncodeUint64(b, uint64(c.Site))
-			b = types.EncodeUint64(b, uint64(c.Incarnation))
-			b = types.EncodeUint64(b, uint64(c.Index))
-		}
+		b = encodePIDs(b, l.Contacts)
 	}
 	return b
 }
@@ -323,45 +325,20 @@ func DecodeTree(b []byte) (*Tree, error) {
 	}
 	t := &Tree{Name: name, Fanout: int(fanout), nextOrdinal: uint32(next)}
 	for i := uint64(0); i < nLeaves; i++ {
-		var nPath uint64
-		nPath, b, ok = types.DecodeUint64(b)
+		var path []uint32
+		path, b, ok = decodePath(b)
 		if !ok {
-			return fail("path len")
+			return fail("path")
 		}
-		path := make([]uint32, 0, nPath)
-		for j := uint64(0); j < nPath; j++ {
-			var p uint64
-			p, b, ok = types.DecodeUint64(b)
-			if !ok {
-				return fail("path")
-			}
-			path = append(path, uint32(p))
-		}
-		var size, nContacts uint64
+		var size uint64
 		size, b, ok = types.DecodeUint64(b)
 		if !ok {
 			return fail("size")
 		}
-		nContacts, b, ok = types.DecodeUint64(b)
+		var contacts []types.ProcessID
+		contacts, b, ok = decodePIDs(b)
 		if !ok {
-			return fail("contact count")
-		}
-		contacts := make([]types.ProcessID, 0, nContacts)
-		for j := uint64(0); j < nContacts; j++ {
-			var site, inc, idx uint64
-			site, b, ok = types.DecodeUint64(b)
-			if !ok {
-				return fail("contact site")
-			}
-			inc, b, ok = types.DecodeUint64(b)
-			if !ok {
-				return fail("contact incarnation")
-			}
-			idx, b, ok = types.DecodeUint64(b)
-			if !ok {
-				return fail("contact index")
-			}
-			contacts = append(contacts, types.ProcessID{Site: types.SiteID(site), Incarnation: uint32(inc), Index: uint32(idx)})
+			return fail("contacts")
 		}
 		t.Leaves = append(t.Leaves, LeafInfo{ID: types.LeafGroup(name, path...), Size: int(size), Contacts: contacts})
 	}

@@ -141,8 +141,8 @@ func (in *castIntake) reset() {
 type ackWaiter struct {
 	need  int
 	from  map[types.ProcessID]bool
-	done  chan error
-	ticks int // recovery ticks survived; drives the re-send of lost reports
+	done  func(error) // called once, on the actor goroutine
+	ticks int         // recovery ticks survived; drives the re-send of lost reports
 }
 
 type pendingInstall struct {
@@ -255,10 +255,7 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 		if seq > cut[self] {
 			res = fmt.Errorf("cast %d to %s: view changed before the quorum formed: %w", seq, g.id, types.ErrTimeout)
 		}
-		select {
-		case w.done <- res:
-		default:
-		}
+		w.done(res)
 	}
 
 	// Keep the outgoing view's retransmit buffer and delivered-order log for
@@ -369,11 +366,8 @@ func (g *Group) markLeft() {
 	}
 	// Fail any casts still waiting for acknowledgements.
 	for seq, w := range g.acks {
-		select {
-		case w.done <- fmt.Errorf("group %s: %w", g.id, types.ErrNotMember):
-		default:
-		}
 		delete(g.acks, seq)
+		w.done(fmt.Errorf("group %s: %w", g.id, types.ErrNotMember))
 	}
 	g.stack.remove(g.id)
 }
@@ -1022,8 +1016,14 @@ func (g *Group) applyParked(cut map[types.ProcessID]uint64) {
 // blocks until the configured resiliency (number of destination
 // acknowledgements) is met, the context expires, or the group is closed.
 func (g *Group) Cast(ctx context.Context, o types.Ordering, payload []byte) error {
+	return g.castAwait(ctx, o, payload, g.cfg.Resiliency)
+}
+
+func (g *Group) castAwait(ctx context.Context, o types.Ordering, payload []byte, need int) error {
 	done := make(chan error, 1)
-	g.stack.node.Do(func() { g.castOnActor(o, payload, done) })
+	g.stack.node.Do(func() {
+		g.castOnActor(o, payload, need, func(err error) { done <- err })
+	})
 	select {
 	case err := <-done:
 		return err
@@ -1039,22 +1039,33 @@ func (g *Group) Cast(ctx context.Context, o types.Ordering, payload []byte) erro
 func (g *Group) CastAsync(o types.Ordering, payload []byte) {
 	g.stack.node.Do(func() {
 		// nil done: fire-and-forget, no completion channel to allocate.
-		g.castOnActor(o, payload, nil)
+		g.castOnActor(o, payload, 0, nil)
 	})
 }
 
-// castOnActor runs the sender side of one multicast. done may be nil
-// (CastAsync), in which case completion and errors are not reported.
-func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
+// CastAsyncHeld multicasts without waiting, like CastAsync, and calls held
+// on the actor goroutine once one other member holds the message, whatever
+// the configured resiliency — the weakest acknowledgement that outlives the
+// sender, since the flush of the next view hands every survivor a message
+// that any survivor holds — or with the error that ended the wait. In a
+// one-member view held runs at once.
+func (g *Group) CastAsyncHeld(o types.Ordering, payload []byte, held func(error)) {
+	g.stack.node.Do(func() { g.castOnActor(o, payload, 1, held) })
+}
+
+// castOnActor runs the sender side of one multicast; done is called once
+// need other members acknowledge it. done may be nil (CastAsync), in which
+// case completion and errors are not reported.
+func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done func(error)) {
 	if g.closed || !g.joined {
 		if done != nil {
-			done <- fmt.Errorf("cast to %s: %w", g.id, types.ErrNotMember)
+			done(fmt.Errorf("cast to %s: %w", g.id, types.ErrNotMember))
 		}
 		return
 	}
 	if g.wedged {
 		// A view change is in progress: defer the cast into the next view.
-		g.afterInstall = append(g.afterInstall, func() { g.castOnActor(o, payload, done) })
+		g.afterInstall = append(g.afterInstall, func() { g.castOnActor(o, payload, need, done) })
 		return
 	}
 	self := g.stack.node.PID()
@@ -1087,10 +1098,7 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 	msg.Stab = g.rel.StabVector()
 	msg.StabOrd = g.total.NextSeq()
 
-	need := g.cfg.Resiliency
-	if max := g.view.Size() - 1; need > max {
-		need = max
-	}
+	need = min(need, g.view.Size()-1)
 	if need > 0 && done != nil {
 		g.acks[g.sendSeq] = &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
 	}
@@ -1107,7 +1115,7 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 	g.onCast(&own)
 
 	if need <= 0 && done != nil {
-		done <- nil
+		done(nil)
 	}
 }
 
@@ -1263,10 +1271,7 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 		w.from[from] = true
 		if len(w.from) >= w.need {
 			delete(g.acks, seq)
-			select {
-			case w.done <- nil:
-			default:
-			}
+			w.done(nil)
 		}
 	}
 }

@@ -907,3 +907,35 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 		})
 	}
 }
+
+// TestAbandonedJoinerIsDropped: a joiner that gives up after the coordinator
+// installed it (the install was lost) holds no record of the group, yet the
+// members count it in, and being alive it is never suspected. Its answer to
+// the next cast — a leave request on its own behalf — drops it, so the
+// resiliency quorum stops waiting on it.
+func TestAbandonedJoinerIsDropped(t *testing.T) {
+	c := cluster.MustNew(3, cluster.Options{})
+	defer c.Stop()
+	cfg := func(int) group.Config { return group.Config{Resiliency: 2} }
+	groups := buildGroup(t, c, 2, cfg)
+	ghost := c.Proc(2).ID
+	remove := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		return p.To == ghost && p.Msg.Kind == types.KindViewInstall
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	_, err := c.Proc(2).Stack.Join(ctx, types.FlatGroup("g"), c.Proc(0).ID, cfg(2))
+	cancel()
+	if err == nil {
+		t.Fatal("join succeeded with its install dropped")
+	}
+	remove()
+	if !cluster.WaitFor(testTimeout, func() bool { return groups[0].CurrentView().Contains(ghost) }) {
+		t.Fatal("the coordinator never installed the joiner")
+	}
+	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("m")); err != nil {
+		t.Fatalf("cast with an abandoned joiner in the view: %v", err)
+	}
+	if !cluster.WaitFor(testTimeout, func() bool { return !groups[0].CurrentView().Contains(ghost) }) {
+		t.Fatalf("abandoned joiner still in the view: %v", groups[0].CurrentView())
+	}
+}

@@ -56,7 +56,7 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindStateOffer, s.route((*Group).onStateOffer))
 	n.Handle(types.KindStateChunk, s.route((*Group).onStateChunk))
 	n.Handle(types.KindStateNak, s.route((*Group).onStateNak))
-	n.Handle(types.KindCast, s.route((*Group).onCast))
+	n.Handle(types.KindCast, s.routeCast)
 	n.HandleBatch(types.KindCast, s.routeCastBatch)
 	n.Handle(types.KindOrder, s.route((*Group).onOrder))
 	n.Handle(types.KindNak, s.route((*Group).onNak))
@@ -156,9 +156,34 @@ func (s *Stack) routeCastBatch(ms []*types.Message) {
 				s.det.Alive(ms[i].From)
 			}
 			g.onCastBatch(ms[i:j])
+		} else {
+			s.disown(ms[i])
 		}
 		i = j
 	}
+}
+
+// routeCast dispatches a single cast like route, and disowns a cast for a
+// group this process holds no record of.
+func (s *Stack) routeCast(m *types.Message) {
+	g, ok := s.lookup(m.Group)
+	if !ok {
+		s.disown(m)
+		return
+	}
+	if s.det != nil {
+		s.det.Alive(m.From)
+	}
+	g.onCast(m)
+}
+
+// disown answers a cast for a group this process holds no record of with a
+// leave request on its own behalf. The sender still counts this process a
+// member — typically a joiner that gave up waiting after its install was
+// lost — and being alive, it is never suspected: every resiliency quorum
+// that counts it would wait on it for good.
+func (s *Stack) disown(m *types.Message) {
+	_ = s.node.Send(m.From, &types.Message{Kind: types.KindLeaveRequest, Group: m.Group})
 }
 
 // ReportSuspicion informs every group containing p that p is suspected to

@@ -182,7 +182,7 @@ func decodeStage(b []byte) (*Stage, []byte, error) {
 	if !ok {
 		return fail("name")
 	}
-	path := make([]uint32, 0, nPath)
+	path := make([]uint32, 0, min(nPath, uint64(len(b))))
 	for i := uint64(0); i < nPath; i++ {
 		var p uint64
 		p, b, ok = types.DecodeUint64(b)
@@ -195,7 +195,7 @@ func decodeStage(b []byte) (*Stage, []byte, error) {
 	if !ok {
 		return fail("contact count")
 	}
-	contacts := make([]types.ProcessID, 0, nContacts)
+	contacts := make([]types.ProcessID, 0, min(nContacts, uint64(len(b))))
 	for i := uint64(0); i < nContacts; i++ {
 		var site, inc, idx uint64
 		site, b, ok = types.DecodeUint64(b)

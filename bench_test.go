@@ -190,6 +190,31 @@ func BenchmarkCastHotPathAllSenders(b *testing.B) {
 	}
 }
 
+// TestCastAllocBudget pins the cast hot path's allocation budget: the
+// all-senders CBCAST flood of BenchmarkCastHotPathAllSenders may allocate
+// at most 16 objects per cast at 8 members and 24 at 16. Receivers share
+// the arrays a sender froze, and a delivery aliases its message's
+// timestamp, so what a cast allocates no longer grows with one copy of
+// every array per receiver.
+func TestCastAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	for _, c := range []struct {
+		members int
+		budget  int64
+	}{{8, 16}, {16, 24}} {
+		r := testing.Benchmark(func(b *testing.B) { benchCastFlood(b, c.members, c.members, types.Causal) })
+		t.Logf("%d members: %d allocs, %d B per cast (%d casts)", c.members, r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+		if r.AllocsPerOp() > c.budget {
+			t.Errorf("%d members: a cast allocates %d objects, budget %d", c.members, r.AllocsPerOp(), c.budget)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // benchCastFlood floods b.N async casts through a warm n-member group, the
 // first `senders` members casting round-robin with at most 1024 casts in
 // flight, and waits until every member has delivered every cast.

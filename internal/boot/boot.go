@@ -69,14 +69,15 @@ func Spawn(pid types.ProcessID, network transport.Network, det fdetect.Config, b
 // Stop halts the process gracefully: the detector's heartbeats end, every
 // write-ahead log is forced to stable storage (so deliveries applied since
 // the last recovery tick survive a supervised restart), and the node's
-// actor loop exits, closing the transport endpoint. Stop is idempotent —
-// crashing a process and later shutting the whole runtime down must not
-// stop it twice.
+// actor loop exits, closing the transport endpoint; then the group stack
+// lets go of its groups. Stop is idempotent — crashing a process and later
+// shutting the whole runtime down must not stop it twice.
 func (p *Proc) Stop() {
 	p.stopOnce.Do(func() {
 		p.Detector.Stop()
 		p.Stack.SyncWALs()
 		p.Node.Stop()
+		p.Stack.Release()
 	})
 }
 
@@ -88,6 +89,7 @@ func (p *Proc) Halt() {
 	p.stopOnce.Do(func() {
 		p.Detector.Stop()
 		p.Node.Stop()
+		p.Stack.Release()
 	})
 }
 

@@ -60,7 +60,7 @@ func (h *History) OnDeliver(gid types.GroupID, d group.Delivery) {
 		View:    d.View,
 		Sender:  d.ID.Sender,
 		Seq:     d.ID.Seq,
-		VT:      d.VT, // already a private copy
+		VT:      d.VT, // read-only, so kept as it is
 		Payload: dig.Sum64(),
 	}
 	if d.Ordering == types.Total {

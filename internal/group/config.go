@@ -21,6 +21,9 @@ import (
 )
 
 // Delivery is one application message handed to the OnDeliver callback.
+// VT and Payload alias the delivered message's arrays, which the sender,
+// the retransmit buffers and (on the simulated network) every other member
+// share: they are read-only, and may be retained as they are.
 type Delivery struct {
 	Group    types.GroupID
 	View     types.ViewID
@@ -28,7 +31,7 @@ type Delivery struct {
 	ID       types.MsgID
 	Ordering types.Ordering
 	Seq      uint64   // agreed sequence number for ABCAST deliveries
-	VT       []uint64 // sender vector timestamp for CBCAST deliveries (a copy)
+	VT       []uint64 // sender vector timestamp for CBCAST deliveries
 	Payload  []byte
 }
 

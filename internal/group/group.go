@@ -1,7 +1,6 @@
 package group
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -1015,6 +1014,10 @@ func (g *Group) applyParked(cut map[types.ProcessID]uint64) {
 // Cast multicasts payload to the group with the requested ordering and
 // blocks until the configured resiliency (number of destination
 // acknowledgements) is met, the context expires, or the group is closed.
+// The payload belongs to the group once Cast is called: the outbox, the
+// retransmit buffer and every member's delivery share it, so the caller
+// must never write it again (the same holds for CastAsync and
+// CastAsyncHeld).
 func (g *Group) Cast(ctx context.Context, o types.Ordering, payload []byte) error {
 	return g.castAwait(ctx, o, payload, g.cfg.Resiliency)
 }
@@ -1035,7 +1038,8 @@ func (g *Group) castAwait(ctx context.Context, o types.Ordering, payload []byte,
 }
 
 // CastAsync multicasts without waiting for acknowledgements. Errors are
-// reported only for local conditions (not a member, closed).
+// reported only for local conditions (not a member, closed). The payload
+// belongs to the group after the call, as with Cast.
 func (g *Group) CastAsync(o types.Ordering, payload []byte) {
 	g.stack.node.Do(func() {
 		// nil done: fire-and-forget, no completion channel to allocate.
@@ -1048,7 +1052,8 @@ func (g *Group) CastAsync(o types.Ordering, payload []byte) {
 // the configured resiliency — the weakest acknowledgement that outlives the
 // sender, since the flush of the next view hands every survivor a message
 // that any survivor holds — or with the error that ended the wait. In a
-// one-member view held runs at once.
+// one-member view held runs at once. The payload belongs to the group after
+// the call, as with Cast.
 func (g *Group) CastAsyncHeld(o types.Ordering, payload []byte, held func(error)) {
 	g.stack.node.Do(func() { g.castOnActor(o, payload, 1, held) })
 }
@@ -1106,11 +1111,10 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done fun
 	g.stack.node.SendCopies(g.view.Members, msg)
 	// Self-delivery through the same path as remote copies, in an envelope
 	// of its own: msg now belongs to the outbox, and the ordering engines
-	// write delivered envelopes (order.Total stamps Seq). The VT is shared
-	// read-only; the payload is copied because the delivery hands it to the
-	// application. No stability report: ingestStab ignores our own.
+	// write delivered envelopes (order.Total stamps Seq). The arrays are
+	// shared read-only, as with every receiver. No stability report:
+	// ingestStab ignores our own.
 	own := *msg
-	own.Payload = bytes.Clone(payload)
 	own.Stab, own.StabOrd = nil, 0
 	g.onCast(&own)
 
@@ -1423,10 +1427,8 @@ func (g *Group) deliver(m *types.Message) {
 		ID:       m.ID,
 		Ordering: m.Ordering,
 		Seq:      m.Seq,
+		VT:       m.VT,
 		Payload:  m.Payload,
-	}
-	if len(m.VT) > 0 {
-		d.VT = append([]uint64(nil), m.VT...)
 	}
 	if g.awaitingState {
 		// A joining member holds application deliveries until its checkpoint
@@ -1441,14 +1443,7 @@ func (g *Group) deliver(m *types.Message) {
 		g.walAppend(&d)
 	}
 	if obs != nil {
-		// The observer's copy is private (it may be retained by history
-		// recorders), so it must not share the VT backing array with the
-		// application callback and the subscription channels.
-		od := d
-		if len(d.VT) > 0 {
-			od.VT = append([]uint64(nil), d.VT...)
-		}
-		obs(g.id, od)
+		obs(g.id, d)
 	}
 	g.emitDelivery(d)
 }

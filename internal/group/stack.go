@@ -34,8 +34,9 @@ type Stack struct {
 // group id. It exists so history recorders (the chaos harness's invariant
 // checkers, tracing tools) can observe a process without owning the
 // per-group Config callbacks the application uses. Callbacks run on the
-// node's actor goroutine and must not block; the View and the Delivery's VT
-// are private copies the observer may retain.
+// node's actor goroutine and must not block; the View is a private copy, and
+// the Delivery's read-only arrays (see Delivery) may be retained as they
+// are.
 type Observer struct {
 	OnView    func(types.GroupID, member.View)
 	OnDeliver func(types.GroupID, Delivery)
@@ -77,6 +78,16 @@ func (s *Stack) ReliabilityStats() reliability.Stats {
 		}
 	})
 	return out
+}
+
+// Release drops the stack's groups and observer once its node has stopped:
+// a halted process that stays reachable (a crashed process its runtime
+// keeps) must not pin their protocol state. Call it only after node.Stop
+// has returned — the actor goroutine, the groups' only other user, has
+// exited by then — so it needs no lock.
+func (s *Stack) Release() {
+	s.groups = nil
+	s.obs = Observer{}
 }
 
 // Node returns the node this stack is bound to.

@@ -409,8 +409,11 @@ func (f *Fabric) AddDropRule(rule DropRule) (remove func()) {
 }
 
 // Watch installs a tap invoked (synchronously, under no lock) for every
-// send attempt. The packet's Msg is the sender's, borrowed for the call: a
-// tap that keeps it must Clone it. Passing nil removes the tap.
+// send attempt. The packet's Msg is the sender's envelope, borrowed for the
+// call: a tap that keeps the envelope must copy it. A data-path message's
+// arrays are frozen (see transmit) and may be kept as they are; any other
+// kind's arrays must be copied too (Message.Clone does both). Passing nil
+// removes the tap.
 func (f *Fabric) Watch(w func(Packet)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -594,8 +597,9 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 }
 
 // dataPathKind reports whether a message kind belongs to the multicast data
-// path, the only traffic duplication and reordering injection applies to.
-// It mirrors the node outbox's batchable set.
+// path: the only traffic duplication and reordering injection applies to,
+// and the only traffic whose arrays receivers share with the sender. It
+// mirrors the node outbox's batchable set.
 func dataPathKind(k types.Kind) bool {
 	switch k {
 	case types.KindCast, types.KindOrder, types.KindStability:
@@ -604,12 +608,23 @@ func dataPathKind(k types.Kind) bool {
 	return false
 }
 
-// transmit clones one frame and delivers it into dst's queue after delay.
-// Cloning at send time means the receiver can never observe sender-side
-// mutation, and the caller's batch slice is free for reuse the moment
-// SendBatch returns.
+// transmit copies one frame's envelopes into a block of their own and
+// delivers the frame into dst's queue after delay. The caller's envelopes
+// and batch slice are free for reuse the moment SendBatch returns. A
+// data-path message's arrays (VT, Stab, Payload, Path, Group.Path) are
+// frozen by the code that built it — read-only for the sender and for every
+// receiver — so the receiver shares them; every other kind gets private
+// arrays, since its payload can be an application's buffer.
 func (f *Fabric) transmit(dst *port, to types.ProcessID, msgs []*types.Message, delay time.Duration) {
-	frame := types.CloneFrame(msgs)
+	block := make([]types.Message, len(msgs))
+	frame := make([]*types.Message, len(msgs))
+	for i, m := range msgs {
+		block[i] = *m
+		if !dataPathKind(m.Kind) {
+			block[i].CopyArrays()
+		}
+		frame[i] = &block[i]
+	}
 	if delay <= 0 {
 		f.deliver(dst, to, frame)
 		return
@@ -617,7 +632,7 @@ func (f *Fabric) transmit(dst *port, to types.ProcessID, msgs []*types.Message, 
 	time.AfterFunc(delay, func() { f.deliver(dst, to, frame) })
 }
 
-// deliver puts one cloned frame on dst's queue, or counts it dropped when
+// deliver puts one copied frame on dst's queue, or counts it dropped when
 // the queue is full.
 func (f *Fabric) deliver(dst *port, to types.ProcessID, frame []*types.Message) {
 	select {

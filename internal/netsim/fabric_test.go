@@ -174,18 +174,67 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	}
 }
 
+// TestCloneOnDeliver pins what the fabric copies per receiver: the envelope
+// always, the arrays only for kinds off the multicast data path. A data-path
+// message's arrays are frozen by its sender and shared with the receiver.
 func TestCloneOnDeliver(t *testing.T) {
 	f := New(DefaultConfig())
 	a, b := pid(1), pid(2)
 	_, _ = f.Attach(a)
 	chB, _ := f.Attach(b)
-	m := msg(a, b, types.KindCast)
-	_ = f.Send(m)
-	got := recvOne(t, chB)
-	got.Payload[0] = 'X'
-	if m.Payload[0] == 'X' {
-		t.Error("receiver mutation visible to sender: fabric did not clone")
+	for _, kind := range []types.Kind{types.KindCast, types.KindOrder, types.KindStability, types.KindRequest, types.KindViewInstall} {
+		m := arrayMsg(a, b, kind)
+		_ = f.Send(m)
+		m.Seq = 99 // the sender's envelope is its own again once Send returns
+		got := recvOne(t, chB)
+		if got == m || got.Seq != 7 {
+			t.Fatalf("%s: envelope not copied (seq %d)", kind, got.Seq)
+		}
+		got.To = a
+		if m.To != b {
+			t.Fatalf("%s: receiver envelope write visible to sender", kind)
+		}
+		if shared := sharesArrays(t, m, got); shared != dataPathKind(kind) {
+			t.Errorf("%s: arrays shared = %v, want %v", kind, shared, dataPathKind(kind))
+		}
+		if !dataPathKind(kind) {
+			got.Payload[0] = 'X'
+			if m.Payload[0] == 'X' {
+				t.Errorf("%s: receiver payload write visible to sender", kind)
+			}
+		}
 	}
+}
+
+// arrayMsg is a message carrying every array the fabric could copy.
+func arrayMsg(from, to types.ProcessID, kind types.Kind) *types.Message {
+	return &types.Message{
+		Kind: kind, From: from, To: to, Seq: 7,
+		Group:   types.GroupID{Name: "g", Kind: types.KindLeaf, Path: []uint32{1, 2}},
+		VT:      []uint64{1, 2, 3},
+		Path:    []uint32{4},
+		Payload: []byte("payload"),
+		Stab:    []types.StabEntry{{Sender: from, Seq: 3}},
+	}
+}
+
+// sharesArrays reports whether every array of got is the one m carries,
+// failing the test on a mix (some shared, some copied).
+func sharesArrays(t *testing.T, m, got *types.Message) bool {
+	t.Helper()
+	same := []bool{
+		&m.VT[0] == &got.VT[0],
+		&m.Path[0] == &got.Path[0],
+		&m.Payload[0] == &got.Payload[0],
+		&m.Stab[0] == &got.Stab[0],
+		&m.Group.Path[0] == &got.Group.Path[0],
+	}
+	for _, s := range same[1:] {
+		if s != same[0] {
+			t.Fatalf("%s: arrays partly shared: %v", m.Kind, same)
+		}
+	}
+	return same[0]
 }
 
 func TestFanoutAndDistinctCounters(t *testing.T) {
@@ -282,10 +331,18 @@ func TestSendBatchDeliversOneFrame(t *testing.T) {
 	if st.PerKind[types.KindCast] != 2 || st.PerKind[types.KindOrder] != 1 {
 		t.Errorf("per-kind accounting = %v", st.PerKind)
 	}
-	// Receiver-side mutation must not reach the sender (clone-on-deliver).
-	frame[0].Payload[0] = 'X'
-	if batch[0].Payload[0] == 'X' {
-		t.Error("receiver mutation visible to sender: SendBatch did not clone")
+	// The frame is the receiver's own: a new batch slice and new envelopes,
+	// which share the data-path arrays the sender froze.
+	if &frame[0] == &batch[0] {
+		t.Error("receiver got the sender's batch slice")
+	}
+	for i, m := range frame {
+		if m == batch[i] {
+			t.Errorf("message %d: receiver got the sender's envelope", i)
+		}
+		if &m.Payload[0] != &batch[i].Payload[0] {
+			t.Errorf("message %d: data-path payload copied, want shared", i)
+		}
 	}
 }
 

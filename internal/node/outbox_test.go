@@ -25,7 +25,11 @@ func (r *recordingEndpoint) Send(m *types.Message) error {
 func (r *recordingEndpoint) SendBatch(msgs []*types.Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.frames = append(r.frames, types.CloneFrame(msgs))
+	frame := make([]*types.Message, len(msgs))
+	for i, m := range msgs {
+		frame[i] = m.Clone()
+	}
+	r.frames = append(r.frames, frame)
 	return nil
 }
 func (r *recordingEndpoint) Inbox() <-chan []*types.Message { return nil }

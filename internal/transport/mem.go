@@ -39,8 +39,13 @@ type memEndpoint struct {
 	closed bool
 }
 
-func (e *memEndpoint) PID() types.ProcessID           { return e.pid }
-func (e *memEndpoint) Inbox() <-chan []*types.Message { return e.inbox }
+func (e *memEndpoint) PID() types.ProcessID { return e.pid }
+
+func (e *memEndpoint) Inbox() <-chan []*types.Message {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.inbox
+}
 
 func (e *memEndpoint) Send(msg *types.Message) error {
 	e.mu.Lock()
@@ -70,5 +75,8 @@ func (e *memEndpoint) Close() error {
 	}
 	e.closed = true
 	e.fabric.Detach(e.pid)
+	// The queue may still hold frames; a closed endpoint that stays
+	// reachable (a crashed process its runtime keeps) must not pin them.
+	e.inbox = nil
 	return nil
 }

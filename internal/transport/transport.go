@@ -21,13 +21,20 @@ import (
 // are safe for concurrent use; Inbox returns the single inbound channel
 // drained by the process's actor loop.
 //
-// Send and SendBatch borrow what they are given, as io.Writer borrows its
-// buffer: an implementation must not keep a message pointer, the batch
-// slice, or any slice inside a message (VT, Path, Payload, Stab,
-// Group.Path) after it returns. The memory transport clones the frame at
-// send time and TCP encodes it on the caller's goroutine. The node's outbox
+// Send and SendBatch borrow the envelopes and the batch slice they are
+// given, as io.Writer borrows its buffer: an implementation must not keep a
+// message pointer or the batch slice after it returns. The node's outbox
 // depends on this: it builds every frame in scratch memory that the next
 // flush overwrites.
+//
+// The arrays inside a message (VT, Path, Payload, Stab, Group.Path) are
+// borrowed the same way, except on the multicast data path (KindCast,
+// KindOrder, KindStability): there the code that built a message froze its
+// arrays, and they stay read-only for the sender and for every receiver
+// for good. The memory transport copies each frame's envelopes at send
+// time and lets receivers share a data-path message's arrays, copying
+// every other kind's; TCP encodes the frame on the caller's goroutine, so
+// its receivers always decode private arrays.
 type Endpoint interface {
 	// PID returns the process id this endpoint belongs to.
 	PID() types.ProcessID

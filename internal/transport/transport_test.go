@@ -311,26 +311,31 @@ func TestFrameCodecConformance(t *testing.T) {
 }
 
 // TestEndpointBorrowConformance pins Endpoint's borrow contract on both
-// transports: once Send or SendBatch returns, the sender may overwrite every
-// field and every array of what it sent — the node's outbox reuses its frame
-// scratch on the next flush — and the receiver still gets the originals.
+// transports. Once Send or SendBatch returns, the sender may overwrite every
+// envelope it sent and the batch slice — the node's outbox reuses its frame
+// scratch on the next flush — and, off the multicast data path, every array
+// too; the receiver still gets the originals. A data-path message's arrays
+// are frozen by its sender, and the memory transport shares them with the
+// receiver instead of copying them.
 func TestEndpointBorrowConformance(t *testing.T) {
 	scribble := func(msgs ...*types.Message) {
 		for _, m := range msgs {
-			for i := range m.VT {
-				m.VT[i] = ^uint64(0)
-			}
-			for i := range m.Path {
-				m.Path[i] = ^uint32(0)
-			}
-			for i := range m.Group.Path {
-				m.Group.Path[i] = ^uint32(0)
-			}
-			for i := range m.Payload {
-				m.Payload[i] = 0xEE
-			}
-			for i := range m.Stab {
-				m.Stab[i] = types.StabEntry{Sender: pid(66), Seq: 66}
+			if m.Kind != types.KindCast {
+				for i := range m.VT {
+					m.VT[i] = ^uint64(0)
+				}
+				for i := range m.Path {
+					m.Path[i] = ^uint32(0)
+				}
+				for i := range m.Group.Path {
+					m.Group.Path[i] = ^uint32(0)
+				}
+				for i := range m.Payload {
+					m.Payload[i] = 0xEE
+				}
+				for i := range m.Stab {
+					m.Stab[i] = types.StabEntry{Sender: pid(66), Seq: 66}
+				}
 			}
 			*m = types.Message{Kind: types.KindHeartbeat, From: pid(66), To: pid(2), Err: "scribbled"}
 		}
@@ -338,26 +343,47 @@ func TestEndpointBorrowConformance(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend.name, func(t *testing.T) {
 			a, b := backend.attach(t)
+			for _, kind := range []types.Kind{types.KindCast, types.KindRequest} {
+				want := func() *types.Message {
+					m := fullMsg()
+					m.Kind = kind
+					return m
+				}
+				// Only the memory transport can share, and only the frozen
+				// arrays of the data path.
+				wantShared := backend.name == "memory" && kind == types.KindCast
+				checkShared := func(sent []byte, got *types.Message) {
+					t.Helper()
+					if shared := &got.Payload[0] == &sent[0]; shared != wantShared {
+						t.Errorf("%s: payload shared = %v, want %v", kind, shared, wantShared)
+					}
+				}
 
-			one := fullMsg()
-			if err := a.Send(one); err != nil {
-				t.Fatal(err)
-			}
-			scribble(one)
-			checkEqual(t, fullMsg(), waitMsg(t, b))
+				one := want()
+				sent := one.Payload
+				if err := a.Send(one); err != nil {
+					t.Fatal(err)
+				}
+				scribble(one)
+				got := waitMsg(t, b)
+				checkEqual(t, want(), got)
+				checkShared(sent, got)
 
-			batch := []*types.Message{fullMsg(), fullMsg(), fullMsg()}
-			if err := a.SendBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			scribble(batch...)
-			batch[0], batch[1] = batch[2], nil // and the batch slice itself
-			frame := waitFrame(t, b)
-			if len(frame) != 3 {
-				t.Fatalf("batch of 3 arrived as frame of %d", len(frame))
-			}
-			for _, got := range frame {
-				checkEqual(t, fullMsg(), got)
+				batch := []*types.Message{want(), want(), want()}
+				sents := [][]byte{batch[0].Payload, batch[1].Payload, batch[2].Payload}
+				if err := a.SendBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				scribble(batch...)
+				batch[0], batch[1] = batch[2], nil // and the batch slice itself
+				frame := waitFrame(t, b)
+				if len(frame) != 3 {
+					t.Fatalf("batch of 3 arrived as frame of %d", len(frame))
+				}
+				for i, got := range frame {
+					checkEqual(t, want(), got)
+					checkShared(sents[i], got)
+				}
 			}
 		})
 	}

@@ -252,55 +252,35 @@ func (m *Message) WireSize() int {
 	return n
 }
 
-// Clone returns a deep copy of the message. Transports that loop back
-// in-memory use Clone so a receiver can never observe sender-side mutation.
+// Clone returns a deep copy of the message: a private envelope and private
+// arrays.
 func (m *Message) Clone() *Message {
 	c := *m
-	if m.VT != nil {
-		c.VT = append([]uint64(nil), m.VT...)
-	}
-	if m.Path != nil {
-		c.Path = append([]uint32(nil), m.Path...)
-	}
-	if m.Payload != nil {
-		c.Payload = append([]byte(nil), m.Payload...)
-	}
-	if m.Stab != nil {
-		c.Stab = append([]StabEntry(nil), m.Stab...)
-	}
-	if m.Group.Path != nil {
-		c.Group.Path = append([]uint32(nil), m.Group.Path...)
-	}
+	c.CopyArrays()
 	return &c
 }
 
-// CloneFrame deep-clones a whole frame with a single backing allocation for
-// the envelopes (payloads and timestamp arrays are still copied per
-// message). Transports use it to isolate receivers from senders without
-// paying one allocator round-trip per message.
-func CloneFrame(msgs []*Message) []*Message {
-	block := make([]Message, len(msgs))
-	out := make([]*Message, len(msgs))
-	for i, m := range msgs {
-		block[i] = *m
-		if m.VT != nil {
-			block[i].VT = append([]uint64(nil), m.VT...)
-		}
-		if m.Path != nil {
-			block[i].Path = append([]uint32(nil), m.Path...)
-		}
-		if m.Payload != nil {
-			block[i].Payload = append([]byte(nil), m.Payload...)
-		}
-		if m.Stab != nil {
-			block[i].Stab = append([]StabEntry(nil), m.Stab...)
-		}
-		if m.Group.Path != nil {
-			block[i].Group.Path = append([]uint32(nil), m.Group.Path...)
-		}
-		out[i] = &block[i]
+// CopyArrays replaces every array the message carries (VT, Path, Payload,
+// Stab, Group.Path) with a private copy, leaving the scalars alone. The
+// memory transport calls it on the envelope it delivers for every kind
+// whose arrays the sender may still own (Request and Reply payloads can be
+// an application's buffer).
+func (m *Message) CopyArrays() {
+	if m.VT != nil {
+		m.VT = append([]uint64(nil), m.VT...)
 	}
-	return out
+	if m.Path != nil {
+		m.Path = append([]uint32(nil), m.Path...)
+	}
+	if m.Payload != nil {
+		m.Payload = append([]byte(nil), m.Payload...)
+	}
+	if m.Stab != nil {
+		m.Stab = append([]StabEntry(nil), m.Stab...)
+	}
+	if m.Group.Path != nil {
+		m.Group.Path = append([]uint32(nil), m.Group.Path...)
+	}
 }
 
 // String renders a compact description of the message for logs.

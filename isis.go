@@ -55,13 +55,16 @@ type (
 	Ordering = types.Ordering
 	// View is a flat group's membership view.
 	View = member.View
-	// Delivery is one delivered multicast.
+	// Delivery is one delivered multicast. Its VT and Payload are shared
+	// with the sender and the other members: read-only.
 	Delivery = group.Delivery
 	// GroupConfig configures a flat group membership.
 	GroupConfig = group.Config
 	// ServiceConfig configures a hierarchical (large-group) service member.
 	ServiceConfig = core.Config
-	// Group is a flat (small) process group membership.
+	// Group is a flat (small) process group membership. A payload handed
+	// to Cast, CastAsync or CastAsyncHeld belongs to the group after the
+	// call: the caller must not write it again.
 	Group = group.Group
 	// Service is one process's membership of a hierarchical large group.
 	Service = core.Agent

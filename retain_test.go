@@ -1,0 +1,84 @@
+package isis_test
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	isis "repro"
+)
+
+// TestCrashedProcessPinsNothing crashes and respawns one member of a
+// three-member group 50 times while the founder casts, keeping every crashed
+// Process reachable (the runtime keeps them until Shutdown, and so does the
+// test). A crashed process must release its network inbox and its group
+// stack: the live heap may grow by its bookkeeping only, not by a queue
+// buffer and a group's protocol state per crash.
+func TestCrashedProcessPinsNothing(t *testing.T) {
+	const cycles = 50
+	const perCrashBound = 32 << 10 // an inbox queue alone is ~98 KB
+
+	rt := isis.NewSimulated()
+	defer rt.Shutdown()
+	a := rt.MustSpawn()
+	b := rt.MustSpawn()
+	var delivered atomic.Int64
+	cfg := isis.GroupConfig{OnDeliver: func(isis.Delivery) { delivered.Add(1) }}
+	ga, err := a.CreateGroup("g", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.JoinGroup(ctxT(t), "g", a.ID(), cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	var crashed []*isis.Process
+	cycle := func() {
+		t.Helper()
+		p := rt.MustSpawn()
+		if _, err := p.JoinGroup(ctxT(t), "g", a.ID(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		// Traffic the crashed member holds at its crash: deliveries,
+		// retransmit and ordering state, frames still queued.
+		want := delivered.Load() + 3*20
+		for k := 0; k < 20; k++ {
+			ga.CastAsync(isis.CBCAST, make([]byte, 512))
+		}
+		if err := isis.Await(ctxT(t), func() bool { return delivered.Load() >= want }); err != nil {
+			t.Fatalf("casts never delivered: %v", err)
+		}
+		// And a burst it is still receiving when it crashes.
+		for k := 0; k < 20; k++ {
+			ga.CastAsync(isis.CBCAST, make([]byte, 512))
+		}
+		rt.Crash(p)
+		rt.InjectFailure(p)
+		if err := isis.Await(ctxT(t), func() bool { return ga.Size() == 2 }); err != nil {
+			t.Fatalf("crash never installed: %v", err)
+		}
+		crashed = append(crashed, p)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	for i := 0; i < 5; i++ { // warm up: pools, maps and buffers at size
+		cycle()
+	}
+	before := liveHeap()
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	after := liveHeap()
+	per := (int64(after) - int64(before)) / cycles
+	t.Logf("live heap %d -> %d KB over %d crashes: %d B per crashed process (%d kept)",
+		before>>10, after>>10, cycles, per, len(crashed))
+	if per > perCrashBound {
+		t.Errorf("each crashed process pins %d B of live heap, want <= %d", per, perCrashBound)
+	}
+}

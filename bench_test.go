@@ -191,23 +191,30 @@ func BenchmarkCastHotPathAllSenders(b *testing.B) {
 }
 
 // TestCastAllocBudget pins the cast hot path's allocation budget: the
-// all-senders CBCAST flood of BenchmarkCastHotPathAllSenders may allocate
-// at most 16 objects per cast at 8 members and 24 at 16. Receivers share
-// the arrays a sender froze, and a delivery aliases its message's
-// timestamp, so what a cast allocates no longer grows with one copy of
-// every array per receiver.
+// all-senders floods of BenchmarkCastHotPathAllSenders may allocate at most
+// 16 objects and 1600 B per CBCAST at 8 members and 24 objects and 3200 B at
+// 16, and the same flood in ABCAST at most 20 objects and 4 KB at 8.
+// Receivers on the memory transport share the envelope a sender froze —
+// arrays and scalars alike — and a delivery aliases its message's
+// timestamp, so what a cast allocates no longer grows with a copy of the
+// envelope or its arrays per receiver.
 func TestCastAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
 	}
 	for _, c := range []struct {
-		members int
-		budget  int64
-	}{{8, 16}, {16, 24}} {
-		r := testing.Benchmark(func(b *testing.B) { benchCastFlood(b, c.members, c.members, types.Causal) })
-		t.Logf("%d members: %d allocs, %d B per cast (%d casts)", c.members, r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
-		if r.AllocsPerOp() > c.budget {
-			t.Errorf("%d members: a cast allocates %d objects, budget %d", c.members, r.AllocsPerOp(), c.budget)
+		members  int
+		ordering types.Ordering
+		objects  int64
+		bytes    int64
+	}{{8, types.Causal, 16, 1600}, {16, types.Causal, 24, 3200}, {8, types.Total, 20, 4096}} {
+		r := testing.Benchmark(func(b *testing.B) { benchCastFlood(b, c.members, c.members, c.ordering) })
+		t.Logf("%d members, %s: %d allocs, %d B per cast (%d casts)", c.members, c.ordering, r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+		if r.AllocsPerOp() > c.objects {
+			t.Errorf("%d members, %s: a cast allocates %d objects, budget %d", c.members, c.ordering, r.AllocsPerOp(), c.objects)
+		}
+		if r.AllocedBytesPerOp() > c.bytes {
+			t.Errorf("%d members, %s: a cast allocates %d B, budget %d", c.members, c.ordering, r.AllocedBytesPerOp(), c.bytes)
 		}
 	}
 }

@@ -580,7 +580,7 @@ func (g *Group) flushForward(proposed member.View) {
 		return
 	}
 	for _, m := range g.rel.Unstable() {
-		g.stack.node.SendCopies(dests, retransmission(m))
+		g.stack.node.SendCopies(dests, retransmission(m, g.total))
 		g.relStats.Forwarded++
 	}
 }
@@ -1109,14 +1109,10 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done fun
 	}
 
 	g.stack.node.SendCopies(g.view.Members, msg)
-	// Self-delivery through the same path as remote copies, in an envelope
-	// of its own: msg now belongs to the outbox, and the ordering engines
-	// write delivered envelopes (order.Total stamps Seq). The arrays are
-	// shared read-only, as with every receiver. No stability report:
-	// ingestStab ignores our own.
-	own := *msg
-	own.Stab, own.StabOrd = nil, 0
-	g.onCast(&own)
+	// Self-delivery through the same path as remote copies, of the same
+	// frozen envelope every receiver shares: nothing on the receive path
+	// writes a cast. ingestStab ignores our own stability report.
+	g.onCast(msg)
 
 	if need <= 0 && done != nil {
 		done(nil)
@@ -1426,9 +1422,13 @@ func (g *Group) deliver(m *types.Message) {
 		From:     m.ID.Sender,
 		ID:       m.ID,
 		Ordering: m.Ordering,
-		Seq:      m.Seq,
 		VT:       m.VT,
 		Payload:  m.Payload,
+	}
+	if m.Ordering == types.Total {
+		// The envelope may be shared with every member, so the agreed slot
+		// is the engine's to tell, not a field of the message.
+		d.Seq = g.total.Slot(m.ID)
 	}
 	if g.awaitingState {
 		// A joining member holds application deliveries until its checkpoint

@@ -833,6 +833,102 @@ func TestCumulativeAckLostReportRecovered(t *testing.T) {
 	}
 }
 
+// TestAbcastRetransmissionCarriesSlot pins the ABCAST recovery path. One
+// member loses its copy of an ABCAST cast and the cast's order
+// announcement. The NAK-served retransmission, from a member that has
+// delivered the cast, must carry the agreed slot, and the member must then
+// deliver the cast in that slot, like every other member.
+func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
+	const n = 3
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	cols := make([]*collector, n)
+	groups := buildGroup(t, c, n, func(i int) group.Config {
+		cols[i] = &collector{}
+		return group.Config{OnDeliver: cols[i].onDeliver}
+	})
+	// Process 0 created the group and sequences it; the sender is another
+	// member, so its cast leaves without a slot.
+	sender, starved := c.Proc(1).ID, c.Proc(2).ID
+	lost := types.MsgID{Sender: sender, Seq: 1}
+
+	var droppedCast, droppedOrder bool // drop rules run under the fabric's lock
+	removeRule := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		if p.To != starved || p.Msg.ID != lost {
+			return false
+		}
+		switch {
+		case p.Msg.Kind == types.KindCast && !droppedCast:
+			droppedCast = true
+			return true
+		case p.Msg.Kind == types.KindOrder && !droppedOrder:
+			droppedOrder = true
+			return true
+		}
+		return false
+	})
+	defer removeRule()
+	var mu sync.Mutex
+	var copies []uint64 // the Seq of every copy of the lost cast sent to starved
+	c.Fabric.Watch(func(p netsim.Packet) {
+		if p.Msg.Kind == types.KindCast && p.To == starved && p.Msg.ID == lost {
+			mu.Lock()
+			copies = append(copies, p.Msg.Seq)
+			mu.Unlock()
+		}
+	})
+	defer c.Fabric.Watch(nil)
+
+	// The second cast shows the starved member the gap in the sender's
+	// sequence.
+	groups[1].CastAsync(types.Total, []byte("lost"))
+	groups[1].CastAsync(types.Total, []byte("after"))
+	if !cluster.WaitFor(testTimeout, func() bool {
+		for _, col := range cols {
+			if col.count() < 2 {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatalf("deliveries per member: %d, %d, %d", cols[0].count(), cols[1].count(), cols[2].count())
+	}
+
+	slotAt := func(col *collector) uint64 {
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		for _, d := range col.deliveries {
+			if d.ID == lost {
+				return d.Seq
+			}
+		}
+		return 0
+	}
+	slot := slotAt(cols[0])
+	if slot == 0 || slotAt(cols[1]) != slot {
+		t.Fatalf("agreed slots disagree: sequencer %d, sender %d", slot, slotAt(cols[1]))
+	}
+	if got := slotAt(cols[2]); got != slot {
+		t.Errorf("the starved member delivered the lost cast in slot %d, want %d", got, slot)
+	}
+	if served := groups[0].ReliabilityStats().NaksServed + groups[1].ReliabilityStats().NaksServed; served == 0 {
+		t.Error("no NAK was served: the lost cast came back some other way")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !droppedCast || !droppedOrder || len(copies) < 2 {
+		t.Fatalf("dropped cast %v, order %v; %d copies sent, want a retransmission", droppedCast, droppedOrder, len(copies))
+	}
+	if copies[0] != 0 {
+		t.Errorf("the sender's own copy carries slot %d; a non-sequencer's cast carries none", copies[0])
+	}
+	for i, seq := range copies[1:] {
+		if seq != slot {
+			t.Errorf("retransmission %d carries slot %d, want %d", i+1, seq, slot)
+		}
+	}
+}
+
 // TestCrashMidBatchNoDupNoGap floods casts from one member fast enough that
 // multi-message batch frames are in flight, crashes the sender mid-stream,
 // and checks that every survivor delivered a duplicate-free, gap-free prefix

@@ -247,7 +247,7 @@ func (g *Group) renotifyWaiters() {
 		if len(dests) == 0 {
 			continue
 		}
-		g.stack.node.SendCopies(dests, retransmission(held[0]))
+		g.stack.node.SendCopies(dests, retransmission(held[0], g.total))
 	}
 }
 
@@ -255,9 +255,16 @@ func (g *Group) renotifyWaiters() {
 // copy, sharing the held cast's VT and payload (nothing writes either once
 // held), without its piggybacked stability report — a report re-sent later,
 // or by another member, would be attributed to the wrong moment or process.
-func retransmission(held *types.Message) *types.Message {
+// An ABCAST cast the holder has delivered also carries its agreed slot,
+// read from tt, the total-order engine of the cast's view: the copy is
+// self-describing, so a member whose order announcement was lost can
+// deliver it in place.
+func retransmission(held *types.Message, tt *order.Total) *types.Message {
 	c := *held
 	c.Stab, c.StabOrd = nil, 0
+	if c.Ordering == types.Total && c.Seq == 0 && tt != nil {
+		c.Seq = tt.Slot(c.ID)
+	}
 	return &c
 }
 
@@ -269,11 +276,12 @@ func (g *Group) onNak(m *types.Message) {
 		return
 	}
 	var tr *reliability.Tracker
+	var tt *order.Total
 	switch {
 	case g.joined && m.View == g.view.ID:
-		tr = g.rel
+		tr, tt = g.rel, g.total
 	case m.View == g.prevViewID:
-		tr = g.prevRel
+		tr, tt = g.prevRel, g.prevTotal
 	}
 	if tr == nil {
 		return
@@ -288,7 +296,7 @@ func (g *Group) onNak(m *types.Message) {
 			break
 		}
 		for _, held := range tr.Retrieve(r, budget) {
-			_ = g.stack.node.Send(m.From, retransmission(held))
+			_ = g.stack.node.Send(m.From, retransmission(held, tt))
 			g.relStats.NaksServed++
 			budget--
 		}

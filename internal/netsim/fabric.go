@@ -411,9 +411,10 @@ func (f *Fabric) AddDropRule(rule DropRule) (remove func()) {
 // Watch installs a tap invoked (synchronously, under no lock) for every
 // send attempt. The packet's Msg is the sender's envelope, borrowed for the
 // call: a tap that keeps the envelope must copy it. A data-path message's
-// arrays are frozen (see transmit) and may be kept as they are; any other
-// kind's arrays must be copied too (Message.Clone does both). Passing nil
-// removes the tap.
+// arrays are frozen (see transmit) and may be kept as they are, and so may
+// the frozen message a stamped one links to (Msg.Frozen()), which is what
+// the receiver gets; any other kind's arrays must be copied too
+// (Message.Clone does both). Passing nil removes the tap.
 func (f *Fabric) Watch(w func(Packet)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -608,22 +609,35 @@ func dataPathKind(k types.Kind) bool {
 	return false
 }
 
-// transmit copies one frame's envelopes into a block of their own and
-// delivers the frame into dst's queue after delay. The caller's envelopes
-// and batch slice are free for reuse the moment SendBatch returns. A
-// data-path message's arrays (VT, Stab, Payload, Path, Group.Path) are
-// frozen by the code that built it — read-only for the sender and for every
-// receiver — so the receiver shares them; every other kind gets private
-// arrays, since its payload can be an application's buffer.
+// transmit delivers one frame into dst's queue after delay. The caller's
+// envelopes and batch slice are free for reuse the moment SendBatch
+// returns, so the frame delivered is the fabric's own. A data-path message
+// stamped from a frozen message (types.Message.Frozen: the node outbox
+// stamps every one it sends) reaches the receiver as that frozen message
+// itself — one envelope shared by the sender and every receiver, read-only
+// for all of them, with To unset — and costs only its slot in the frame.
+// Any other message is copied into a block of envelopes of the frame's
+// own: a data-path message keeps sharing its arrays (VT, Stab, Payload,
+// Path, Group.Path), which the code that built it froze; every other kind
+// gets private arrays, since its payload can be an application's buffer.
 func (f *Fabric) transmit(dst *port, to types.ProcessID, msgs []*types.Message, delay time.Duration) {
-	block := make([]types.Message, len(msgs))
 	frame := make([]*types.Message, len(msgs))
+	var block []types.Message
 	for i, m := range msgs {
-		block[i] = *m
-		if !dataPathKind(m.Kind) {
-			block[i].CopyArrays()
+		if fm := m.Frozen(); fm != nil && dataPathKind(m.Kind) {
+			frame[i] = fm
+			continue
 		}
-		frame[i] = &block[i]
+		if block == nil {
+			// Room for every message left, so appends never move the block.
+			block = make([]types.Message, 0, len(msgs)-i)
+		}
+		block = append(block, *m)
+		c := &block[len(block)-1]
+		if !dataPathKind(m.Kind) {
+			c.CopyArrays()
+		}
+		frame[i] = c
 	}
 	if delay <= 0 {
 		f.deliver(dst, to, frame)
@@ -632,7 +646,7 @@ func (f *Fabric) transmit(dst *port, to types.ProcessID, msgs []*types.Message, 
 	time.AfterFunc(delay, func() { f.deliver(dst, to, frame) })
 }
 
-// deliver puts one copied frame on dst's queue, or counts it dropped when
+// deliver puts one frame on dst's queue, or counts it dropped when
 // the queue is full.
 func (f *Fabric) deliver(dst *port, to types.ProcessID, frame []*types.Message) {
 	select {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -202,6 +203,143 @@ func TestCloneOnDeliver(t *testing.T) {
 			if m.Payload[0] == 'X' {
 				t.Errorf("%s: receiver payload write visible to sender", kind)
 			}
+		}
+	}
+}
+
+// TestFrozenEnvelopeShared pins the whole-envelope contract of the data
+// path. A data-path envelope stamped from a frozen message — every one the
+// node outbox sends — reaches every receiver as that frozen message itself,
+// duplicated and late (reordered) deliveries included, with To unset. A
+// data-path message sent without the link, and a message of any other
+// kind, still gets an envelope of its own; Clone drops the link.
+func TestFrozenEnvelopeShared(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 33
+	cfg.DupRate, cfg.ReorderRate, cfg.ReorderDelay = 0.3, 0.3, time.Millisecond
+	f := New(cfg)
+	a := pid(1)
+	_, _ = f.Attach(a)
+	dests := []types.ProcessID{pid(2), pid(3), pid(4)}
+	inbox := map[types.ProcessID]<-chan []*types.Message{}
+	for _, d := range dests {
+		inbox[d], _ = f.Attach(d)
+	}
+
+	var frozen []*types.Message
+	for _, kind := range []types.Kind{types.KindCast, types.KindOrder, types.KindStability} {
+		for i := 0; i < 8; i++ {
+			m := arrayMsg(a, types.NilProcess, kind)
+			m.ID = types.MsgID{Sender: a, Seq: uint64(len(frozen) + 1)}
+			frozen = append(frozen, m)
+		}
+	}
+	sent := make([]types.Message, len(frozen))
+	for i, m := range frozen {
+		sent[i] = *m
+	}
+	// Every destination's frame is stamped into the same scratch, as the
+	// outbox's pooled frame buffer is, and scribbled once SendBatch returns.
+	envs := make([]types.Message, len(frozen))
+	frame := make([]*types.Message, len(frozen))
+	for _, d := range dests {
+		for i, m := range frozen {
+			m.Stamp(&envs[i], d)
+			if envs[i].To != d || envs[i].Frozen() != m {
+				t.Fatalf("stamp to %v: To %v, linked to %p, want %p", d, envs[i].To, envs[i].Frozen(), m)
+			}
+			frame[i] = &envs[i]
+		}
+		if err := f.SendBatch(frame); err != nil {
+			t.Fatal(err)
+		}
+		for i := range envs {
+			envs[i] = types.Message{Kind: types.KindHeartbeat, Seq: 66}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := f.Stats()
+		if st.MessagesDelivered == st.MessagesSent+st.MessagesDuplicated {
+			if st.MessagesDuplicated == 0 || st.MessagesReordered == 0 {
+				t.Fatalf("seed injected %d duplicates and %d reorders; want both", st.MessagesDuplicated, st.MessagesReordered)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d", st.MessagesDelivered, st.MessagesSent+st.MessagesDuplicated)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	index := map[*types.Message]int{}
+	for i, m := range frozen {
+		index[m] = i
+	}
+	twice := 0
+	for _, d := range dests {
+		got := make([]int, len(frozen))
+		for drained := false; !drained; {
+			select {
+			case fr := <-inbox[d]:
+				for _, m := range fr {
+					i, ok := index[m]
+					if !ok {
+						t.Fatalf("%v got a private %s envelope %p, want a frozen one", d, m.Kind, m)
+					}
+					got[i]++
+				}
+			default:
+				drained = true
+			}
+		}
+		for i, n := range got {
+			if n == 0 {
+				t.Errorf("%v never got frozen message %d", d, i)
+			}
+			if n > 1 {
+				twice++
+			}
+		}
+	}
+	if twice == 0 {
+		t.Error("no duplicate delivery reached a receiver")
+	}
+	for i, m := range frozen {
+		if !reflect.DeepEqual(*m, sent[i]) {
+			t.Fatalf("frozen message %d changed in flight: %+v, sent %+v", i, *m, sent[i])
+		}
+	}
+
+	// Without the link, or off the data path, the receiver's envelope is
+	// its own — and its arrays too, off the data path.
+	f.SetDuplication(0)
+	f.SetReordering(0, 0)
+	shared, unlinked := frozen[0], arrayMsg(a, pid(2), types.KindCast)
+	request := arrayMsg(a, types.NilProcess, types.KindRequest)
+	var sharedEnv, requestEnv types.Message
+	shared.Stamp(&sharedEnv, pid(2))
+	request.Stamp(&requestEnv, pid(2))
+	cloned := sharedEnv.Clone()
+	if cloned.Frozen() != nil {
+		t.Fatal("Clone kept the link to the frozen message")
+	}
+	if err := f.SendBatch([]*types.Message{&sharedEnv, unlinked, &requestEnv, cloned}); err != nil {
+		t.Fatal(err)
+	}
+	got := recvFrame(t, inbox[pid(2)])
+	if len(got) != 4 {
+		t.Fatalf("frame of %d, want 4", len(got))
+	}
+	if got[0] != shared {
+		t.Error("a stamped cast between private envelopes lost its sharing")
+	}
+	for i, src := range []*types.Message{unlinked, request, cloned} {
+		m := got[i+1]
+		if m == src || m == shared || m == request {
+			t.Errorf("%s #%d: envelope not private", m.Kind, i+1)
+		}
+		if sharesArrays(t, src, m) != dataPathKind(m.Kind) {
+			t.Errorf("%s #%d: arrays shared = %v", m.Kind, i+1, !dataPathKind(m.Kind))
 		}
 	}
 }

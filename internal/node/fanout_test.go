@@ -45,7 +45,7 @@ func fanout(n int) (*Node, []types.ProcessID, *types.Message) {
 // TestSendCopiesAllocatesNothingPerDestination pins the shared-template
 // fan-out: a multicast to 7 or to 63 peers, flushed, allocates (next to)
 // nothing, and the same for both widths. A per-destination envelope would
-// cost 272 B a peer.
+// cost 280 B a peer.
 func TestSendCopiesAllocatesNothingPerDestination(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")

@@ -11,7 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/boot"
+	"repro/internal/fdetect"
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/node"
@@ -71,8 +72,8 @@ func TestSharedTemplateGroupFlood(t *testing.T) {
 	payload := func(sender, k int) []byte {
 		return append([]byte(fmt.Sprintf("%d/%d/", sender, k)), bytes.Repeat([]byte{byte(k)}, k%97)...)
 	}
-	// ABCAST exercises the sequencer's shared order templates and the Seq
-	// stamp on the self-delivered envelope; CBCAST the shared VT.
+	// ABCAST exercises the sequencer's shared order templates and a
+	// sender delivering its own frozen cast; CBCAST the shared VT.
 	orderings := []types.Ordering{types.Total, types.Causal}
 	var wg sync.WaitGroup
 	for s, g := range groups {
@@ -122,55 +123,79 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSharedArraysNeverWritten proves the data-path contract: the arrays of
-// a cast, an order announcement or a stability report are frozen once
-// built, and the simulated network lets every receiver share them. A fabric
-// tap keeps each data-path array it sees with a checksum while an 8-member
-// group floods FIFO, CBCAST and ABCAST casts under loss, duplication and
+// TestSharedArraysNeverWritten proves the data-path contract: a cast, an
+// order announcement or a stability report is frozen once sent — every
+// scalar and every array of its envelope — and the simulated network hands
+// every receiver the sender's envelope itself. Two taps watch an 8-member
+// group flood FIFO, CBCAST and ABCAST casts under loss, duplication and
 // reordering — so gaps are NAKed and served, held casts are re-notified —
-// and loses a member mid-flood, so the flush forwards unstable casts. At the
-// end every array must still match its checksum: nothing on the sender,
-// the receivers or the recovery paths wrote into one.
+// and lose a member mid-flood, so the flush forwards unstable casts. The
+// send tap keeps the frozen envelope behind every data-path packet with a
+// checksum of the whole envelope; the receive tap checks that every
+// data-path envelope a member gets is one of those, the sender's own
+// pointer. At the end every envelope must still match its checksum:
+// nothing on the sender, the receivers or the recovery paths wrote into
+// one (order.Total stamping a delivered cast's Seq, say).
 func TestSharedArraysNeverWritten(t *testing.T) {
 	const members, casts = 8, 90
-	c := cluster.MustNew(members, cluster.Options{Netsim: netsim.Config{Seed: 32}})
-	t.Cleanup(c.Stop)
+	fabric := netsim.New(netsim.Config{Seed: 32})
+	dataPath := func(k types.Kind) bool {
+		return k == types.KindCast || k == types.KindOrder || k == types.KindStability
+	}
 
-	type key struct {
-		vt    *uint64
-		stab  *types.StabEntry
-		pl    *byte
-		path  *uint32
-		gpath *uint32
-		n     int
-	}
-	type kept struct {
-		m   types.Message // arrays only: the envelope is the sender's, borrowed
-		sum uint64
-	}
 	var tapMu sync.Mutex
-	seen := map[key]kept{}
-	ownResends := 0
-	c.Fabric.Watch(func(p netsim.Packet) {
-		m := p.Msg
-		switch m.Kind {
-		case types.KindCast, types.KindOrder, types.KindStability:
-		default:
+	frozen := map[*types.Message]uint64{} // every frozen envelope sent, with its checksum
+	unlinked, received, ownResends := 0, 0, 0
+	var strangers []*types.Message // data-path envelopes received that no sender froze
+	fabric.Watch(func(p netsim.Packet) {
+		if !dataPath(p.Msg.Kind) {
 			return
 		}
-		arrays := types.Message{Kind: m.Kind, VT: m.VT, Stab: m.Stab, Payload: m.Payload, Path: m.Path}
-		arrays.Group.Path = m.Group.Path
-		k := key{first(arrays.VT), first(arrays.Stab), first(arrays.Payload), first(arrays.Path), first(arrays.Group.Path),
-			len(arrays.VT) + len(arrays.Stab) + len(arrays.Payload) + len(arrays.Path) + len(arrays.Group.Path)}
+		fm := p.Msg.Frozen()
 		tapMu.Lock()
 		defer tapMu.Unlock()
-		if m.Kind == types.KindCast && m.StabOrd == 0 && m.From == m.ID.Sender {
+		if fm == nil {
+			unlinked++
+			return
+		}
+		if fm.Kind == types.KindCast && fm.StabOrd == 0 && fm.From == fm.ID.Sender {
 			ownResends++ // a sender re-sending its own held cast
 		}
-		if _, ok := seen[k]; !ok {
-			seen[k] = kept{arrays, arraySum(&arrays)}
+		if _, ok := frozen[fm]; !ok {
+			frozen[fm] = envelopeSum(fm)
 		}
 	})
+	// The watch tap runs before the fabric delivers the packet, so a
+	// received envelope the sender froze is already in the map.
+	net := &inboundTap{Memory: transport.NewMemory(fabric), done: make(chan struct{}), tap: func(frame []*types.Message) {
+		tapMu.Lock()
+		defer tapMu.Unlock()
+		for _, m := range frame {
+			if !dataPath(m.Kind) {
+				continue
+			}
+			received++
+			if _, ok := frozen[m]; !ok {
+				strangers = append(strangers, m)
+			}
+		}
+	}}
+	procs := make([]*boot.Proc, members)
+	t.Cleanup(func() {
+		for _, p := range procs {
+			if p != nil {
+				p.Stop()
+			}
+		}
+		close(net.done)
+	})
+	for i := range procs {
+		p, err := boot.Spawn(types.ProcessID{Site: types.SiteID(i + 1), Incarnation: 1}, net, fdetect.Config{}, node.Batching{}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+	}
 
 	// One group per ordering: FIFO sequences a sender's casts by their
 	// group-wide send sequence, so it does not mix with the others in one
@@ -205,9 +230,9 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 			var g *group.Group
 			var err error
 			if i == 0 {
-				g, err = c.Proc(i).Stack.Create(gid, cfg)
+				g, err = procs[i].Stack.Create(gid, cfg)
 			} else {
-				g, err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg)
+				g, err = procs[i].Stack.Join(ctx, gid, procs[0].PID(), cfg)
 			}
 			if err != nil {
 				t.Fatalf("member %d, %s: %v", i, o, err)
@@ -229,20 +254,17 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 	// Loss on the data path only: the membership protocol assumes reliable
 	// links, the data path recovers by NAK, re-notify and flush.
 	rng := rand.New(rand.NewSource(32))
-	removeLoss := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
-		switch p.Msg.Kind {
-		case types.KindCast, types.KindOrder, types.KindStability:
-			return rng.Float64() < 0.05 // rules run under the fabric's lock
-		}
-		return false
+	removeLoss := fabric.AddDropRule(func(p netsim.Packet) bool {
+		return dataPath(p.Msg.Kind) && rng.Float64() < 0.05 // rules run under the fabric's lock
 	})
-	c.Fabric.SetDuplication(0.05)
-	c.Fabric.SetReordering(0.05, time.Millisecond)
+	fabric.SetDuplication(0.05)
+	fabric.SetReordering(0.05, time.Millisecond)
 
 	payload := func(sender, k int) []byte {
 		return append([]byte(fmt.Sprintf("%d/%d/", sender, k)), bytes.Repeat([]byte{byte(k)}, k%61)...)
 	}
 	const victim = members - 1
+	victimID := procs[victim].PID()
 	var wg sync.WaitGroup
 	for s, gs := range groups {
 		wg.Add(1)
@@ -259,14 +281,18 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 					gs[o].CastAsync(orderings[o], payload(s, k))
 				}
 				if k == casts/2 && s == 0 {
-					c.Crash(victim)
-					c.InjectFailure(victim)
+					// Crash the victim and tell the others, as
+					// cluster.Crash and InjectFailure do.
+					fabric.Crash(victimID)
+					procs[victim].Halt()
+					for _, p := range procs[:victim] {
+						p.Node.Do(func() { p.Stack.ReportSuspicion(victimID) })
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	victimID := c.Proc(victim).ID
 	waitFor(t, "every survivor's cast at every survivor", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -286,21 +312,29 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 	removeLoss()
 
 	var rs reliability.Stats
-	for i := 0; i < victim; i++ {
-		rs.Add(c.Proc(i).Stack.ReliabilityStats())
+	for _, p := range procs[:victim] {
+		rs.Add(p.Stack.ReliabilityStats())
 	}
-	c.Fabric.Watch(nil)
+	// Both taps stay installed: holding their lock parks them, so nothing
+	// sent from here on can reach a receiver unrecorded.
 	tapMu.Lock()
 	defer tapMu.Unlock()
-	t.Logf("%d distinct data-path array sets; NAKs served %d, flush-forwarded %d, own re-sends %d",
-		len(seen), rs.NaksServed, rs.Forwarded, ownResends)
+	t.Logf("%d frozen envelopes, %d data-path deliveries; NAKs served %d, flush-forwarded %d, own re-sends %d",
+		len(frozen), received, rs.NaksServed, rs.Forwarded, ownResends)
 	if rs.NaksServed == 0 || rs.Forwarded == 0 || ownResends == 0 {
 		t.Errorf("a recovery path never ran: NAKs served %d, flush-forwarded %d, own re-sends %d",
 			rs.NaksServed, rs.Forwarded, ownResends)
 	}
-	for _, a := range seen {
-		if arraySum(&a.m) != a.sum {
-			t.Fatalf("a shared %v array set was written after it was sent: %+v", a.m.Kind, a.m)
+	if unlinked > 0 {
+		t.Errorf("%d data-path packets were sent without a link to a frozen envelope", unlinked)
+	}
+	if received == 0 || len(strangers) > 0 {
+		t.Errorf("of %d data-path deliveries, %d were not a sender's frozen envelope (first: %v)",
+			received, len(strangers), append(strangers, nil)[0])
+	}
+	for m, sum := range frozen {
+		if envelopeSum(m) != sum {
+			t.Fatalf("a shared %v envelope was written after it was sent: %+v", m.Kind, *m)
 		}
 	}
 	mu.Lock()
@@ -314,27 +348,78 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 	}
 }
 
-func first[T any](s []T) *T {
-	if len(s) == 0 {
-		return nil
-	}
-	return &s[0]
+// inboundTap is a memory network whose endpoints pass every inbound frame
+// past tap, on a pump goroutine per endpoint, before the node sees it.
+type inboundTap struct {
+	*transport.Memory
+	tap  func([]*types.Message)
+	done chan struct{} // closed to stop the pumps
 }
 
-// arraySum checksums every array a message carries.
-func arraySum(m *types.Message) uint64 {
+type tappedEndpoint struct {
+	transport.Endpoint
+	inbox chan []*types.Message
+}
+
+func (e *tappedEndpoint) Inbox() <-chan []*types.Message { return e.inbox }
+
+func (n *inboundTap) Attach(pid types.ProcessID) (transport.Endpoint, error) {
+	ep, err := n.Memory.Attach(pid)
+	if err != nil {
+		return nil, err
+	}
+	te := &tappedEndpoint{Endpoint: ep, inbox: make(chan []*types.Message, 64)}
+	go func(in <-chan []*types.Message) {
+		for {
+			select {
+			case frame := <-in:
+				n.tap(frame)
+				select {
+				case te.inbox <- frame:
+				case <-n.done:
+					return
+				}
+			case <-n.done:
+				return
+			}
+		}
+	}(ep.Inbox())
+	return te, nil
+}
+
+// envelopeSum checksums a whole envelope: every scalar field and every
+// array a message carries.
+func envelopeSum(m *types.Message) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
+	pid := func(p types.ProcessID) {
+		put(uint64(p.Site)<<32 | uint64(p.Incarnation))
+		put(uint64(p.Index))
+	}
+	put(uint64(m.Kind))
+	pid(m.From)
+	pid(m.To)
+	h.Write([]byte(m.Group.Name))
+	put(uint64(m.Group.Kind))
+	put(uint64(m.View))
+	pid(m.ID.Sender)
+	put(m.ID.Seq)
+	put(uint64(m.Ordering))
+	put(m.Seq)
+	put(m.Corr)
+	pid(m.ReplyTo)
+	put(uint64(m.Hop)<<8 | uint64(m.TTL))
+	put(m.StabOrd)
+	h.Write([]byte(m.Err))
 	for _, v := range m.VT {
 		put(v)
 	}
 	for _, e := range m.Stab {
-		put(uint64(e.Sender.Site)<<32 | uint64(e.Sender.Incarnation))
-		put(uint64(e.Sender.Index))
+		pid(e.Sender)
 		put(e.Seq)
 	}
 	h.Write(m.Payload)

@@ -27,11 +27,15 @@
 // preserved across both paths.
 //
 // A multicast is built once. SendCopies puts the caller's template itself on
-// every destination's queue; each destination's envelope is copied from it
-// only when that destination's frame is built, into pooled scratch the
-// transport borrows for the length of the send (transport.Endpoint's
-// contract). A fan-out of n therefore allocates nothing per destination,
-// and a template must not change after SendCopies returns.
+// every destination's queue and freezes it: from then on no field and no
+// array of it changes, for the sender or for any receiver. Each
+// destination's envelope is stamped from it only when that destination's
+// frame is built, into pooled scratch the transport borrows for the length
+// of the send (transport.Endpoint's contract), and links back to the
+// template (types.Message.Stamp). TCP encodes the stamp; the memory
+// transport hands every receiver the template itself. A fan-out of n
+// therefore allocates nothing per destination at the sender and no envelope
+// per receiver in memory.
 //
 // Inbound frames are dispatched as batches:
 // runs of consecutive same-kind messages go to a HandleBatch handler when
@@ -297,11 +301,13 @@ func (n *Node) Call(fn func()) error {
 //
 // Hot-path multicast kinds (casts, stability reports, order announcements)
 // are coalesced through the outbox and flushed as batch frames; their transport
-// errors surface asynchronously, like loss on a real network. The outbox
-// keeps msg until the flush and stamps the destination into the frame's copy,
-// so msg must not change after the call. All other kinds are transmitted
-// synchronously, after flushing anything the outbox holds for the same
-// destination so per-destination FIFO order is kept.
+// errors surface asynchronously, like loss on a real network. Such a msg is
+// frozen by the call: the outbox keeps it until the flush and stamps the
+// destination into the frame's copy, and the memory transport delivers msg
+// itself, so neither the sender nor the receiver may change it again (msg.To
+// stays as it was). All other kinds are transmitted synchronously, after
+// flushing anything the outbox holds for the same destination so
+// per-destination FIFO order is kept.
 func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 	msg.From = n.pid
 	if batchable(msg.Kind) {
@@ -317,11 +323,11 @@ func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 // node itself) and returns the number sent. For the batched kinds the
 // template itself waits on every destination's outbox queue, and each
 // destination's envelope is stamped into a pooled frame at flush time, so a
-// fan-out of n allocates nothing per destination. The template — scalar
-// fields and arrays alike — is therefore immutable after the call: the
-// window timer may read it from another goroutine up to a flush window
-// later. Other kinds go out synchronously through one envelope reused for
-// every destination.
+// fan-out of n allocates nothing per destination. The call freezes such a
+// template — scalar fields and arrays alike — for good: the window timer may
+// read it from another goroutine up to a flush window later, and every
+// receiver on the memory transport shares it. Other kinds go out
+// synchronously through one envelope reused for every destination.
 func (n *Node) SendCopies(dests []types.ProcessID, template *types.Message) int {
 	template.From = n.pid
 	sent := 0

@@ -84,11 +84,12 @@ type outbox struct {
 type destLock struct{ mu sync.Mutex }
 
 // frameBuf is the scratch one flush builds its frames in: envelope copies
-// of the queued messages, stamped with the destination, and the pointer
-// slice handed to the transport. Endpoints borrow a frame only for the
-// duration of SendBatch, so the buffer is reused across flushes through a
-// sync.Pool — which, unlike a buffer kept per destination, lets the
-// collector drop it when sends go quiet.
+// of the queued messages, stamped with the destination and linked back to
+// the queued message, and the pointer slice handed to the transport.
+// Endpoints borrow a frame only for the duration of SendBatch, so the
+// buffer is reused across flushes through a sync.Pool — which, unlike a
+// buffer kept per destination, lets the collector drop it when sends go
+// quiet.
 type frameBuf struct {
 	envs []types.Message
 	ptrs []*types.Message
@@ -189,7 +190,8 @@ func (o *outbox) flushDest(to types.ProcessID) {
 	o.mu.Unlock()
 }
 
-// stamp copies msgs into the buffer's envelopes, addressed to to, and
+// stamp copies msgs into the buffer's envelopes, addressed to to and linked
+// back to the frozen messages they came from (types.Message.Stamp), and
 // returns the frame of pointers to them.
 func (fb *frameBuf) stamp(msgs []*types.Message, to types.ProcessID) []*types.Message {
 	if len(msgs) > len(fb.envs) {
@@ -199,16 +201,16 @@ func (fb *frameBuf) stamp(msgs []*types.Message, to types.ProcessID) []*types.Me
 	}
 	ptrs := fb.ptrs[:len(msgs)]
 	for i, m := range msgs {
-		fb.envs[i] = *m
-		fb.envs[i].To = to
+		m.Stamp(&fb.envs[i], to)
 		ptrs[i] = &fb.envs[i]
 	}
 	return ptrs
 }
 
 // release empties the first n envelopes — all a flush stamped — so a pooled
-// buffer pins no payload, and returns the buffer to the pool. The pointer
-// slice addresses the buffer's own envelopes only and needs no clearing.
+// buffer pins no payload and no frozen message, and returns the buffer to
+// the pool. The pointer slice addresses the buffer's own envelopes only and
+// needs no clearing.
 func (fb *frameBuf) release(n int) {
 	clear(fb.envs[:n])
 	framePool.Put(fb)

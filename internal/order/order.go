@@ -17,7 +17,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// Engine is the interface shared by the three ordering engines.
+// Engine is the interface shared by the three ordering engines. An engine
+// reads the messages it is given and never writes one: a delivered envelope
+// may be shared by the sender and every receiver.
 type Engine interface {
 	// Add offers an inbound cast to the engine and returns the messages
 	// (possibly including earlier held-back ones) that are now deliverable,
@@ -377,6 +379,10 @@ func (t *Total) AddOrder(seq uint64, id types.MsgID) []*types.Message {
 	return t.drain()
 }
 
+// drain releases the ready messages in slot order. It writes nothing into
+// them: a delivered envelope may be shared with the sender and every other
+// receiver, so its agreed slot is the engine's to tell (Slot), not a field
+// to stamp.
 func (t *Total) drain() []*types.Message {
 	var out []*types.Message
 	for {
@@ -391,12 +397,17 @@ func (t *Total) drain() []*types.Message {
 		}
 		t.log = append(t.log, m.ID)
 		delete(t.ordered, m.ID)
-		m.Seq = t.nextSeq
 		out = append(out, m)
 		t.nextSeq++
 	}
 	return out
 }
+
+// Slot returns the agreed slot at which the engine delivered the message
+// id, or 0 when it has not delivered the id or SetStable has since pruned
+// it. The group layer reads a delivery's slot here, and stamps it into the
+// private copy a retransmission of a held cast is sent in.
+func (t *Total) Slot(id types.MsgID) uint64 { return t.done[id] }
 
 // Ordered reports whether an agreed slot has already been assigned to the
 // message id (sequenced, or already delivered). The sequencer consults it so

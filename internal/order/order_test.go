@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -251,15 +252,28 @@ func totalCast(sender types.ProcessID, seq uint64) *types.Message {
 	return m
 }
 
+// TestTotalDataThenOrder delivers a cast whose announcement follows its
+// data. The agreed slot is the engine's to tell: the delivered envelope,
+// which receivers share, is left exactly as it arrived.
 func TestTotalDataThenOrder(t *testing.T) {
 	e := NewTotal()
 	m := totalCast(p(1), 1)
+	sent := *m
 	if out := e.AddData(m); len(out) != 0 {
 		t.Fatalf("delivered without order: %v", out)
 	}
 	out := e.AddOrder(1, m.ID)
-	if len(out) != 1 || out[0].Seq != 1 {
+	if len(out) != 1 || out[0] != m {
 		t.Fatalf("out = %v", out)
+	}
+	if got := e.Slot(m.ID); got != 1 {
+		t.Errorf("Slot = %d, want 1", got)
+	}
+	if !reflect.DeepEqual(*m, sent) {
+		t.Errorf("delivery wrote the envelope: %+v, sent %+v", *m, sent)
+	}
+	if got := e.Slot(totalCast(p(2), 1).ID); got != 0 {
+		t.Errorf("Slot of an undelivered id = %d, want 0", got)
 	}
 }
 

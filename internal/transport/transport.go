@@ -31,10 +31,14 @@ import (
 // borrowed the same way, except on the multicast data path (KindCast,
 // KindOrder, KindStability): there the code that built a message froze its
 // arrays, and they stay read-only for the sender and for every receiver
-// for good. The memory transport copies each frame's envelopes at send
-// time and lets receivers share a data-path message's arrays, copying
-// every other kind's; TCP encodes the frame on the caller's goroutine, so
-// its receivers always decode private arrays.
+// for good. A data-path envelope the node outbox sends is a stamp of a
+// message frozen whole (types.Message.Stamp: To set, linked back to the
+// frozen message). The memory transport hands every receiver of such a
+// stamp the frozen message itself, with To unset: one envelope, shared
+// read-only by the sender and all its receivers. Any other envelope it
+// copies at send time, sharing a data-path message's arrays and copying
+// every other kind's. TCP encodes the frame on the caller's goroutine, so
+// its receivers always decode private envelopes and arrays.
 type Endpoint interface {
 	// PID returns the process id this endpoint belongs to.
 	PID() types.ProcessID

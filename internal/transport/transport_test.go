@@ -316,7 +316,8 @@ func TestFrameCodecConformance(t *testing.T) {
 // scratch on the next flush — and, off the multicast data path, every array
 // too; the receiver still gets the originals. A data-path message's arrays
 // are frozen by its sender, and the memory transport shares them with the
-// receiver instead of copying them.
+// receiver instead of copying them; a stamp of a frozen data-path message
+// reaches a memory receiver as the frozen message itself.
 func TestEndpointBorrowConformance(t *testing.T) {
 	scribble := func(msgs ...*types.Message) {
 		for _, m := range msgs {
@@ -383,6 +384,42 @@ func TestEndpointBorrowConformance(t *testing.T) {
 				for i, got := range frame {
 					checkEqual(t, want(), got)
 					checkShared(sents[i], got)
+				}
+				if kind != types.KindCast {
+					continue
+				}
+
+				// The node outbox sends a frozen data-path message as stamps
+				// linked back to it. Scribbling over a stamp cannot reach the
+				// receiver either: TCP decodes a private envelope, and the
+				// memory transport hands over the frozen message itself,
+				// with To unset.
+				frozen := want()
+				frozen.To = types.NilProcess
+				envs := make([]types.Message, 2)
+				stamps := []*types.Message{&envs[0], &envs[1]}
+				for _, env := range stamps {
+					frozen.Stamp(env, pid(2))
+				}
+				if err := a.SendBatch(stamps); err != nil {
+					t.Fatal(err)
+				}
+				scribble(stamps...)
+				frame = waitFrame(t, b)
+				if len(frame) != 2 {
+					t.Fatalf("2 stamps arrived as a frame of %d", len(frame))
+				}
+				for _, got := range frame {
+					if backend.name == "memory" {
+						if got != frozen {
+							t.Error("memory: a stamped data-path message arrived as a copy, not the frozen message")
+						}
+						unaddressed := want()
+						unaddressed.To = types.NilProcess
+						checkEqual(t, unaddressed, got)
+						continue
+					}
+					checkEqual(t, want(), got)
 				}
 			}
 		})

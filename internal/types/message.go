@@ -156,7 +156,8 @@ type Message struct {
 
 	// From and To are the sending and receiving processes. To is the
 	// concrete destination of this copy of the message even when the message
-	// logically addresses a group.
+	// logically addresses a group. A frozen multicast shared by every
+	// receiver of the memory transport (see Stamp) leaves To unset.
 	From ProcessID
 	To   ProcessID
 
@@ -209,6 +210,10 @@ type Message struct {
 
 	// Err carries an error string on negative replies.
 	Err string
+
+	// frozen links a per-destination envelope back to the frozen message
+	// it was stamped from (see Stamp); nil on every other envelope.
+	frozen *Message
 }
 
 // StabEntry is one per-sender receive watermark inside a stability report:
@@ -253,12 +258,28 @@ func (m *Message) WireSize() int {
 }
 
 // Clone returns a deep copy of the message: a private envelope and private
-// arrays.
+// arrays, linked to no frozen message.
 func (m *Message) Clone() *Message {
 	c := *m
+	c.frozen = nil
 	c.CopyArrays()
 	return &c
 }
+
+// Stamp copies m into env, addressed to to, and links env back to m. The
+// node outbox stamps every destination's envelope of a message it holds
+// this way: such a message is frozen — no field and no array of it changes
+// again, for the sender or for anyone it reaches — so a transport that
+// delivers in memory may hand every receiver m itself (see Frozen).
+func (m *Message) Stamp(env *Message, to ProcessID) {
+	*env = *m
+	env.To = to
+	env.frozen = m
+}
+
+// Frozen returns the frozen message m was stamped from, or nil when m is
+// not a stamped envelope.
+func (m *Message) Frozen() *Message { return m.frozen }
 
 // CopyArrays replaces every array the message carries (VT, Path, Payload,
 // Stab, Group.Path) with a private copy, leaving the scalars alone. The

@@ -4,12 +4,13 @@
 //
 // Usage:
 //
-//	isis-chaos -seed=7                    # replay one scenario (prints its hash)
-//	isis-chaos -seeds=500                 # soak: run seeds 1..500
-//	isis-chaos -seeds=200 -profile=soak   # longer timelines, bigger cluster
-//	isis-chaos -profile=service -seeds=50 # hierarchy scenarios (Services)
-//	isis-chaos -start=1000 -seeds=100     # a different seed range
-//	isis-chaos -seed=7 -v                 # also print the fault timeline
+//	isis-chaos -seed=7                     # replay one scenario (prints its hash)
+//	isis-chaos -seeds=500                  # soak: run seeds 1..500
+//	isis-chaos -seeds=200 -profile=soak    # longer timelines, bigger cluster
+//	isis-chaos -profile=service -seeds=50  # hierarchy scenarios (Services)
+//	isis-chaos -profile=stateful -seeds=50 # durable-state scenarios (WAL'd KV)
+//	isis-chaos -start=1000 -seeds=100      # a different seed range
+//	isis-chaos -seed=7 -v                  # also print the fault timeline
 //
 // A seed printed by a failing `go test ./internal/chaos` run reproduces the
 // identical scenario here: the printed "history hash" digests the generated
@@ -31,7 +32,7 @@ func main() {
 	seedFlag := flag.Int64("seed", 0, "run exactly this seed (0: run -seeds seeds from -start)")
 	seedsFlag := flag.Int("seeds", 100, "how many consecutive seeds to run in soak mode")
 	startFlag := flag.Int64("start", 1, "first seed in soak mode")
-	profileFlag := flag.String("profile", "default", "scenario profile: smoke, default, soak or service")
+	profileFlag := flag.String("profile", "default", "scenario profile: "+strings.Join(chaos.ProfileNames(), ", "))
 	verbose := flag.Bool("v", false, "print the generated fault timeline and violations in full")
 	flag.Parse()
 

@@ -1,8 +1,19 @@
 // Package chaos is the deterministic fault-injection harness: it generates
-// seeded fault scenarios, drives them against a simulated cluster while
-// concurrent workloads multicast in FIFO, causal and totally ordered groups,
-// and then verifies the virtual-synchrony invariants over the recorded
-// delivery and view histories.
+// seeded fault scenarios, drives them against a simulated cluster while a
+// concurrent workload runs, and then verifies the virtual-synchrony
+// invariants over the recorded delivery and view histories.
+//
+// # One engine, three workloads
+//
+// Run is one timeline engine for every profile. It spawns one process per
+// scenario slot, runs the step loop (network faults, crashes, restarts and
+// full-cluster restarts, the step's operations, pacing), rejoins restarted
+// slots off the timeline, and grades every history epoch. The profile's mode
+// picks the workload the engine drives: flat groups multicasting in FIFO,
+// causal and total order (the default); one hierarchical service with tree
+// broadcasts and leaf-routed requests (Profile.Service); or one WAL-backed
+// replicated key-value map (Profile.Stateful). A workload adds only its
+// topology, its operations, its post-fault probes and its own checks.
 //
 // # Determinism and replay
 //
@@ -322,14 +333,4 @@ func LookupProfile(name string) (Profile, bool) {
 	default:
 		return Profile{}, false
 	}
-}
-
-// ProfileByName resolves the named built-in profile ("default", "smoke",
-// "soak"); unknown names fall back to the default profile. Callers that
-// should reject unknown names (cmd/isis-chaos) use LookupProfile instead.
-func ProfileByName(name string) Profile {
-	if p, ok := LookupProfile(name); ok {
-		return p
-	}
-	return DefaultProfile()
 }

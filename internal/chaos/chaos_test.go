@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -18,30 +19,16 @@ import (
 // network fault parameters ran in both places.
 var (
 	seedFlag    = flag.Int64("seed", 0, "chaos scenario seed for TestChaosReplay")
-	profileFlag = flag.String("profile", "smoke", "chaos profile for TestChaosReplay (smoke, default, soak)")
+	profileFlag = flag.String("profile", "smoke", "chaos profile for TestChaosReplay: "+strings.Join(chaos.ProfileNames(), ", "))
 )
 
-// seedCount reads CHAOS_SEEDS (how many seeds TestChaosSeeds fuzzes); CI
-// sets it to hundreds, the default keeps plain `go test ./...` quick.
-func seedCount() int {
-	if v := os.Getenv("CHAOS_SEEDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+// envCount reads a seed count from the environment variable name; CI sets
+// it to hundreds, the default def keeps plain `go test ./...` quick.
+func envCount(name string, def int) int {
+	if n, err := strconv.Atoi(os.Getenv(name)); err == nil && n > 0 {
+		return n
 	}
-	return 12
-}
-
-// seedProfile reads CHAOS_PROFILE (which profile TestChaosSeeds fuzzes with).
-// The PR smoke job uses the default (smoke); the nightly soak sets it to
-// "default" for bigger clusters and longer timelines.
-func seedProfile() chaos.Profile {
-	if v := os.Getenv("CHAOS_PROFILE"); v != "" {
-		if p, ok := chaos.LookupProfile(v); ok {
-			return p
-		}
-	}
-	return chaos.SmokeProfile()
+	return def
 }
 
 // reportFailure prints the replay instructions and, when CHAOS_ARTIFACT_DIR
@@ -127,18 +114,13 @@ func TestGenerateClosesFaults(t *testing.T) {
 	}
 }
 
-// TestChaosSeeds is the fuzzing regression net: it runs CHAOS_SEEDS (default
-// a dozen) generated scenarios and fails with replay instructions if any
-// invariant breaks. The CI chaos-smoke job runs it with CHAOS_SEEDS=200
-// under -race; the nightly soak adds CHAOS_SEEDS=1000 CHAOS_PROFILE=default.
-func TestChaosSeeds(t *testing.T) {
+// runSeeds runs seeds 1..n of profile as parallel subtests and fails each
+// broken seed with replay instructions.
+func runSeeds(t *testing.T, profile chaos.Profile, n int) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	profile := seedProfile()
-	n := seedCount()
 	for seed := int64(1); seed <= int64(n); seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			res, err := chaos.Run(chaos.Generate(seed, profile))
@@ -155,16 +137,17 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
-// serviceSeedCount reads CHAOS_SERVICE_SEEDS (how many hierarchy seeds
-// TestServiceChaosSeeds fuzzes); the CI chaos-smoke job and the nightly soak
-// raise it, the default keeps plain `go test ./...` quick.
-func serviceSeedCount() int {
-	if v := os.Getenv("CHAOS_SERVICE_SEEDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+// TestChaosSeeds is the fuzzing regression net: it runs CHAOS_SEEDS (default
+// a dozen) generated scenarios of CHAOS_PROFILE (default smoke) and fails
+// with replay instructions if any invariant breaks. The CI chaos-smoke job
+// runs it with CHAOS_SEEDS=200 under -race; the nightly soak adds
+// CHAOS_SEEDS=1000 CHAOS_PROFILE=default.
+func TestChaosSeeds(t *testing.T) {
+	profile := chaos.SmokeProfile()
+	if p, ok := chaos.LookupProfile(os.Getenv("CHAOS_PROFILE")); ok {
+		profile = p
 	}
-	return 4
+	runSeeds(t, profile, envCount("CHAOS_SEEDS", 12))
 }
 
 // TestServiceChaosSeeds fuzzes the hierarchy: seeded scenarios drive one
@@ -172,42 +155,10 @@ func serviceSeedCount() int {
 // representative crashes mid-treecast and partitions, then grade tree
 // broadcasts (exactly-once + completeness), leaf-routed requests, leader
 // agreement and the flat invariants of the hierarchy's internal groups.
-// Failing seeds replay with -profile=service, same contract as the flat
-// seeds.
+// CHAOS_SERVICE_SEEDS sets the seed count; failing seeds replay with
+// -profile=service, same contract as the flat seeds.
 func TestServiceChaosSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	profile := chaos.ServiceProfile()
-	n := serviceSeedCount()
-	for seed := int64(1); seed <= int64(n); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			res, err := chaos.Run(chaos.Generate(seed, profile))
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			if res.Failed() {
-				reportFailure(t, res)
-			}
-			if res.Deliveries == 0 {
-				t.Errorf("scenario delivered nothing: %s", res)
-			}
-		})
-	}
-}
-
-// statefulSeedCount reads CHAOS_STATEFUL_SEEDS (how many durable-state seeds
-// TestStatefulChaosSeeds fuzzes); the CI chaos-smoke job and the nightly soak
-// raise it, the default keeps plain `go test ./...` quick.
-func statefulSeedCount() int {
-	if v := os.Getenv("CHAOS_STATEFUL_SEEDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 4
+	runSeeds(t, chaos.ServiceProfile(), envCount("CHAOS_SERVICE_SEEDS", 4))
 }
 
 // TestStatefulChaosSeeds fuzzes the durable-state stack: seeded scenarios
@@ -216,29 +167,77 @@ func statefulSeedCount() int {
 // one full-cluster power failure (recover from the write-ahead logs), then
 // grade WAL durability of acknowledged writes, replica digest convergence at
 // quiesce, post-heal write availability and the flat virtual-synchrony
-// invariants of the underlying group. Failing seeds replay with
-// -profile=stateful, same contract as the flat seeds.
+// invariants of the underlying group. CHAOS_STATEFUL_SEEDS sets the seed
+// count; failing seeds replay with -profile=stateful, same contract as the
+// flat seeds.
 func TestStatefulChaosSeeds(t *testing.T) {
+	runSeeds(t, chaos.StatefulProfile(), envCount("CHAOS_STATEFUL_SEEDS", 4))
+}
+
+// TestLossySeedsSetAgreement pins the lossy upgrade end to end: generated
+// lossy scenarios (loss, partitions, delay, reordering) must pass the full
+// exemption-free checker set, set agreement included. It scans seeds until
+// it has exercised a fixed number of genuinely lossy ones.
+func TestLossySeedsSetAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	profile := chaos.StatefulProfile()
-	n := statefulSeedCount()
-	for seed := int64(1); seed <= int64(n); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			res, err := chaos.Run(chaos.Generate(seed, profile))
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			if res.Failed() {
-				reportFailure(t, res)
-			}
-			if res.Deliveries == 0 {
-				t.Errorf("scenario delivered nothing: %s", res)
-			}
-		})
+	const wantLossy = 6
+	profile := chaos.SmokeProfile()
+	ran := 0
+	for seed := int64(1); ran < wantLossy && seed < 100; seed++ {
+		s := chaos.Generate(seed, profile)
+		if !s.Lossy {
+			continue
+		}
+		ran++
+		res, err := chaos.Run(s)
+		if err != nil {
+			t.Fatalf("seed %d: harness error: %v", seed, err)
+		}
+		if res.Failed() {
+			reportFailure(t, res)
+		}
+	}
+	if ran < wantLossy {
+		t.Fatalf("only %d lossy seeds in range", ran)
+	}
+}
+
+// TestScenarioHashesPinned pins the replay contract across harness changes:
+// the scenario hashes of seeds 1-3 of every built-in profile. CI's
+// failing-seed artifacts name scenarios by these hashes, so a change here
+// means an old artifact no longer replays.
+func TestScenarioHashesPinned(t *testing.T) {
+	pinned := []struct {
+		profile string
+		seed    int64
+		hash    string
+	}{
+		{"smoke", 1, "a1807613a38623f2e50eb059020bb427ea911b4ac0d64ab4dbe45e482be5d17f"},
+		{"smoke", 2, "381c2acf36e5435d3923f17b6dbc2dc47f1e1ae9edd602d206f989dc02fd4026"},
+		{"smoke", 3, "1db042ed83308575d2702b595764955da02e22ddba7d8ff245961f7d55e3f61b"},
+		{"default", 1, "6d3437843c1430786a998d562d617d98d190d4ece08f88de8b9cfdd7f96baae7"},
+		{"default", 2, "8d396c49d489e90ee5f3b135c8de22bb63bfbba8fb2e6113f322d6c15670ff5c"},
+		{"default", 3, "bfff98df04b7821293520d68e72b79d4355f4d923148a474949b0213126f2e8a"},
+		{"soak", 1, "21f4af93df2a9eb72015fba3f9cae4f72ed3613806768069f822c414db4046ff"},
+		{"soak", 2, "1bfd53386a893fb033dab30684859da614736716477e7a1d1ab4d098a206bea1"},
+		{"soak", 3, "2452b3389230bff2951bab461b2b33a79139f8f914b947219a5e081adcb431a7"},
+		{"service", 1, "b4627e5796e9c05fa677d039649b9bc3dd716c45b7f048cc80c863b6345c3b8d"},
+		{"service", 2, "483d36065fcddf18de3080f6fe595998fc7d405405b6cfe6eadf072b2a84b389"},
+		{"service", 3, "2f1232e0e1f6f09989ee3027b8421fbe92779f2b69148daeb7ddb449179b15dc"},
+		{"stateful", 1, "a4999670a3d65b2c9f743771fb0d85669b31e6b14d6330c101835002b13d8482"},
+		{"stateful", 2, "38c8c79c5c50651afa8a3089505b828dd7046caa280ec9d1a4a8438816451ff3"},
+		{"stateful", 3, "cb2a862717cae19fe554ab66df71442cfd2b18c04c0ae7d955c12a49b411db87"},
+	}
+	for _, pin := range pinned {
+		p, ok := chaos.LookupProfile(pin.profile)
+		if !ok {
+			t.Fatalf("profile %q unknown", pin.profile)
+		}
+		if got := chaos.Generate(pin.seed, p).Hash(); got != pin.hash {
+			t.Errorf("%s seed %d: hash %s, pinned %s", pin.profile, pin.seed, got, pin.hash)
+		}
 	}
 }
 
@@ -249,7 +248,11 @@ func TestChaosReplay(t *testing.T) {
 	if seed == 0 {
 		seed = 1
 	}
-	s := chaos.Generate(seed, chaos.ProfileByName(*profileFlag))
+	profile, ok := chaos.LookupProfile(*profileFlag)
+	if !ok {
+		t.Fatalf("unknown profile %q; valid profiles: %s", *profileFlag, strings.Join(chaos.ProfileNames(), ", "))
+	}
+	s := chaos.Generate(seed, profile)
 	t.Logf("scenario: %s", s.Summary())
 	t.Logf("history hash: %s", s.Hash())
 	res, err := chaos.Run(s)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/member"
 	"repro/internal/types"
@@ -28,6 +29,27 @@ func (v Violation) String() string {
 // it.
 const maxViolationsPerCheck = 25
 
+// violations collects violations from concurrent reporters, keeping the
+// first maxViolationsPerCheck of each check.
+type violations struct {
+	mu   sync.Mutex
+	caps map[string]int
+	list []Violation
+}
+
+func (c *violations) report(v Violation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.caps == nil {
+		c.caps = make(map[string]int)
+	}
+	if c.caps[v.Check] >= maxViolationsPerCheck {
+		return
+	}
+	c.caps[v.Check]++
+	c.list = append(c.list, v)
+}
+
 // CheckHistories runs every invariant checker over the recorded histories.
 // orderings maps each group key to the ordering its workload used. Every
 // scenario — lossy or strict — is graded against the full set of invariants,
@@ -43,24 +65,12 @@ func CheckHistories(hists []*History, orderings map[string]types.Ordering) []Vio
 	c.totalOrder(hists)
 	c.viewAgreement(hists)
 	c.setAgreement(hists)
-	return c.violations
+	return c.list
 }
 
 type checker struct {
-	orderings  map[string]types.Ordering
-	violations []Violation
-	capped     map[string]int
-}
-
-func (c *checker) report(v Violation) {
-	if c.capped == nil {
-		c.capped = make(map[string]int)
-	}
-	if c.capped[v.Check] >= maxViolationsPerCheck {
-		return
-	}
-	c.capped[v.Check]++
-	c.violations = append(c.violations, v)
+	orderings map[string]types.Ordering
+	violations
 }
 
 type msgKey struct {

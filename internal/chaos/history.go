@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -149,24 +150,44 @@ func (h *History) addEventCounts(counts map[string]int) {
 	}
 }
 
-// recorder owns the histories of every process a run ever spawned.
+// recorder owns the histories of every process a run ever spawned, in
+// epochs: a full restart re-founds the groups from view 1, so histories from
+// either side of it use colliding view numbers and are graded apart.
 type recorder struct {
-	mu    sync.Mutex
-	hists []*History
+	mu     sync.Mutex
+	epochs [][]*History
 }
 
-func newRecorder() *recorder { return &recorder{} }
+func newRecorder() *recorder { return &recorder{epochs: make([][]*History, 1)} }
 
 func (r *recorder) add(h *History) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hists = append(r.hists, h)
+	last := len(r.epochs) - 1
+	r.epochs[last] = append(r.epochs[last], h)
+}
+
+// newEpoch starts the epoch later histories join.
+func (r *recorder) newEpoch() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.epochs = append(r.epochs, nil)
+}
+
+// byEpoch returns the histories grouped by epoch, oldest first. Epochs only
+// grow by appending, so the copied slice headers stay a consistent snapshot.
+func (r *recorder) byEpoch() [][]*History {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.epochs)
 }
 
 func (r *recorder) histories() []*History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*History(nil), r.hists...)
+	var out []*History
+	for _, hs := range r.byEpoch() {
+		out = append(out, hs...)
+	}
+	return out
 }
 
 // eventCounts sums every history's events per group key.

@@ -181,43 +181,3 @@ func TestCrashedSenderFlushForwarding(t *testing.T) {
 		t.Error("the witness forwarded nothing: the flush-forwarding path did not run")
 	}
 }
-
-// TestLossySeedsSetAgreement pins the lossy upgrade end to end: generated
-// lossy scenarios (loss, partitions, delay, reordering) must pass the full
-// exemption-free checker set, set agreement included. It scans seeds until
-// it has exercised a fixed number of genuinely lossy ones.
-func TestLossySeedsSetAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const wantLossy = 6
-	profile := SmokeProfile()
-	ran := 0
-	for seed := int64(1); ran < wantLossy && seed < 100; seed++ {
-		s := Generate(seed, profile)
-		if !s.Lossy {
-			continue
-		}
-		ran++
-		res, err := Run(s)
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", seed, err)
-		}
-		if res.Failed() {
-			reportFailure2(t, res)
-		}
-	}
-	if ran < wantLossy {
-		t.Fatalf("only %d lossy seeds in range", ran)
-	}
-}
-
-// reportFailure2 mirrors chaos_test.go's reportFailure for internal-package
-// tests.
-func reportFailure2(t *testing.T, res *Result) {
-	t.Helper()
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	t.Errorf("failing scenario: %s (hash %s)", res.Scenario.Summary(), res.Hash)
-}

@@ -2,9 +2,10 @@ package chaos
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -17,15 +18,15 @@ import (
 	"repro/internal/types"
 )
 
-// GroupName returns the workload group name for an ordering ("chaos-fbcast",
-// "chaos-cbcast", "chaos-abcast").
-func GroupName(o types.Ordering) string { return "chaos-" + o.String() }
-
 // Result is the outcome of one scenario run.
 type Result struct {
 	Scenario Scenario
 	Hash     string
 	Elapsed  time.Duration
+	// SettleWait is how long the run waited, after the timeline, for joins
+	// and operations still in flight. A value near the settle timeout marks
+	// a stuck join or operation, not a slow seed.
+	SettleWait time.Duration
 
 	CastsIssued  int
 	Deliveries   int
@@ -51,39 +52,84 @@ func (r *Result) String() string {
 	if r.Failed() {
 		status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 	}
-	return fmt.Sprintf("%s — casts=%d deliveries=%d views=%d crashes=%d restarts=%d dup=%d reord=%d dropped=%d naks=%d/%d fwd=%d reann=%d %s in %v",
+	return fmt.Sprintf("%s — casts=%d deliveries=%d views=%d crashes=%d restarts=%d dup=%d reord=%d dropped=%d naks=%d/%d fwd=%d reann=%d %s in %v (settle wait %v)",
 		r.Scenario.Summary(), r.CastsIssued, r.Deliveries, r.ViewsApplied, r.Crashes, r.Restarts,
 		r.Stats.MessagesDuplicated, r.Stats.MessagesReordered, r.Stats.MessagesDropped,
 		r.Rel.NaksSent, r.Rel.NaksServed, r.Rel.Forwarded, r.Rel.Reannounced,
-		status, r.Elapsed.Round(time.Millisecond))
+		status, r.Elapsed.Round(time.Millisecond), r.SettleWait.Round(time.Millisecond))
 }
 
-// slot is one scenario node position: the process currently occupying it
-// (restarts replace the occupant) and its group memberships.
+// workload is what a profile's mode plugs into the engine: the system the
+// timeline churns and the operations it issues. A slot's live handle is
+// whatever the workload returns for it (flat: the slot's groups; service:
+// its incarnation; stateful: its replica), and nil while the slot is down or
+// still rejoining.
+type workload interface {
+	// found founds the system on proc, the occupant of slot 0 with
+	// history h, at setup and again after a full restart; prev is slot 0's
+	// live handle before the power failure.
+	found(proc *isis.Process, h *History, prev any) (any, error)
+	// rejoin makes proc a member through contact; it runs off the timeline
+	// for a restarted slot.
+	rejoin(ctx context.Context, proc *isis.Process, h *History, contact types.ProcessID) (any, error)
+	// converge finishes the initial topology once every slot has entered,
+	// waiting until it agrees on full membership.
+	converge(ctx context.Context) error
+	// ops issues one step's operations from the live slots.
+	ops(step int)
+	// settle runs once the timeline's faults have closed: it waits out the
+	// work still in flight and runs the mode's post-fault probes.
+	settle()
+	// grade reports the mode's own checks over the settled system and
+	// returns the ordering each recorded group used, for CheckHistories.
+	grade(hists []*History) map[string]types.Ordering
+}
+
+// slot is one scenario node position: the process occupying it (restarts
+// replace the occupant), that occupant's history and the workload's live
+// handle for it.
 type slot struct {
-	mu     sync.Mutex
-	gen    int // bumped on crash and restart; stale joins check it
-	proc   *isis.Process
-	hist   *History
-	groups []*isis.Group // parallel to Profile.Orderings; nil while down
+	mu   sync.Mutex
+	gen  int // bumped whenever the occupant changes; stale joins check it
+	proc *isis.Process
+	hist *History
+	live any
 }
 
-func (s *slot) liveGroups() []*isis.Group {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.groups == nil {
-		return nil
-	}
-	return append([]*isis.Group(nil), s.groups...)
+// occupant is a live slot's state at one instant.
+type occupant struct {
+	slot int
+	proc *isis.Process
+	live any
+}
+
+// engine drives one scenario: it owns the runtime, the slots, the step loop
+// and the grading, and asks its workload only for what differs by mode.
+type engine struct {
+	s       Scenario
+	p       Profile
+	res     *Result
+	rt      *isis.Runtime
+	rec     *recorder
+	w       workload
+	slots   []*slot
+	walRoot string // parent of the slot-keyed write-ahead logs; "" without logs
+
+	ctx          context.Context // joins and operations; ends at the run deadline
+	cancel       context.CancelFunc
+	wg           sync.WaitGroup // joins and operations in flight
+	step         atomic.Int64
+	joinFailures atomic.Int64
+	vios         violations
 }
 
 // compile lowers a scenario to a netsim fault plan (everything except
-// restarts, which the runner handles above the network layer) by resolving
+// restarts, which the engine handles above the network layer) by resolving
 // node slots to the concrete ProcessID occupying each slot at each step.
 // Slot occupancy is fully predictable: initial spawns take sites 1..Nodes in
 // order and the i'th restart takes site Nodes+i, mirroring the facade's
 // sequential site assignment.
-func compile(s Scenario) (plan []netsim.FaultEvent, restarts []Event) {
+func compile(s Scenario) (plan []netsim.FaultEvent) {
 	slotPID := make([]types.ProcessID, s.Profile.Nodes)
 	alive := make([]bool, s.Profile.Nodes)
 	for i := range slotPID {
@@ -104,10 +150,9 @@ func compile(s Scenario) (plan []netsim.FaultEvent, restarts []Event) {
 			restartN++
 			slotPID[e.Node] = isis.Site(uint32(base + restartN))
 			alive[e.Node] = true
-			restarts = append(restarts, e)
 		case EvFullRestart:
 			// Every live slot power-fails at once, then every slot (already-
-			// crashed ones included) restarts with a fresh site. The runner
+			// crashed ones included) restarts with a fresh site. The engine
 			// respawns in slot order, mirroring the site assignments here.
 			for i := range slotPID {
 				if alive[i] {
@@ -131,226 +176,308 @@ func compile(s Scenario) (plan []netsim.FaultEvent, restarts []Event) {
 			plan = append(plan, netsim.FaultEvent{Step: e.Step, Kind: netsim.FaultReorder, Rate: e.Rate, Base: e.Base})
 		}
 	}
-	return plan, restarts
+	return plan
 }
 
 // Run executes one scenario end to end: builds the simulated cluster and
-// the workload groups, drives the fault timeline and the concurrent
-// multicast workload, waits for the system to quiesce, and checks every
-// invariant over the recorded histories. The returned error covers harness
-// failures (the cluster could not even be built); invariant breaches are
-// reported in Result.Violations.
+// the profile's workload, drives the fault timeline while the workload
+// runs, waits for the system to quiesce, and checks every invariant over
+// the recorded histories. The returned error covers harness failures (the
+// cluster could not even be built); invariant breaches are reported in
+// Result.Violations.
 func Run(s Scenario) (*Result, error) {
-	if s.Profile.Service {
-		return runService(s)
-	}
-	if s.Profile.Stateful {
-		return runStateful(s)
-	}
-	p := s.Profile
 	start := time.Now()
-	res := &Result{Scenario: s, Hash: s.Hash()}
-
-	plan, _ := compile(s) // restarts are driven from the event loop below
-	rt := isis.NewSimulated(
+	p := s.Profile
+	e := &engine{s: s, p: p, res: &Result{Scenario: s, Hash: s.Hash()}, rec: newRecorder()}
+	switch {
+	case p.Service:
+		e.w = &serviceLoad{e: e}
+	case p.Stateful:
+		// Slot-keyed logs: a restarted slot reopens its predecessor's,
+		// which is what makes full-restart recovery real rather than a
+		// fresh empty map under a new site id.
+		root, err := os.MkdirTemp("", "isis-chaos-wal-")
+		if err != nil {
+			return nil, fmt.Errorf("chaos: wal root: %w", err)
+		}
+		defer os.RemoveAll(root)
+		e.walRoot = root
+		e.w = &kvLoad{e: e, acked: make(map[*isis.KV][]string)}
+	default:
+		e.w = &flatLoad{e: e}
+	}
+	e.rt = isis.NewSimulated(
 		isis.WithNetwork(isis.NetworkConfig{Seed: s.Seed + 1, QueueLen: 1 << 14}),
-		isis.WithFaultPlan(plan...),
+		isis.WithFaultPlan(compile(s)...),
 	)
-	defer rt.Shutdown()
-
-	rec := newRecorder()
-	attach := func(proc *isis.Process) *History {
-		h := NewHistory(proc.ID())
-		proc.ObserveGroups(isis.GroupObserver{OnView: h.OnView, OnDeliver: h.OnDeliver})
-		rec.add(h)
-		return h
+	defer e.rt.Shutdown()
+	if err := e.setup(); err != nil {
+		return nil, err
 	}
 
-	// Initial topology: Nodes processes, one group per ordering, everyone a
-	// member of every group.
-	slots := make([]*slot, p.Nodes)
-	for i := range slots {
-		proc, err := rt.Spawn()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: spawn node %d: %w", i, err)
-		}
-		slots[i] = &slot{proc: proc, hist: attach(proc)}
-	}
-	setupCtx, cancelSetup := context.WithTimeout(context.Background(), p.SettleTimeout)
-	defer cancelSetup()
-	for _, o := range p.Orderings {
-		name := GroupName(o)
-		g, err := slots[0].proc.CreateGroup(name, isis.GroupConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: create %s: %w", name, err)
-		}
-		slots[0].groups = append(slots[0].groups, g)
-		for i := 1; i < p.Nodes; i++ {
-			g, err := slots[i].proc.JoinGroup(setupCtx, name, slots[0].proc.ID(), isis.GroupConfig{})
-			if err != nil {
-				return nil, fmt.Errorf("chaos: node %d join %s: %w", i, name, err)
-			}
-			slots[i].groups = append(slots[i].groups, g)
-		}
-	}
-	// Wait until every member sees the full initial membership, so the
-	// timeline starts from one agreed view per group.
-	for _, sl := range slots {
-		for _, g := range sl.groups {
-			g := g
-			if err := isis.Await(setupCtx, func() bool { return g.Size() == p.Nodes }); err != nil {
-				return nil, fmt.Errorf("chaos: initial convergence: %w", err)
-			}
-		}
-	}
-
-	// Timeline: at each step apply the step's faults, run the workload on
-	// every live member, then pace.
-	eventsAt := make(map[int][]Event)
-	for _, e := range s.Events {
-		eventsAt[e.Step] = append(eventsAt[e.Step], e)
-	}
-	var wg sync.WaitGroup
-	var joinFailures atomic.Int64
 	runDeadline := time.Now().Add(time.Duration(p.Steps)*p.StepInterval + p.SettleTimeout)
-	joinCtx, cancelJoins := context.WithDeadline(context.Background(), runDeadline)
-	defer cancelJoins()
+	e.ctx, e.cancel = context.WithDeadline(context.Background(), runDeadline)
+	defer e.cancel()
+	e.timeline()
+	e.w.settle()
+	e.grade()
+	e.res.Elapsed = time.Since(start)
+	return e.res, nil
+}
 
-	for step := 0; step < p.Steps; step++ {
-		rt.StepFaults(step)
-		for _, e := range eventsAt[step] {
-			switch e.Kind {
+// setup spawns one process per slot in site order, founds the system on
+// slot 0, enters every other slot through it, and waits for convergence, so
+// the timeline starts from one agreed topology.
+func (e *engine) setup() error {
+	ctx, cancel := context.WithTimeout(context.Background(), e.p.SettleTimeout)
+	defer cancel()
+	e.slots = make([]*slot, e.p.Nodes)
+	for i := range e.slots {
+		proc, err := e.spawn(i)
+		if err != nil {
+			return fmt.Errorf("chaos: spawn node %d: %w", i, err)
+		}
+		e.slots[i] = &slot{proc: proc, hist: e.attach(proc)}
+	}
+	founder := e.slots[0].proc.ID()
+	for i, sl := range e.slots {
+		var err error
+		if i == 0 {
+			sl.live, err = e.w.found(sl.proc, sl.hist, nil)
+		} else {
+			sl.live, err = e.w.rejoin(ctx, sl.proc, sl.hist, founder)
+		}
+		if err != nil {
+			return fmt.Errorf("chaos: node %d enter: %w", i, err)
+		}
+	}
+	if err := e.w.converge(ctx); err != nil {
+		return fmt.Errorf("chaos: initial convergence: %w", err)
+	}
+	return nil
+}
+
+// timeline runs the steps: each applies the step's network faults, then its
+// crashes and restarts, then the workload's operations, then paces. It ends
+// by closing out every fault still open.
+func (e *engine) timeline() {
+	eventsAt := make(map[int][]Event)
+	for _, ev := range e.s.Events {
+		eventsAt[ev.Step] = append(eventsAt[ev.Step], ev)
+	}
+	for step := 0; step < e.p.Steps; step++ {
+		e.step.Store(int64(step))
+		e.rt.StepFaults(step)
+		for _, ev := range eventsAt[step] {
+			switch ev.Kind {
 			case EvCrash:
-				sl := slots[e.Node]
-				sl.mu.Lock()
-				sl.gen++
-				sl.groups = nil
-				sl.hist.MarkCrashed()
-				sl.mu.Unlock()
-				res.Crashes++
+				e.down(e.slots[ev.Node])
+				e.res.Crashes++
 			case EvRestart:
-				res.Restarts++
-				sl := slots[e.Node]
-				proc, err := rt.Spawn()
+				proc, err := e.spawn(ev.Node)
 				if err != nil {
-					joinFailures.Add(1)
+					e.joinFailures.Add(1)
 					continue
 				}
-				h := attach(proc)
-				sl.mu.Lock()
-				sl.gen++
-				gen := sl.gen
-				sl.proc, sl.hist = proc, h
-				sl.mu.Unlock()
-				// Rejoining can block on in-flight view changes, so it runs
-				// off the timeline; the slot only becomes a workload sender
-				// once every join has landed (and is discarded if the slot
-				// crashed again meanwhile).
-				contact := firstLivePID(slots, e.Node)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					groups := make([]*isis.Group, 0, len(p.Orderings))
-					for _, o := range p.Orderings {
-						g, err := proc.JoinGroup(joinCtx, GroupName(o), contact, isis.GroupConfig{})
-						if err != nil {
-							joinFailures.Add(1)
-							return
-						}
-						groups = append(groups, g)
-					}
-					sl.mu.Lock()
-					if sl.gen == gen {
-						sl.groups = groups
-					}
-					sl.mu.Unlock()
-				}()
+				e.rejoin(ev.Node, proc, e.contact(ev.Node))
+			case EvFullRestart:
+				e.fullRestart()
 			}
 		}
+		e.w.ops(step)
+		time.Sleep(e.p.StepInterval)
+	}
+	e.rt.StepFaults(e.p.Steps)
+}
 
-		// Workload: every live member casts in every group.
-		for _, sl := range slots {
-			gs := sl.liveGroups()
-			if gs == nil {
-				continue
-			}
-			sl.mu.Lock()
-			site := uint32(sl.proc.ID().Site)
-			sl.mu.Unlock()
-			for gi, g := range gs {
-				o := p.Orderings[gi]
-				for k := 0; k < p.CastsPerStep; k++ {
-					g.CastAsync(o, castPayload(site, o, step, k))
-					res.CastsIssued++
-				}
-			}
+// fullRestart power-fails every slot at once and brings them all back in
+// slot order, mirroring compile's site numbering: slot 0 re-founds the
+// system synchronously (its recovered state must be in place before new
+// operations land) and every other slot rejoins through it. Histories start
+// a new epoch.
+func (e *engine) fullRestart() {
+	live := e.occupants()
+	e.res.Crashes += len(live)
+	var prev any
+	if len(live) > 0 && live[0].slot == 0 {
+		prev = live[0].live
+	}
+	for _, sl := range e.slots {
+		e.down(sl)
+	}
+	e.rec.newEpoch()
+	procs := make([]*isis.Process, len(e.slots))
+	for i := range procs {
+		proc, err := e.spawn(i)
+		if err != nil {
+			e.joinFailures.Add(1)
+			continue
 		}
-		time.Sleep(p.StepInterval)
+		procs[i] = proc
 	}
-
-	// Settle: close out any still-open faults, let in-flight joins finish or
-	// time out, and wait for the event stream to go quiet.
-	rt.StepFaults(p.Steps)
-	settle := quiesce(rec.eventCounts, nil, p)
-	cancelJoins()
-	wg.Wait()
-	if v := quiesce(rec.eventCounts, nil, p); settle == nil {
-		settle = v
+	var contact types.ProcessID
+	if proc := procs[0]; proc != nil {
+		h := e.attach(proc)
+		e.res.Restarts++
+		if live, err := e.w.found(proc, h, prev); err != nil {
+			e.joinFailures.Add(1)
+		} else {
+			e.occupy(e.slots[0], proc, h, live)
+			contact = proc.ID()
+		}
 	}
+	for i, proc := range procs[1:] {
+		if proc != nil {
+			e.rejoin(i+1, proc, contact)
+		}
+	}
+}
 
-	res.Stats = rt.Stats()
-	for _, proc := range rt.Processes() {
+// down takes a slot's occupant out of the run: the slot stops being live,
+// stale rejoins see the generation change, and the history is marked
+// crashed. The plan's crash at StepFaults has already severed the occupant.
+// With write-ahead logs the engine also stops it, so a zombie never compacts
+// the log its successor reopens, and tells the survivors explicitly:
+// heartbeats are off in chaos runs, and the plan misses an occupant spawned
+// later in the same step (a full restart and a crash can share one), which
+// would otherwise stay in the view and wedge every later flush.
+func (e *engine) down(sl *slot) {
+	sl.mu.Lock()
+	sl.gen++
+	proc, h := sl.proc, sl.hist
+	sl.proc, sl.live = nil, nil
+	sl.mu.Unlock()
+	if h != nil {
+		h.MarkCrashed()
+	}
+	if proc != nil && e.walRoot != "" {
+		proc.Stop()
+		e.rt.InjectFailure(proc)
+	}
+}
+
+// rejoin installs proc as slot i's occupant and joins it through contact
+// off the timeline. The slot becomes live once the join lands, unless it
+// went down again meanwhile.
+func (e *engine) rejoin(i int, proc *isis.Process, contact types.ProcessID) {
+	e.res.Restarts++
+	sl := e.slots[i]
+	h := e.attach(proc)
+	gen := e.occupy(sl, proc, h, nil)
+	e.async(func() {
+		live, err := e.w.rejoin(e.ctx, proc, h, contact)
+		if err != nil {
+			e.joinFailures.Add(1)
+			return
+		}
+		sl.mu.Lock()
+		if sl.gen == gen {
+			sl.live = live
+		}
+		sl.mu.Unlock()
+	})
+}
+
+// occupy makes proc slot sl's occupant and returns the slot's generation.
+func (e *engine) occupy(sl *slot, proc *isis.Process, h *History, live any) int {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	sl.gen++
+	sl.proc, sl.hist, sl.live = proc, h, live
+	return sl.gen
+}
+
+// occupants snapshots the live slots, in slot order.
+func (e *engine) occupants() []occupant {
+	var out []occupant
+	for i, sl := range e.slots {
+		sl.mu.Lock()
+		if sl.live != nil {
+			out = append(out, occupant{slot: i, proc: sl.proc, live: sl.live})
+		}
+		sl.mu.Unlock()
+	}
+	return out
+}
+
+// contact picks a join contact: the first live slot other than skip,
+// falling back to slot 0's occupant.
+func (e *engine) contact(skip int) types.ProcessID {
+	for _, o := range e.occupants() {
+		if o.slot != skip {
+			return o.proc.ID()
+		}
+	}
+	sl := e.slots[0]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.proc == nil {
+		return types.ProcessID{}
+	}
+	return sl.proc.ID()
+}
+
+// spawn starts a process for slot i, on the slot's write-ahead log when the
+// run keeps logs.
+func (e *engine) spawn(i int) (*isis.Process, error) {
+	if e.walRoot == "" {
+		return e.rt.Spawn()
+	}
+	return e.rt.SpawnWAL(filepath.Join(e.walRoot, fmt.Sprintf("slot-%d", i)))
+}
+
+// attach records proc's views and deliveries in a fresh history.
+func (e *engine) attach(proc *isis.Process) *History {
+	h := NewHistory(proc.ID())
+	proc.ObserveGroups(isis.GroupObserver{OnView: h.OnView, OnDeliver: h.OnDeliver})
+	e.rec.add(h)
+	return h
+}
+
+// async runs f as in-flight work that wait waits out.
+func (e *engine) async(f func()) {
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		f()
+	}()
+}
+
+// wait blocks until every join and operation in flight has returned and
+// adds the time to the result's SettleWait.
+func (e *engine) wait() {
+	start := time.Now()
+	e.wg.Wait()
+	e.res.SettleWait += time.Since(start)
+}
+
+// grade collects the runtime's counters, runs the workload's checks on the
+// settled system, shuts it down, and checks the flat-group invariants over
+// each epoch's histories.
+func (e *engine) grade() {
+	res := e.res
+	res.Stats = e.rt.Stats()
+	for _, proc := range e.rt.Processes() {
 		if !proc.Stopped() {
 			res.Rel.Add(proc.ReliabilityStats())
 		}
 	}
-	rt.Shutdown()
-	res.JoinFailures = int(joinFailures.Load())
+	res.JoinFailures = int(e.joinFailures.Load())
+	hists := e.rec.histories()
+	orderings := e.w.grade(hists)
+	e.rt.Shutdown()
 
-	hists := rec.histories()
 	for _, h := range hists {
 		views, deliveries := h.Counts()
 		res.Deliveries += deliveries
 		res.ViewsApplied += views
 	}
-	orderings := make(map[string]types.Ordering, len(p.Orderings))
-	for _, o := range p.Orderings {
-		orderings[types.FlatGroup(GroupName(o)).Key()] = o
-	}
-	res.Violations = CheckHistories(hists, orderings)
-	if settle != nil {
-		res.Violations = append(res.Violations, *settle)
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// firstLivePID picks a join contact: the first slot (other than skip) that
-// currently has live group memberships, falling back to slot 0's process.
-func firstLivePID(slots []*slot, skip int) types.ProcessID {
-	for i, sl := range slots {
-		if i == skip {
-			continue
-		}
-		sl.mu.Lock()
-		ok := sl.groups != nil
-		pid := sl.proc.ID()
-		sl.mu.Unlock()
-		if ok {
-			return pid
+	res.Violations = e.vios.list
+	for _, epoch := range e.rec.byEpoch() {
+		if len(epoch) > 0 {
+			res.Violations = append(res.Violations, CheckHistories(epoch, orderings)...)
 		}
 	}
-	return slots[0].proc.ID()
-}
-
-// castPayload builds the deterministic workload payload for one cast.
-func castPayload(site uint32, o types.Ordering, step, k int) []byte {
-	b := make([]byte, 13)
-	binary.BigEndian.PutUint32(b[0:], site)
-	b[4] = byte(o)
-	binary.BigEndian.PutUint32(b[5:], uint32(step))
-	binary.BigEndian.PutUint32(b[9:], uint32(k))
-	return b
 }
 
 // quiesce waits until no group's event count (views plus deliveries, per

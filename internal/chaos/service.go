@@ -3,8 +3,8 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	isis "repro"
@@ -12,9 +12,9 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the hierarchy half of the harness: service scenarios drive
-// one hierarchical large group (leaf subgroups, leader group, tree-structured
-// broadcast) through the same seeded fault timeline the flat runner uses,
+// This file is the hierarchy workload: service scenarios drive one
+// hierarchical large group (leaf subgroups, leader group, tree-structured
+// broadcast) through the same seeded fault timeline the flat workload uses,
 // while the workload issues tree broadcasts from every member and leaf-routed
 // client requests. On top of the flat-group invariants (which still apply to
 // the hierarchy's internal leaf and leader groups), the service checkers
@@ -41,17 +41,16 @@ const serviceName = "chaos-svc"
 const joinPending = 1 << 30
 
 // svcIncarnation is one process incarnation participating in the service
-// (restarts create fresh incarnations). The delivery ledger and placement
-// step are what the hierarchy checkers grade.
+// (restarts create fresh incarnations). It is a slot's live handle once its
+// join lands. The delivery ledger and placement step are what the hierarchy
+// checkers grade.
 type svcIncarnation struct {
-	slot int
 	proc *isis.Process
-	hist *History
+	hist *History // crashed once the engine takes the incarnation down
 
 	mu         sync.Mutex
-	agent      *isis.Service // nil until the join lands
-	joinedStep int           // step at which placement completed; -2 for initial members
-	crashed    bool
+	agent      *isis.Service  // nil until the join lands
+	joinedStep int            // step at which placement completed; -2 for initial members
 	delivered  map[string]int // tree-broadcast payload → delivery count
 }
 
@@ -67,10 +66,13 @@ func (inc *svcIncarnation) ready() *isis.Service {
 	return inc.agent
 }
 
-func (inc *svcIncarnation) isCrashed() bool {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.crashed
+// alive returns the incarnation's service agent if it is placed and was
+// never taken down, else nil.
+func (inc *svcIncarnation) alive() *isis.Service {
+	if inc.hist.Crashed() {
+		return nil
+	}
+	return inc.ready()
 }
 
 // bcastRec is one issued tree broadcast in the harness ledger.
@@ -79,303 +81,174 @@ type bcastRec struct {
 	origin  *svcIncarnation
 	step    int
 	ok      bool // Broadcast returned nil
-	flush   bool // issued in the post-timeline flush round on a clean network
 }
 
-// runService executes one hierarchy scenario end to end; Run dispatches here
-// when the profile has Service set.
-func runService(s Scenario) (*Result, error) {
-	p := s.Profile
-	start := time.Now()
-	res := &Result{Scenario: s, Hash: s.Hash()}
+// serviceLoad is the hierarchy workload: every slot is a member of one
+// service, every placed member issues tree broadcasts, and a non-member
+// client issues leaf-routed requests.
+type serviceLoad struct {
+	e      *engine
+	client *isis.ServiceClient
 
-	plan, _ := compile(s) // restarts are driven from the event loop below
-	rt := isis.NewSimulated(
-		isis.WithNetwork(isis.NetworkConfig{Seed: s.Seed + 1, QueueLen: 1 << 14}),
-		isis.WithFaultPlan(plan...),
-	)
-	defer rt.Shutdown()
+	mu     sync.Mutex
+	incs   []*svcIncarnation // every incarnation ever created
+	ledger []bcastRec
+}
 
-	rec := newRecorder()
-	var incsMu sync.Mutex
-	var incs []*svcIncarnation
-	newIncarnation := func(slotIdx int, proc *isis.Process, joinedStep int) *svcIncarnation {
-		inc := &svcIncarnation{slot: slotIdx, proc: proc, joinedStep: joinedStep, delivered: make(map[string]int)}
-		h := NewHistory(proc.ID())
-		proc.ObserveGroups(isis.GroupObserver{OnView: h.OnView, OnDeliver: h.OnDeliver})
-		rec.add(h)
-		inc.hist = h
-		incsMu.Lock()
-		incs = append(incs, inc)
-		incsMu.Unlock()
-		return inc
-	}
-	snapshotIncs := func() []*svcIncarnation {
-		incsMu.Lock()
-		defer incsMu.Unlock()
-		return append([]*svcIncarnation(nil), incs...)
-	}
-	svcCfg := func(inc *svcIncarnation) isis.ServiceConfig {
-		return isis.ServiceConfig{
-			Fanout:     p.ServiceFanout,
-			Resiliency: p.ServiceResiliency,
-			LeaderSize: 3, // > MaxCrashes so a leader always survives; replenishment refills the rest
+// incarnation starts the ledger of proc's membership.
+func (w *serviceLoad) incarnation(proc *isis.Process, h *History) *svcIncarnation {
+	inc := &svcIncarnation{proc: proc, hist: h, joinedStep: joinPending, delivered: make(map[string]int)}
+	w.mu.Lock()
+	w.incs = append(w.incs, inc)
+	w.mu.Unlock()
+	return inc
+}
 
-			OpTimeout:        2 * time.Second,
-			RecoveryInterval: 15 * time.Millisecond,
-			NakTicks:         2,
-			StageRetryTicks:  3,
-			StageRetries:     4,
-			RequestHandler:   func(pl []byte) []byte { return append([]byte("echo:"), pl...) },
-			OnBroadcast:      inc.noteBroadcast,
-		}
-	}
+func (w *serviceLoad) incarnations() []*svcIncarnation {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]*svcIncarnation(nil), w.incs...)
+}
 
-	// Harness-observed violations (request integrity, availability, flush).
-	var vioMu sync.Mutex
-	var vioCaps map[string]int
-	var runtimeViolations []Violation
-	report := func(v Violation) {
-		vioMu.Lock()
-		defer vioMu.Unlock()
-		if vioCaps == nil {
-			vioCaps = make(map[string]int)
-		}
-		if vioCaps[v.Check] >= maxViolationsPerCheck {
-			return
-		}
-		vioCaps[v.Check]++
-		runtimeViolations = append(runtimeViolations, v)
-	}
+func (w *serviceLoad) config(inc *svcIncarnation) isis.ServiceConfig {
+	return isis.ServiceConfig{
+		Fanout:     w.e.p.ServiceFanout,
+		Resiliency: w.e.p.ServiceResiliency,
+		LeaderSize: 3, // > MaxCrashes so a leader always survives; replenishment refills the rest
 
-	// slots track which incarnation currently occupies each scenario node.
-	type svcSlot struct {
-		mu  sync.Mutex
-		gen int
-		inc *svcIncarnation // nil while the slot is down
+		OpTimeout:        2 * time.Second,
+		RecoveryInterval: 15 * time.Millisecond,
+		NakTicks:         2,
+		StageRetryTicks:  3,
+		StageRetries:     4,
+		RequestHandler:   func(pl []byte) []byte { return append([]byte("echo:"), pl...) },
+		OnBroadcast:      inc.noteBroadcast,
 	}
-	slots := make([]*svcSlot, p.Nodes)
-	for i := range slots {
-		slots[i] = &svcSlot{}
-	}
+}
 
-	setupCtx, cancelSetup := context.WithTimeout(context.Background(), p.SettleTimeout)
-	defer cancelSetup()
-	var entry types.ProcessID
-	for i := range slots {
-		proc, err := rt.Spawn()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: spawn node %d: %w", i, err)
-		}
-		inc := newIncarnation(i, proc, -2)
-		var agent *isis.Service
-		if i == 0 {
-			entry = proc.ID()
-			agent, err = proc.CreateService(serviceName, svcCfg(inc))
-		} else {
-			agent, err = proc.JoinService(setupCtx, serviceName, entry, svcCfg(inc))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("chaos: node %d enter service: %w", i, err)
-		}
-		inc.mu.Lock()
-		inc.agent = agent
-		inc.mu.Unlock()
-		slots[i].inc = inc
-	}
-	founder := slots[0].inc
-	// Wait until the leader tree covers everyone, so the timeline starts
-	// from one fully placed hierarchy.
-	if err := isis.Await(setupCtx, func() bool {
-		return founder.ready().Tree().TotalMembers() == p.Nodes
-	}); err != nil {
-		return nil, fmt.Errorf("chaos: initial placement: %w", err)
-	}
+// place records that inc's service membership landed.
+func (w *serviceLoad) place(inc *svcIncarnation, agent *isis.Service) any {
+	inc.mu.Lock()
+	inc.agent = agent
+	inc.joinedStep = int(w.e.step.Load())
+	inc.mu.Unlock()
+	return inc
+}
 
-	// The request client is a non-member process; it spawns after the
-	// initial members so restart site numbering stays aligned with compile.
-	clientProc, err := rt.Spawn()
+func (w *serviceLoad) found(proc *isis.Process, h *History, _ any) (any, error) {
+	inc := w.incarnation(proc, h)
+	agent, err := proc.CreateService(serviceName, w.config(inc))
 	if err != nil {
-		return nil, fmt.Errorf("chaos: spawn client: %w", err)
+		return nil, err
 	}
-	client := clientProc.NewServiceClient(serviceName, entry)
-	client.AttemptTimeout = 400 * time.Millisecond
+	return w.place(inc, agent), nil
+}
 
-	liveContact := func(skip int) types.ProcessID {
-		for i, sl := range slots {
-			if i == skip {
-				continue
-			}
-			sl.mu.Lock()
-			inc := sl.inc
-			sl.mu.Unlock()
-			if inc != nil && inc.ready() != nil {
-				return inc.proc.ID()
-			}
-		}
-		return founder.proc.ID()
+func (w *serviceLoad) rejoin(ctx context.Context, proc *isis.Process, h *History, contact types.ProcessID) (any, error) {
+	inc := w.incarnation(proc, h)
+	agent, err := proc.JoinService(ctx, serviceName, contact, w.config(inc))
+	if err != nil {
+		return nil, err
 	}
+	return w.place(inc, agent), nil
+}
 
-	// Timeline.
-	eventsAt := make(map[int][]Event)
-	for _, e := range s.Events {
-		eventsAt[e.Step] = append(eventsAt[e.Step], e)
+// converge waits until the leader tree covers every slot, so the timeline
+// starts from one fully placed hierarchy, then spawns the request client.
+func (w *serviceLoad) converge(ctx context.Context) error {
+	e := w.e
+	founder := e.slots[0].live.(*svcIncarnation).ready()
+	for _, inc := range w.incarnations() {
+		inc.mu.Lock()
+		inc.joinedStep = -2 // placed before the timeline: every broadcast counts
+		inc.mu.Unlock()
 	}
-	var ledgerMu sync.Mutex
-	var ledger []bcastRec
-	var wg sync.WaitGroup
-	var joinFailures atomic.Int64
-	var curStep atomic.Int64
-	runDeadline := time.Now().Add(time.Duration(p.Steps)*p.StepInterval + p.SettleTimeout)
-	workCtx, cancelWork := context.WithDeadline(context.Background(), runDeadline)
-	defer cancelWork()
-
-	for step := 0; step < p.Steps; step++ {
-		curStep.Store(int64(step))
-		rt.StepFaults(step)
-		for _, e := range eventsAt[step] {
-			switch e.Kind {
-			case EvCrash:
-				sl := slots[e.Node]
-				sl.mu.Lock()
-				sl.gen++
-				if sl.inc != nil {
-					sl.inc.mu.Lock()
-					sl.inc.crashed = true
-					sl.inc.mu.Unlock()
-					sl.inc.hist.MarkCrashed()
-					sl.inc = nil
-				}
-				sl.mu.Unlock()
-				res.Crashes++
-			case EvRestart:
-				res.Restarts++
-				sl := slots[e.Node]
-				proc, err := rt.Spawn()
-				if err != nil {
-					joinFailures.Add(1)
-					continue
-				}
-				inc := newIncarnation(e.Node, proc, joinPending)
-				sl.mu.Lock()
-				sl.gen++
-				gen := sl.gen
-				sl.inc = inc
-				sl.mu.Unlock()
-				contact := liveContact(e.Node)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					agent, err := proc.JoinService(workCtx, serviceName, contact, svcCfg(inc))
-					if err != nil {
-						joinFailures.Add(1)
-						sl.mu.Lock()
-						if sl.gen == gen && sl.inc == inc {
-							sl.inc = nil
-						}
-						sl.mu.Unlock()
-						return
-					}
-					inc.mu.Lock()
-					inc.agent = agent
-					inc.joinedStep = int(curStep.Load())
-					inc.mu.Unlock()
-				}()
-			}
-		}
-
-		// Workload: every placed member issues tree broadcasts…
-		for _, sl := range slots {
-			sl.mu.Lock()
-			inc := sl.inc
-			sl.mu.Unlock()
-			if inc == nil {
-				continue
-			}
-			agent := inc.ready()
-			if agent == nil {
-				continue
-			}
-			for k := 0; k < p.BroadcastsPerStep; k++ {
-				payload := fmt.Sprintf("bc|%d|%d|%d", inc.proc.ID().Site, step, k)
-				res.CastsIssued++
-				wg.Add(1)
-				go func(inc *svcIncarnation, agent *isis.Service, payload string, step int) {
-					defer wg.Done()
-					_, err := agent.Broadcast(workCtx, []byte(payload))
-					ledgerMu.Lock()
-					ledger = append(ledger, bcastRec{payload: payload, origin: inc, step: step, ok: err == nil})
-					ledgerMu.Unlock()
-				}(inc, agent, payload, step)
-			}
-		}
-		// …and the client issues leaf-routed requests.
-		for k := 0; k < p.RequestsPerStep; k++ {
-			payload := fmt.Sprintf("rq|%d|%d", step, k)
-			res.CastsIssued++
-			wg.Add(1)
-			go func(payload string) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(workCtx, 3*time.Second)
-				defer cancel()
-				reply, err := client.Request(ctx, []byte(payload))
-				if err != nil {
-					// Failing cleanly under faults is allowed; retarget the
-					// entry so later requests can route around a crashed
-					// entry process.
-					client.SetEntry(liveContact(-1))
-					return
-				}
-				if string(reply) != "echo:"+payload {
-					report(Violation{Check: "request-integrity", Group: serviceName,
-						Detail: fmt.Sprintf("request %q answered %q, want %q", payload, reply, "echo:"+payload)})
-				}
-			}(payload)
-		}
-		time.Sleep(p.StepInterval)
+	if err := isis.Await(ctx, func() bool { return founder.Tree().TotalMembers() == e.p.Nodes }); err != nil {
+		return err
 	}
+	// The client is a non-member process; it spawns after the initial
+	// members so restart site numbering stays aligned with compile.
+	proc, err := e.rt.Spawn()
+	if err != nil {
+		return err
+	}
+	w.client = proc.NewServiceClient(serviceName, e.slots[0].proc.ID())
+	w.client.AttemptTimeout = 400 * time.Millisecond
+	return nil
+}
 
-	// Settle: close remaining faults, wait out in-flight work, then flush.
-	rt.StepFaults(p.Steps)
-	wg.Wait()
+// broadcast issues one tree broadcast from inc and enters it in the ledger.
+func (w *serviceLoad) broadcast(ctx context.Context, inc *svcIncarnation, payload string, step int) error {
+	_, err := inc.ready().Broadcast(ctx, []byte(payload))
+	w.mu.Lock()
+	w.ledger = append(w.ledger, bcastRec{payload: payload, origin: inc, step: step, ok: err == nil})
+	w.mu.Unlock()
+	return err
+}
+
+// ops issues tree broadcasts from every placed member and leaf-routed
+// requests from the client.
+func (w *serviceLoad) ops(step int) {
+	e := w.e
+	for _, o := range e.occupants() {
+		inc := o.live.(*svcIncarnation)
+		for k := 0; k < e.p.BroadcastsPerStep; k++ {
+			payload := fmt.Sprintf("bc|%d|%d|%d", o.proc.ID().Site, step, k)
+			e.res.CastsIssued++
+			e.async(func() { _ = w.broadcast(e.ctx, inc, payload, step) })
+		}
+	}
+	for k := 0; k < e.p.RequestsPerStep; k++ {
+		payload := fmt.Sprintf("rq|%d|%d", step, k)
+		e.res.CastsIssued++
+		e.async(func() {
+			ctx, cancel := context.WithTimeout(e.ctx, 3*time.Second)
+			defer cancel()
+			reply, err := w.client.Request(ctx, []byte(payload))
+			if err != nil {
+				// Failing cleanly under faults is allowed; retarget the
+				// entry so later requests can route around a crashed
+				// entry process.
+				w.client.SetEntry(e.contact(-1))
+				return
+			}
+			if string(reply) != "echo:"+payload {
+				e.vios.report(Violation{Check: "request-integrity", Group: serviceName,
+					Detail: fmt.Sprintf("request %q answered %q, want %q", payload, reply, "echo:"+payload)})
+			}
+		})
+	}
+}
+
+// settle waits out in-flight work, runs a flush round, waits for quiet
+// (members between leaves included), and probes request availability.
+func (w *serviceLoad) settle() {
+	e := w.e
+	e.wait()
 
 	// Flush round: one broadcast per surviving member on the now-clean
 	// network. Gap detection is per origin, so each origin's flush is what
 	// exposes its own trailing losses to the NAK path before checking.
-	flushCtx, cancelFlush := context.WithTimeout(context.Background(), p.SettleTimeout)
+	flushCtx, cancelFlush := context.WithTimeout(context.Background(), e.p.SettleTimeout)
 	defer cancelFlush()
 	var fwg sync.WaitGroup
-	for _, sl := range slots {
-		sl.mu.Lock()
-		inc := sl.inc
-		sl.mu.Unlock()
-		if inc == nil {
-			continue
-		}
-		agent := inc.ready()
-		if agent == nil {
-			continue
-		}
-		payload := fmt.Sprintf("flush|%d", inc.proc.ID().Site)
-		res.CastsIssued++
+	for _, o := range e.occupants() {
+		inc := o.live.(*svcIncarnation)
+		e.res.CastsIssued++
 		fwg.Add(1)
-		go func(inc *svcIncarnation, agent *isis.Service, payload string) {
+		go func() {
 			defer fwg.Done()
-			_, err := agent.Broadcast(flushCtx, []byte(payload))
-			ledgerMu.Lock()
-			ledger = append(ledger, bcastRec{payload: payload, origin: inc, step: p.Steps, ok: err == nil, flush: true})
-			ledgerMu.Unlock()
-			if err != nil {
-				report(Violation{Check: "flush-broadcast", Group: serviceName, Proc: inc.proc.ID(),
+			if err := w.broadcast(flushCtx, inc, fmt.Sprintf("flush|%d", o.proc.ID().Site), e.p.Steps); err != nil {
+				e.vios.report(Violation{Check: "flush-broadcast", Group: serviceName, Proc: o.proc.ID(),
 					Detail: fmt.Sprintf("post-heal broadcast failed: %v", err)})
 			}
-		}(inc, agent, payload)
+		}()
 	}
 	fwg.Wait()
 
 	countEvents := func() map[string]int {
-		counts := rec.eventCounts()
-		for _, inc := range snapshotIncs() {
+		counts := e.rec.eventCounts()
+		for _, inc := range w.incarnations() {
 			inc.mu.Lock()
 			for _, c := range inc.delivered {
 				counts[serviceName+"[broadcast]"] += c
@@ -388,8 +261,8 @@ func runService(s Scenario) (*Result, error) {
 	// a single event.
 	betweenLeaves := func() []string {
 		var out []string
-		for _, inc := range snapshotIncs() {
-			if a := inc.ready(); a != nil && !inc.isCrashed() {
+		for _, inc := range w.incarnations() {
+			if a := inc.alive(); a != nil {
 				if l := a.Leaf(); l == nil || l.Closed() {
 					out = append(out, fmt.Sprintf("%v between leaves", inc.proc.ID()))
 				}
@@ -397,8 +270,8 @@ func runService(s Scenario) (*Result, error) {
 		}
 		return out
 	}
-	if v := quiesce(countEvents, betweenLeaves, p); v != nil {
-		report(*v)
+	if v := quiesce(countEvents, betweenLeaves, e.p); v != nil {
+		e.vios.report(*v)
 	}
 
 	// Post-heal availability: with every fault closed, the service must
@@ -406,47 +279,31 @@ func runService(s Scenario) (*Result, error) {
 	served := false
 	for try := 0; try < 5 && !served; try++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		reply, err := client.Request(ctx, []byte("final"))
+		reply, err := w.client.Request(ctx, []byte("final"))
 		cancel()
-		if err == nil && string(reply) == "echo:final" {
-			served = true
-			break
+		served = err == nil && string(reply) == "echo:final"
+		if !served {
+			w.client.SetEntry(e.contact(-1))
 		}
-		client.SetEntry(liveContact(-1))
 	}
 	if !served {
-		report(Violation{Check: "request-availability", Group: serviceName,
+		e.vios.report(Violation{Check: "request-availability", Group: serviceName,
 			Detail: "no leaf answered a request after all faults healed"})
 	}
-
-	res.Stats = rt.Stats()
-	allIncs := snapshotIncs()
-	for _, proc := range rt.Processes() {
-		if !proc.Stopped() {
-			res.Rel.Add(proc.ReliabilityStats())
+	for _, inc := range w.incarnations() {
+		if a := inc.alive(); a != nil {
+			e.res.Rel.Add(a.RecoveryStats())
 		}
 	}
-	for _, inc := range allIncs {
-		if a := inc.ready(); a != nil && !inc.isCrashed() {
-			res.Rel.Add(a.RecoveryStats())
-		}
-	}
-	res.JoinFailures = int(joinFailures.Load())
+}
 
-	hists := rec.histories()
-	for _, h := range hists {
-		views, deliveries := h.Counts()
-		res.Deliveries += deliveries
-		res.ViewsApplied += views
-	}
-
-	res.Violations = append(res.Violations, runtimeViolations...)
-	res.Violations = append(res.Violations, checkServiceDeliveries(allIncs, ledger)...)
-	res.Violations = append(res.Violations, checkLeaderTrees(allIncs)...)
-	// The hierarchy's internal groups are ordinary flat groups: grade them
-	// with the full flat checker set. Leaf groups multicast in the service's
-	// configured ordering (FIFO); the leader group replicates its tree with
-	// totally ordered casts.
+// grade checks the broadcast ledger and the leader trees, and grades the
+// hierarchy's internal groups as ordinary flat groups: leaf groups multicast
+// in the service's configured ordering (FIFO); the leader group replicates
+// its tree with totally ordered casts.
+func (w *serviceLoad) grade(hists []*History) map[string]types.Ordering {
+	w.checkDeliveries()
+	w.checkLeaderTrees()
 	orderings := make(map[string]types.Ordering)
 	leaderKey := types.LeaderGroup(serviceName).Key()
 	for _, h := range hists {
@@ -458,24 +315,18 @@ func runService(s Scenario) (*Result, error) {
 			}
 		}
 	}
-	res.Violations = append(res.Violations, CheckHistories(hists, orderings)...)
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return orderings
 }
 
-// checkServiceDeliveries grades the tree-broadcast ledger: exactly-once and
+// checkDeliveries grades the tree-broadcast ledger: exactly-once and
 // no-phantom per incarnation, and completeness for every broadcast whose
 // origin survived the run.
-func checkServiceDeliveries(incs []*svcIncarnation, ledger []bcastRec) []Violation {
-	var out []Violation
-	caps := make(map[string]int)
-	report := func(v Violation) {
-		if caps[v.Check] >= maxViolationsPerCheck {
-			return
-		}
-		caps[v.Check]++
-		out = append(out, v)
-	}
+func (w *serviceLoad) checkDeliveries() {
+	report := w.e.vios.report
+	incs := w.incarnations()
+	w.mu.Lock()
+	ledger := w.ledger
+	w.mu.Unlock()
 
 	known := make(map[string]bool, len(ledger))
 	for _, b := range ledger {
@@ -483,10 +334,7 @@ func checkServiceDeliveries(incs []*svcIncarnation, ledger []bcastRec) []Violati
 	}
 	for _, inc := range incs {
 		inc.mu.Lock()
-		delivered := make(map[string]int, len(inc.delivered))
-		for k, v := range inc.delivered {
-			delivered[k] = v
-		}
+		delivered := maps.Clone(inc.delivered)
 		inc.mu.Unlock()
 		for payload, n := range delivered {
 			if n > 1 {
@@ -507,12 +355,13 @@ func checkServiceDeliveries(incs []*svcIncarnation, ledger []bcastRec) []Violati
 	// its trailing sequence numbers, so survivors cannot even detect a
 	// trailing gap — delivering them is best-effort, not guaranteed.)
 	for _, b := range ledger {
-		if !b.ok || b.origin.isCrashed() {
+		if !b.ok || b.origin.hist.Crashed() {
 			continue
 		}
 		for _, inc := range incs {
+			crashed := inc.hist.Crashed()
 			inc.mu.Lock()
-			eligible := inc.agent != nil && !inc.crashed && b.step > inc.joinedStep+1
+			eligible := inc.agent != nil && !crashed && b.step > inc.joinedStep+1
 			n := inc.delivered[b.payload]
 			inc.mu.Unlock()
 			if eligible && n == 0 {
@@ -522,28 +371,25 @@ func checkServiceDeliveries(incs []*svcIncarnation, ledger []bcastRec) []Violati
 			}
 		}
 	}
-	return out
 }
 
 // checkLeaderTrees verifies end-of-run leader agreement: every surviving
 // leader member's tree satisfies the structural invariants, all surviving
 // leaders hold identical trees, and the agreed tree covers every surviving
 // member's leaf.
-func checkLeaderTrees(incs []*svcIncarnation) []Violation {
-	var out []Violation
+func (w *serviceLoad) checkLeaderTrees() {
+	report := w.e.vios.report
+	incs := w.incarnations()
 	var ref *core.Tree
 	var refProc types.ProcessID
 	for _, inc := range incs {
-		if inc.isCrashed() {
-			continue
-		}
-		a := inc.ready()
+		a := inc.alive()
 		if a == nil || !a.IsLeader() {
 			continue
 		}
 		t := a.Tree()
 		if err := t.CheckInvariants(); err != nil {
-			out = append(out, Violation{Check: "leader-tree-invariants", Group: serviceName, Proc: inc.proc.ID(),
+			report(Violation{Check: "leader-tree-invariants", Group: serviceName, Proc: inc.proc.ID(),
 				Detail: err.Error()})
 		}
 		if ref == nil {
@@ -551,20 +397,17 @@ func checkLeaderTrees(incs []*svcIncarnation) []Violation {
 			continue
 		}
 		if string(t.Encode()) != string(ref.Encode()) {
-			out = append(out, Violation{Check: "leader-tree-agreement", Group: serviceName, Proc: inc.proc.ID(),
+			report(Violation{Check: "leader-tree-agreement", Group: serviceName, Proc: inc.proc.ID(),
 				Detail: fmt.Sprintf("subgroup tree disagrees with leader %v's", refProc)})
 		}
 	}
 	if ref == nil {
-		out = append(out, Violation{Check: "leader-tree-agreement", Group: serviceName,
+		report(Violation{Check: "leader-tree-agreement", Group: serviceName,
 			Detail: "no surviving leader member holds a subgroup tree"})
-		return out
+		return
 	}
 	for _, inc := range incs {
-		if inc.isCrashed() {
-			continue
-		}
-		a := inc.ready()
+		a := inc.alive()
 		if a == nil {
 			continue
 		}
@@ -573,9 +416,8 @@ func checkLeaderTrees(incs []*svcIncarnation) []Violation {
 			continue
 		}
 		if _, found := ref.Lookup(id); !found {
-			out = append(out, Violation{Check: "leaf-membership-agreement", Group: serviceName, Proc: inc.proc.ID(),
+			report(Violation{Check: "leaf-membership-agreement", Group: serviceName, Proc: inc.proc.ID(),
 				Detail: fmt.Sprintf("member's leaf %v is not in the agreed leader tree", id)})
 		}
 	}
-	return out
 }

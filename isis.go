@@ -375,14 +375,7 @@ func (r *Runtime) Shutdown() {
 // ephemeral loopback port and is registered with every process sharing this
 // Runtime value.
 func (r *Runtime) Spawn() (*Process, error) {
-	r.mu.Lock()
-	r.nextSite++
-	for r.sites[r.nextSite] != 0 {
-		r.nextSite++
-	}
-	r.sites[r.nextSite] = siteLocal
-	pid := ProcessID{Site: types.SiteID(r.nextSite), Incarnation: 1}
-	r.mu.Unlock()
+	pid := r.nextPID()
 	return r.spawnPID(pid, r.walDirFor(uint32(pid.Site)))
 }
 
@@ -391,15 +384,19 @@ func (r *Runtime) Spawn() (*Process, error) {
 // directory. Restart harnesses use it to hand a replacement process its
 // predecessor's log.
 func (r *Runtime) SpawnWAL(dir string) (*Process, error) {
+	return r.spawnPID(r.nextPID(), dir)
+}
+
+// nextPID claims the next unused site id for a local process.
+func (r *Runtime) nextPID() ProcessID {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.nextSite++
 	for r.sites[r.nextSite] != 0 {
 		r.nextSite++
 	}
 	r.sites[r.nextSite] = siteLocal
-	pid := ProcessID{Site: types.SiteID(r.nextSite), Incarnation: 1}
-	r.mu.Unlock()
-	return r.spawnPID(pid, dir)
+	return ProcessID{Site: types.SiteID(r.nextSite), Incarnation: 1}
 }
 
 // walDirFor maps a site id to its per-site log directory under the

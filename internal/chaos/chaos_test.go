@@ -289,3 +289,47 @@ func TestRunRecordsFaultLog(t *testing.T) {
 	}
 	t.Skip("no seed with events in range (profile too quiet)")
 }
+
+// TestRestartThroughDeadFounder: a full restart re-founds the system on slot
+// 0 and hands every other slot's rejoin the new founder, and a crash in the
+// same step takes that founder down again before anyone has joined it. The
+// rejoins must not wait on the dead founder until the run's deadline: each
+// gives up when its contact's slot goes down and re-picks, and the first to
+// find no live slot re-founds the system on its own log. With slot 0
+// restarting in the same step too (stateful seed 57's timeline), its rejoin
+// has no contact at all and re-founds or joins whoever did.
+func TestRestartThroughDeadFounder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events []chaos.Event
+	}{
+		{"founder stays down", []chaos.Event{
+			{Step: 2, Kind: chaos.EvFullRestart},
+			{Step: 2, Kind: chaos.EvCrash, Node: 0},
+		}},
+		{"founder restarts", []chaos.Event{
+			{Step: 2, Kind: chaos.EvFullRestart},
+			{Step: 2, Kind: chaos.EvCrash, Node: 0},
+			{Step: 2, Kind: chaos.EvRestart, Node: 0},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := chaos.StatefulProfile()
+			p.Steps = 6
+			res, err := chaos.Run(chaos.Scenario{Seed: 57, Profile: p, Events: tc.events})
+			if err != nil {
+				t.Fatalf("harness error: %v", err)
+			}
+			t.Logf("result: %s", res)
+			if res.Failed() {
+				reportFailure(t, res)
+			}
+			if res.JoinFailures != 0 {
+				t.Errorf("%d rejoins failed, want 0", res.JoinFailures)
+			}
+			if limit := p.SettleTimeout / 4; res.SettleWait > limit {
+				t.Errorf("settle wait %v: rejoins waited on the dead founder (limit %v)", res.SettleWait, limit)
+			}
+		})
+	}
+}

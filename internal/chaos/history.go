@@ -174,6 +174,13 @@ func (r *recorder) newEpoch() {
 	r.epochs = append(r.epochs, nil)
 }
 
+// epoch returns the number of the epoch later histories join.
+func (r *recorder) epoch() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.epochs) - 1
+}
+
 // byEpoch returns the histories grouped by epoch, oldest first. Epochs only
 // grow by appending, so the copied slice headers stay a consistent snapshot.
 func (r *recorder) byEpoch() [][]*History {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -94,6 +95,7 @@ type slot struct {
 	proc *isis.Process
 	hist *History
 	live any
+	gone chan struct{} // closed when the occupant goes down; joins through it re-pick
 }
 
 // occupant is a live slot's state at one instant.
@@ -117,6 +119,7 @@ type engine struct {
 
 	ctx          context.Context // joins and operations; ends at the run deadline
 	cancel       context.CancelFunc
+	enterMu      sync.Mutex     // serialises a failed join's re-pick or re-found against joins landing
 	wg           sync.WaitGroup // joins and operations in flight
 	step         atomic.Int64
 	joinFailures atomic.Int64
@@ -237,7 +240,8 @@ func (e *engine) setup() error {
 		if err != nil {
 			return fmt.Errorf("chaos: spawn node %d: %w", i, err)
 		}
-		e.slots[i] = &slot{proc: proc, hist: e.attach(proc)}
+		e.slots[i] = &slot{}
+		e.occupy(e.slots[i], proc, e.attach(proc), nil)
 	}
 	founder := e.slots[0].proc.ID()
 	for i, sl := range e.slots {
@@ -334,18 +338,23 @@ func (e *engine) fullRestart() {
 }
 
 // down takes a slot's occupant out of the run: the slot stops being live,
-// stale rejoins see the generation change, and the history is marked
-// crashed. The plan's crash at StepFaults has already severed the occupant.
-// With write-ahead logs the engine also stops it, so a zombie never compacts
-// the log its successor reopens, and tells the survivors explicitly:
-// heartbeats are off in chaos runs, and the plan misses an occupant spawned
-// later in the same step (a full restart and a crash can share one), which
-// would otherwise stay in the view and wedge every later flush.
+// stale rejoins see the generation change, joins through the occupant give
+// up and re-pick, and the history is marked crashed. The plan's crash at
+// StepFaults has already severed the occupant. With write-ahead logs the
+// engine also stops it, so a zombie never compacts the log its successor
+// reopens, and tells the survivors explicitly: heartbeats are off in chaos
+// runs, and the plan misses an occupant spawned later in the same step (a
+// full restart and a crash can share one), which would otherwise stay in
+// the view and wedge every later flush.
 func (e *engine) down(sl *slot) {
 	sl.mu.Lock()
 	sl.gen++
 	proc, h := sl.proc, sl.hist
 	sl.proc, sl.live = nil, nil
+	if sl.gone != nil {
+		close(sl.gone)
+		sl.gone = nil
+	}
 	sl.mu.Unlock()
 	if h != nil {
 		h.MarkCrashed()
@@ -358,24 +367,121 @@ func (e *engine) down(sl *slot) {
 
 // rejoin installs proc as slot i's occupant and joins it through contact
 // off the timeline. The slot becomes live once the join lands, unless it
-// went down again meanwhile.
+// went down again meanwhile. A join whose contact goes down first gives up
+// and re-picks a live contact, and a restart that finds no live slot
+// re-founds the system on its own log, as slot 0 does after a full
+// restart, in a fresh history epoch since the re-founded groups count their
+// views from 1 again. Joins after a re-found record into a history that
+// enters that epoch only once the join lands: a process a failed join left
+// in the old group keeps recording there.
 func (e *engine) rejoin(i int, proc *isis.Process, contact types.ProcessID) {
 	e.res.Restarts++
 	sl := e.slots[i]
 	h := e.attach(proc)
 	gen := e.occupy(sl, proc, h, nil)
+	kept, epoch := h, e.rec.epoch() // kept: the history the recorder holds
 	e.async(func() {
-		live, err := e.w.rejoin(e.ctx, proc, h, contact)
-		if err != nil {
-			e.joinFailures.Add(1)
+		for {
+			live, down, err := e.joinVia(proc, h, contact)
+			e.enterMu.Lock()
+			switch {
+			case err == nil:
+				e.land(sl, gen, h, kept, live)
+			case !down || e.ctx.Err() != nil:
+			default:
+				if contact = e.liveContact(i); contact.IsNil() {
+					h = follow(proc, NewHistory(proc.ID()))
+					if live, err = e.w.found(proc, h, nil); err == nil {
+						e.rec.newEpoch()
+						e.land(sl, gen, h, kept, live)
+					}
+					break
+				}
+				if epoch != e.rec.epoch() {
+					h, epoch = follow(proc, NewHistory(proc.ID())), e.rec.epoch()
+				}
+				e.enterMu.Unlock()
+				continue
+			}
+			e.enterMu.Unlock()
+			if err != nil {
+				follow(proc, kept)
+				e.joinFailures.Add(1)
+			}
 			return
 		}
+	})
+}
+
+var errNoContact = errors.New("chaos: no live slot to join through")
+
+// joinVia joins proc through contact, giving up as soon as the contact's
+// slot goes down; down reports that it did (or that contact occupies no
+// slot at all), so the join may re-pick. A join that lands keeps its
+// context: a workload may tie what it joined to it (a service agent does),
+// so only the run's end cancels it then. Without a contact there is nobody
+// to join, and no attempt is made: it would only reset the slot's log,
+// which a re-found recovers.
+func (e *engine) joinVia(proc *isis.Process, h *History, contact types.ProcessID) (live any, down bool, err error) {
+	if contact.IsNil() {
+		return nil, true, errNoContact
+	}
+	gone := e.goneC(contact)
+	ctx, cancel := context.WithCancel(e.ctx)
+	joined := make(chan struct{})
+	go func() {
+		select {
+		case <-gone:
+			cancel()
+		case <-joined:
+		case <-ctx.Done():
+		}
+	}()
+	live, err = e.w.rejoin(ctx, proc, h, contact)
+	close(joined)
+	select {
+	case <-gone:
+		down = true
+	default:
+	}
+	return live, down, err
+}
+
+// goneC returns the channel closed when contact's slot goes down, or a
+// closed one when no slot's occupant is contact.
+func (e *engine) goneC(contact types.ProcessID) <-chan struct{} {
+	for _, sl := range e.slots {
 		sl.mu.Lock()
-		if sl.gen == gen {
-			sl.live = live
+		if sl.proc != nil && sl.proc.ID() == contact && sl.gone != nil {
+			gone := sl.gone
+			sl.mu.Unlock()
+			return gone
 		}
 		sl.mu.Unlock()
-	})
+	}
+	closed := make(chan struct{})
+	close(closed)
+	return closed
+}
+
+// land makes a joined (or re-founded) slot live, unless it went down
+// meanwhile, with h its history; a history the recorder does not hold yet
+// joins the current epoch.
+func (e *engine) land(sl *slot, gen int, h, kept *History, live any) {
+	if h != kept {
+		e.rec.add(h)
+	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.gen == gen {
+		sl.hist, sl.live = h, live
+	}
+}
+
+// follow points proc's group observer at h and returns h.
+func follow(proc *isis.Process, h *History) *History {
+	proc.ObserveGroups(isis.GroupObserver{OnView: h.OnView, OnDeliver: h.OnDeliver})
+	return h
 }
 
 // occupy makes proc slot sl's occupant and returns the slot's generation.
@@ -384,6 +490,7 @@ func (e *engine) occupy(sl *slot, proc *isis.Process, h *History, live any) int 
 	defer sl.mu.Unlock()
 	sl.gen++
 	sl.proc, sl.hist, sl.live = proc, h, live
+	sl.gone = make(chan struct{})
 	return sl.gen
 }
 
@@ -403,10 +510,8 @@ func (e *engine) occupants() []occupant {
 // contact picks a join contact: the first live slot other than skip,
 // falling back to slot 0's occupant.
 func (e *engine) contact(skip int) types.ProcessID {
-	for _, o := range e.occupants() {
-		if o.slot != skip {
-			return o.proc.ID()
-		}
+	if c := e.liveContact(skip); !c.IsNil() {
+		return c
 	}
 	sl := e.slots[0]
 	sl.mu.Lock()
@@ -415,6 +520,17 @@ func (e *engine) contact(skip int) types.ProcessID {
 		return types.ProcessID{}
 	}
 	return sl.proc.ID()
+}
+
+// liveContact returns the first live slot's occupant other than skip, or
+// the nil process when no other slot is live.
+func (e *engine) liveContact(skip int) types.ProcessID {
+	for _, o := range e.occupants() {
+		if o.slot != skip {
+			return o.proc.ID()
+		}
+	}
+	return types.ProcessID{}
 }
 
 // spawn starts a process for slot i, on the slot's write-ahead log when the
@@ -428,8 +544,7 @@ func (e *engine) spawn(i int) (*isis.Process, error) {
 
 // attach records proc's views and deliveries in a fresh history.
 func (e *engine) attach(proc *isis.Process) *History {
-	h := NewHistory(proc.ID())
-	proc.ObserveGroups(isis.GroupObserver{OnView: h.OnView, OnDeliver: h.OnDeliver})
+	h := follow(proc, NewHistory(proc.ID()))
 	e.rec.add(h)
 	return h
 }

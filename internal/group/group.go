@@ -70,10 +70,20 @@ type Group struct {
 	proposeFrom  types.ProcessID // proposer of the in-progress view change
 	proposedView types.ViewID
 
+	// owed lists the originators of current-view casts this member has
+	// taken in but not yet acknowledged. The next cast it multicasts pays
+	// them all (it carries the same report); the stack's idle hook pays the
+	// rest with one report envelope. owing marks the group as listed in the
+	// stack's owing list.
+	owed  []types.ProcessID
+	owing bool
+
 	// Recovery timer and bookkeeping (NAKs, stability reports, view NAKs).
 	recoveryCancel     func()
 	stabTicks          int
-	stabRR             int // rotation cursor for the bounded-fanout stability tick
+	stabRR             int               // rotation cursor for the bounded-fanout stability tick
+	tickVec            []types.StabEntry // the snapshot the ticks are rotating
+	tickLeft           int               // members the rotation has yet to reach with tickVec
 	ordGapTicks        int
 	viewNakRR          int
 	wedgeTicks         int // consecutive recovery ticks spent wedged awaiting an install
@@ -114,12 +124,10 @@ type Group struct {
 // castIntake is the scratch onCastBatch sorts one frame into, kept across
 // frames so intake allocates no per-frame lists. byOrdering[o] collects the
 // current-view casts for engine o; direct holds the casts outside the known
-// orderings, delivered directly like onCast does; reportTo lists the
-// originators the frame is acknowledged to.
+// orderings, delivered directly like onCast does.
 type castIntake struct {
 	byOrdering [4][]*types.Message
 	direct     []*types.Message
-	reportTo   []types.ProcessID
 }
 
 // reset empties the scratch, dropping the message pointers so a quiet group
@@ -130,7 +138,7 @@ func (in *castIntake) reset() {
 		in.byOrdering[o] = in.byOrdering[o][:0]
 	}
 	clear(in.direct)
-	in.direct, in.reportTo = in.direct[:0], in.reportTo[:0]
+	in.direct = in.direct[:0]
 }
 
 // ackWaiter tracks one cast's resiliency acknowledgements. Ackers are
@@ -265,6 +273,7 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 		g.prevViewID, g.prevRel, g.prevTotal = g.view.ID, g.rel, g.total
 	}
 	g.parked = nil
+	g.owed = g.owed[:0] // acknowledgements of the closing view: nobody waits on them now
 	g.forwardedFor = 0
 	g.proposeFrom = types.NilProcess
 	g.proposedView = 0
@@ -675,9 +684,7 @@ func (g *Group) finishFlush() {
 			Seq:   b.Seq,
 		}
 		g.stack.node.SendCopies(g.view.Members, om)
-		for _, d := range g.total.AddOrder(b.Seq, b.ID) {
-			g.deliver(d)
-		}
+		g.deliverAll(g.total.AddOrder(b.Seq, b.ID))
 		g.relStats.Reannounced++
 	}
 
@@ -1099,9 +1106,12 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done fun
 	}
 	// Piggyback our receive watermarks and delivered ABCAST prefix: the
 	// receivers aggregate every member's report into the stability watermark
-	// that bounds retransmit buffers and the ordering engines' memory.
+	// that bounds retransmit buffers and the ordering engines' memory. Our
+	// own casts' watermark is the cast's ID. The report reaches every
+	// member, so it pays every acknowledgement this member owes.
 	msg.Stab = g.rel.StabVector()
 	msg.StabOrd = g.total.NextSeq()
+	g.owed = g.owed[:0]
 
 	need = min(need, g.view.Size()-1)
 	if need > 0 && done != nil {
@@ -1134,7 +1144,7 @@ func (g *Group) onCast(m *types.Message) {
 	g.ingestStab(m)
 	if g.parksCast(m) {
 		g.parked = append(g.parked, m)
-		g.sendReportTo(m.ID.Sender)
+		g.owe(m.ID.Sender)
 		return
 	}
 	g.processCast(m, g.maySequence(m), true)
@@ -1166,7 +1176,7 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 	fresh := g.rel.Note(m)
 	if ack {
 		// Duplicates re-acknowledge too: the first report may have been lost.
-		g.sendReportTo(m.ID.Sender)
+		g.owe(m.ID.Sender)
 	}
 	if !fresh {
 		// Already held (network duplicate or a retransmission of something
@@ -1188,45 +1198,77 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 			Seq:   seq,
 		}
 		g.stack.node.SendCopies(g.view.Members, orderMsg)
-		for _, d := range g.total.AddOrder(seq, m.ID) {
-			g.deliver(d)
-		}
+		g.deliverAll(g.total.AddOrder(seq, m.ID))
 	}
 
-	var deliverable []*types.Message
 	switch m.Ordering {
 	case types.Causal:
-		deliverable = g.causal.Add(m)
+		g.deliverAll(g.causal.Add(m))
 	case types.Total:
-		deliverable = g.total.Add(m)
+		g.deliverAll(g.total.Add(m))
 	case types.FIFO:
-		deliverable = g.fifo.Add(m)
+		g.deliverAll(g.fifo.Add(m))
 	default: // Unordered
-		deliverable = []*types.Message{m}
-	}
-	for _, d := range deliverable {
-		g.deliver(d)
+		g.deliver(m)
 	}
 }
 
-// sendReportTo sends this member's cumulative stability report (the per-
-// sender contiguous-receive watermarks plus the delivered ABCAST prefix) to
-// one peer. Sent to a cast's originator it is the acknowledgement of that
-// cast and of its whole prefix: the receiver folds it into its tracker, which
-// both advances stability and resolves any resiliency waiters the watermarks
-// now cover. The report rides the batching outbox, so a frame of casts is
-// answered by (at most) one report per sender in it.
-func (g *Group) sendReportTo(p types.ProcessID) {
-	if p == g.stack.node.PID() || g.rel == nil {
+// deliverAll delivers what an ordering engine released, then clears the
+// engine's release buffer (order.Engine) so a group that goes quiet pins
+// none of those messages. deliver never calls back into an engine, so the
+// buffer stays valid for the whole loop.
+func (g *Group) deliverAll(ms []*types.Message) {
+	for _, d := range ms {
+		g.deliver(d)
+	}
+	clear(ms)
+}
+
+// owe records that this member owes p an acknowledgement: its cumulative
+// stability report (the per-sender contiguous-receive watermarks plus the
+// delivered ABCAST prefix), which the originator folds into its tracker,
+// advancing stability and resolving the resiliency waiters the watermarks
+// now cover. One report acknowledges a cast and its whole prefix, so the
+// debt is per originator, not per cast: the next cast this member
+// multicasts pays it, and whatever is still owed when the actor runs out of
+// work (or, at the latest, before its next inbound frame) goes out as one
+// report envelope to every creditor (Stack.payDebts).
+func (g *Group) owe(p types.ProcessID) {
+	if p == g.stack.node.PID() || g.rel == nil || types.ContainsProcess(g.owed, p) {
 		return
 	}
-	_ = g.stack.node.Send(p, &types.Message{
+	g.owed = append(g.owed, p)
+	if !g.owing {
+		g.owing = true
+		g.stack.owing = append(g.stack.owing, g)
+	}
+}
+
+// payDebts sends the owed acknowledgements as one stability report to every
+// creditor, unless the group has since closed.
+func (g *Group) payDebts() {
+	g.owing = false
+	if len(g.owed) == 0 {
+		return
+	}
+	if g.joined && !g.closed && g.rel != nil {
+		g.stack.node.SendCopies(g.owed, g.report())
+	}
+	g.owed = g.owed[:0]
+}
+
+// report builds this member's standalone stability report. Its ID carries
+// the member's watermark for its own casts, which the vector leaves out.
+func (g *Group) report() *types.Message {
+	self := g.stack.node.PID()
+	return &types.Message{
 		Kind:    types.KindStability,
 		Group:   g.id,
 		View:    g.view.ID,
+		ID:      types.MsgID{Sender: self, Seq: g.rel.Ctg(self)},
 		Stab:    g.rel.StabVector(),
 		StabOrd: g.total.NextSeq(),
-	})
+	}
 }
 
 // ingestStab folds a piggybacked (or standalone) stability report into the
@@ -1247,6 +1289,11 @@ func (g *Group) ingestStab(m *types.Message) {
 		ord = m.StabOrd - 1
 	}
 	g.rel.Report(m.From, m.Stab, ord)
+	if m.ID.Sender == m.From {
+		// The reporter's watermark for its own casts: a cast's own seq, a
+		// standalone report's ID.
+		g.rel.ReportOwn(m.From, m.ID.Seq)
+	}
 	g.total.SetStable(g.rel.StableOrd(g.total.NextSeq() - 1))
 	g.resolveCastWaiters(m.From)
 }
@@ -1280,9 +1327,9 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 // (reliability tracking, parking, sequencing) runs in one loop, then each
 // ordering engine accepts its sub-batch and releases deliveries in one pass,
 // and everything cumulative is settled once for the whole frame — the
-// piggybacked stability report is folded once per source, the frame is
-// acknowledged by one stability report per originator in it, and the
-// pending-install cut is rechecked once. The order announcements coalesce in
+// piggybacked stability report is folded once per source, every originator
+// in the frame is owed one acknowledgement, and the pending-install cut is
+// rechecked once. The order announcements coalesce in
 // the node's outbox, so they cost at most a frame rather than one
 // transmission each.
 func (g *Group) onCastBatch(ms []*types.Message) {
@@ -1293,7 +1340,6 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	if g.closed {
 		return
 	}
-	self := g.stack.node.PID()
 	in := &g.intake
 	defer in.reset()
 
@@ -1303,11 +1349,10 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// each in turn would. A frame has one source; should the source change
 	// mid-run the previous one's report is folded on the spot.
 	var report *types.Message
-	// Acknowledgement is per sender, not per message: one stability report to
-	// each distinct originator in the frame, sent after intake so it covers
-	// the whole frame (parked casts and duplicates count too — their earlier
-	// report may have been the casualty). reportTo stays tiny, so a linear
-	// membership test beats a map.
+	// Acknowledgement is per sender, not per message: each distinct
+	// originator in the frame is owed one report, paid after intake so it
+	// covers the whole frame (parked casts and duplicates count too — their
+	// earlier report may have been the casualty).
 	for _, m := range ms {
 		if !g.joined || m.View != g.view.ID {
 			if m.View > g.view.ID || !g.joined {
@@ -1323,9 +1368,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			}
 			report = m
 		}
-		if s := m.ID.Sender; s != self && !types.ContainsProcess(in.reportTo, s) {
-			in.reportTo = append(in.reportTo, s)
-		}
+		g.owe(m.ID.Sender)
 		if g.parksCast(m) {
 			g.parked = append(g.parked, m)
 			continue
@@ -1345,9 +1388,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 				Seq:   seq,
 			}
 			g.stack.node.SendCopies(g.view.Members, orderMsg)
-			for _, d := range g.total.AddOrder(seq, m.ID) {
-				g.deliver(d)
-			}
+			g.deliverAll(g.total.AddOrder(seq, m.ID))
 		}
 		switch m.Ordering {
 		case types.FIFO, types.Causal, types.Total:
@@ -1360,25 +1401,16 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		g.deliver(d)
 	}
 	if batch := in.byOrdering[types.FIFO]; len(batch) > 0 {
-		for _, d := range g.fifo.AddBatch(batch) {
-			g.deliver(d)
-		}
+		g.deliverAll(g.fifo.AddBatch(batch))
 	}
 	if batch := in.byOrdering[types.Causal]; len(batch) > 0 {
-		for _, d := range g.causal.AddBatch(batch) {
-			g.deliver(d)
-		}
+		g.deliverAll(g.causal.AddBatch(batch))
 	}
 	if batch := in.byOrdering[types.Total]; len(batch) > 0 {
-		for _, d := range g.total.AddBatch(batch) {
-			g.deliver(d)
-		}
+		g.deliverAll(g.total.AddBatch(batch))
 	}
 	if report != nil {
 		g.ingestStab(report)
-	}
-	for _, p := range in.reportTo {
-		g.sendReportTo(p)
 	}
 	g.recheckPendingInstall()
 }
@@ -1404,9 +1436,7 @@ func (g *Group) onOrder(m *types.Message) {
 	if g.wedged && m.From == g.view.Coordinator() && g.proposeFrom != m.From {
 		return
 	}
-	for _, d := range g.total.AddOrder(m.Seq, m.ID) {
-		g.deliver(d)
-	}
+	g.deliverAll(g.total.AddOrder(m.Seq, m.ID))
 	g.recheckPendingInstall()
 }
 

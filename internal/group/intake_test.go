@@ -71,7 +71,7 @@ type rig struct {
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	self := tpid(1)
-	net := &recorder{pid: self, inbox: make(chan []*types.Message)}
+	net := &recorder{pid: self, inbox: make(chan []*types.Message, 64)}
 	n, err := node.New(self, net)
 	if err != nil {
 		t.Fatal(err)
@@ -288,5 +288,71 @@ func TestWedgedFrameAcknowledgedOncePerOriginator(t *testing.T) {
 	}
 	if a, b := r.net.sentTo(p2, types.KindStability), r.net.sentTo(p3, types.KindStability); a != 1 || b != 1 {
 		t.Errorf("wedged frame answered with %d reports to p2 and %d to p3, want 1 each", a, b)
+	}
+}
+
+// TestBusyPassiveMemberPaysWithinOneFrame: a member that never casts pays
+// what intake owes from the node's idle hook, which also runs before every
+// inbound frame. Kept busy by a backlog of frames — the actor never runs
+// out of work until the backlog is gone — it still acknowledges each frame
+// before taking in the next: one report per frame, not one per backlog and
+// not one per cast.
+func TestBusyPassiveMemberPaysWithinOneFrame(t *testing.T) {
+	const frames, perFrame = 8, 4
+	r := newRig(t, Config{})
+	p2, p3 := tpid(2), tpid(3)
+	gate := make(chan struct{})
+	r.node.Do(func() { <-gate }) // hold the actor while the backlog queues
+	for f := uint64(0); f < frames; f++ {
+		r.net.inbox <- frameFrom(r.g, p2, p3, f*perFrame+1, (f+1)*perFrame, 0)
+	}
+	close(gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for r.net.sentTo(p2, types.KindStability) < frames && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	r.do(func() {}) // the backlog is taken in and the outbox flushed
+	if got := r.net.sentTo(p2, types.KindStability); got != frames {
+		t.Errorf("%d frames of %d casts taken in back to back: %d reports to their originator, want %d", frames, perFrame, got, frames)
+	}
+	if got := r.net.sentTo(p3, types.KindStability); got != 0 {
+		t.Errorf("%d reports to a member that sent nothing, want 0", got)
+	}
+	// Each report covers its frame: the last one acknowledges everything.
+	r.net.mu.Lock()
+	var last *types.Message
+	for _, m := range r.net.sent {
+		if m.Kind == types.KindStability && m.To == p2 {
+			last = m
+		}
+	}
+	r.net.mu.Unlock()
+	if last == nil || len(last.Stab) == 0 || last.Stab[len(last.Stab)-1] != (types.StabEntry{Sender: p2, Seq: frames * perFrame}) {
+		t.Errorf("last report %v does not acknowledge all %d casts", last, frames*perFrame)
+	}
+}
+
+// TestInstallDropsOwedReports: acknowledgements intake owed in a view are
+// not paid after the next view is installed — they would describe the new
+// view's watermarks to a process that may no longer be a member — and the
+// group leaves the stack's owing list when the stack pays.
+func TestInstallDropsOwedReports(t *testing.T) {
+	r := newRig(t, Config{})
+	p2, p3 := tpid(2), tpid(3)
+	var owed, owing int
+	r.do(func() {
+		r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, 3, 0))
+		owed = len(r.g.owed)
+		r.g.install(member.NewView(r.g.id, 3, []types.ProcessID{tpid(1), p3}), nil)
+	})
+	r.do(func() { owing = len(r.g.stack.owing) }) // after the idle hook ran
+	if owed != 1 {
+		t.Fatalf("intake of p2's frame left %d originators owed, want 1", owed)
+	}
+	if got := r.net.sentTo(p2, types.KindStability); got != 0 {
+		t.Errorf("%d reports sent to p2 after the install dropped the debt, want 0", got)
+	}
+	if owing != 0 {
+		t.Errorf("the stack still lists %d owing groups after paying", owing)
 	}
 }

@@ -93,14 +93,26 @@ func (g *Group) onRecoveryTick() {
 	}
 
 	// Standalone stability report while unstable casts are buffered, so an
-	// idle group's buffers still drain.
+	// idle group's buffers still drain — and, once this member's watermarks
+	// last moved, until a rotation has carried them to every other member:
+	// a member whose own buffer emptied first still holds the others'
+	// stability back until they hear its latest report. The snapshot is
+	// rebuilt only when it changes, so a new slice means new watermarks.
 	g.stabTicks++
 	if g.stabTicks >= rcfg.StabilityTicks {
 		g.stabTicks = 0
-		if g.rel.Buffered() > 0 {
+		if vec := g.rel.StabVector(); !sameSnapshot(vec, g.tickVec) {
+			g.tickVec, g.tickLeft = vec, g.view.Size()-1
+		}
+		if g.rel.Buffered() > 0 || g.tickLeft > 0 {
 			g.sendStability()
 		}
 	}
+}
+
+// sameSnapshot reports whether a and b are the same StabVector snapshot.
+func sameSnapshot(a, b []types.StabEntry) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // sendNaks asks a (rotating) holder for each missing range. One NAK message
@@ -180,14 +192,8 @@ func (g *Group) sendStability() {
 		}
 		g.stabRR = (g.stabRR + fan) % len(others)
 	}
-	template := &types.Message{
-		Kind:    types.KindStability,
-		Group:   g.id,
-		View:    g.view.ID,
-		Stab:    g.rel.StabVector(),
-		StabOrd: g.total.NextSeq(),
-	}
-	g.stack.node.SendCopies(dests, template)
+	g.tickLeft -= len(dests)
+	g.stack.node.SendCopies(dests, g.report())
 }
 
 // sendViewNak asks a member that (presumably) installed the proposed view to

@@ -24,9 +24,12 @@ type Stack struct {
 	// is created or joined.
 	walDir string
 
-	// groups and obs are only touched on the actor goroutine.
+	// groups, obs and owing are only touched on the actor goroutine. owing
+	// lists the groups that owe acknowledgements (Group.owe), paid from the
+	// node's idle hook.
 	groups map[string]*Group
 	obs    Observer
+	owing  []*Group
 }
 
 // Observer taps every group event on one process: each installed view and
@@ -64,7 +67,23 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindNakOrder, s.route((*Group).onNakOrder))
 	n.Handle(types.KindStability, s.route((*Group).onStability))
 	n.Handle(types.KindViewNak, s.route((*Group).onViewNak))
+	n.OnIdle(s.payDebts)
 	return s
+}
+
+// payDebts sends every acknowledgement intake left owed, one report envelope
+// per owing group. The node runs it when the actor runs out of work and
+// before each inbound frame, so a burst of frames is acknowledged once and a
+// busy member still acknowledges within a frame.
+func (s *Stack) payDebts() {
+	if len(s.owing) == 0 {
+		return
+	}
+	for _, g := range s.owing {
+		g.payDebts()
+	}
+	clear(s.owing)
+	s.owing = s.owing[:0]
 }
 
 // ReliabilityStats sums the recovery counters of every group this process
@@ -87,6 +106,7 @@ func (s *Stack) ReliabilityStats() reliability.Stats {
 // exited by then — so it needs no lock.
 func (s *Stack) Release() {
 	s.groups = nil
+	s.owing = nil
 	s.obs = Observer{}
 }
 

@@ -41,6 +41,15 @@
 // runs of consecutive same-kind messages go to a HandleBatch handler when
 // one is registered (the group layer registers one for casts), letting the
 // ordering engines release deliveries in one pass.
+//
+// # Work deferred to the end of a burst
+//
+// OnIdle registers one callback the actor runs when it runs out of queued
+// work, before the idle flush, and before it dispatches each inbound frame.
+// A protocol layer uses it to settle what a burst of intake left owed in a
+// single send — the group layer's receipt acknowledgements, which a cast the
+// process multicasts meanwhile carries for free — while bounding the delay
+// by one frame under saturation.
 package node
 
 import (
@@ -73,6 +82,7 @@ type Node struct {
 	handlers   map[types.Kind]Handler
 	batchH     map[types.Kind]BatchHandler
 	defaultH   Handler
+	idle       atomic.Pointer[func()] // OnIdle's callback, read once per frame
 
 	actions chan func()
 	stop    chan struct{}
@@ -156,6 +166,19 @@ func (n *Node) HandleDefault(h Handler) {
 	n.defaultH = h
 }
 
+// OnIdle registers fn to run on the actor goroutine whenever the actor runs
+// out of queued work (before the outbox's idle flush, so what fn sends
+// leaves in the same flush) and before it dispatches each inbound frame. A
+// second registration replaces the first.
+func (n *Node) OnIdle(fn func()) { n.idle.Store(&fn) }
+
+// runIdle runs the OnIdle callback, if any.
+func (n *Node) runIdle() {
+	if fn := n.idle.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
 // Start launches the actor loop. Calling Start more than once is a no-op.
 func (n *Node) Start() {
 	if n.started.CompareAndSwap(false, true) {
@@ -202,8 +225,10 @@ func (n *Node) loop() {
 			}
 			n.dispatchFrame(frame)
 		default:
-			// Out of queued work: flush coalesced sends before blocking, so
-			// batching never delays a message while the process is idle.
+			// Out of queued work: settle what intake deferred, then flush
+			// coalesced sends before blocking, so batching never delays a
+			// message while the process is idle.
+			n.runIdle()
 			n.ob.flushAll()
 			select {
 			case <-n.stop:
@@ -220,10 +245,12 @@ func (n *Node) loop() {
 	}
 }
 
-// dispatchFrame hands one inbound frame to the handler table. Runs of
+// dispatchFrame hands one inbound frame to the handler table, after the
+// OnIdle callback has settled what the previous frames deferred. Runs of
 // consecutive same-kind messages go to the kind's BatchHandler when one is
 // registered; everything else is dispatched per message.
 func (n *Node) dispatchFrame(frame []*types.Message) {
+	n.runIdle()
 	for i := 0; i < len(frame); {
 		kind := frame[i].Kind
 		n.handlersMu.RLock()

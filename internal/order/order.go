@@ -20,6 +20,13 @@ import (
 // Engine is the interface shared by the three ordering engines. An engine
 // reads the messages it is given and never writes one: a delivered envelope
 // may be shared by the sender and every receiver.
+//
+// The slice Add and AddBatch return (and Total's AddData and AddOrder) is
+// the engine's own release buffer, reused by every call: it is valid until
+// the engine's next call, which clears it before releasing anything, so a
+// caller iterates it at once and never calls back into the same engine
+// while doing so. Copy it to keep it. The caller may clear it once done, so
+// an engine that then goes quiet pins no delivered message.
 type Engine interface {
 	// Add offers an inbound cast to the engine and returns the messages
 	// (possibly including earlier held-back ones) that are now deliverable,
@@ -49,6 +56,7 @@ type Engine interface {
 type FIFO struct {
 	next map[types.ProcessID]uint64 // next expected seq per sender
 	hold map[types.ProcessID]map[uint64]*types.Message
+	out  []*types.Message // release buffer (see Engine)
 }
 
 // NewFIFO returns an empty FBCAST engine.
@@ -61,19 +69,21 @@ func NewFIFO() *FIFO {
 
 // Add implements Engine.
 func (f *FIFO) Add(msg *types.Message) []*types.Message {
-	if !f.insert(msg) {
-		return nil // duplicate or stale
+	out := reuse(&f.out)
+	if f.insert(msg) { // else a duplicate or stale
+		out = f.drainFrom(msg.ID.Sender, out)
 	}
-	return f.drainFrom(msg.ID.Sender, nil)
+	f.out = out
+	return out
 }
 
 // AddBatch implements Engine. FIFO release is already constant-amortized
-// per message, so the batch form simply shares one output slice across the
-// whole frame (keeping the exact cross-sender interleaving of per-message
-// Add); the savings for FIFO traffic come from the group layer doing its
-// bookkeeping once per batch.
+// per message, so the batch form simply shares the release buffer across
+// the whole frame (keeping the exact cross-sender interleaving of
+// per-message Add); the savings for FIFO traffic come from the group layer
+// doing its bookkeeping once per batch.
 func (f *FIFO) AddBatch(msgs []*types.Message) []*types.Message {
-	var out []*types.Message
+	out := reuse(&f.out)
 	for _, msg := range msgs {
 		sender := msg.ID.Sender
 		// Fast path for the common case — the batch arrives in order and
@@ -89,6 +99,7 @@ func (f *FIFO) AddBatch(msgs []*types.Message) []*types.Message {
 		}
 		out = f.drainFrom(sender, out)
 	}
+	f.out = out
 	return out
 }
 
@@ -150,6 +161,7 @@ type Causal struct {
 	ranks map[types.ProcessID]int // member -> rank in the view
 	local vclock.VC               // delivered counts per rank
 	hold  []*types.Message
+	out   []*types.Message // release buffer (see Engine)
 }
 
 // NewCausal returns a CBCAST engine for a view whose members (in rank
@@ -210,7 +222,7 @@ func (c *Causal) stale(m *types.Message) bool {
 
 // release runs the deliverability fixpoint over the holdback queue.
 func (c *Causal) release() []*types.Message {
-	var out []*types.Message
+	out := reuse(&c.out)
 	for {
 		progressed := false
 		for i, m := range c.hold {
@@ -248,6 +260,7 @@ func (c *Causal) release() []*types.Message {
 		}
 	}
 	c.hold = compacted
+	c.out = out
 	return out
 }
 
@@ -292,7 +305,8 @@ type Total struct {
 	// order NAK answers can re-supply bindings a slower member is missing.
 	// Pruned by SetStable together with done.
 	log     []types.MsgID
-	logBase uint64 // slot of log[0] minus one
+	logBase uint64           // slot of log[0] minus one
+	out     []*types.Message // release buffer (see Engine)
 }
 
 // NewTotal returns an ABCAST engine.
@@ -384,7 +398,7 @@ func (t *Total) AddOrder(seq uint64, id types.MsgID) []*types.Message {
 // receiver, so its agreed slot is the engine's to tell (Slot), not a field
 // to stamp.
 func (t *Total) drain() []*types.Message {
-	var out []*types.Message
+	out := reuse(&t.out)
 	for {
 		m, ok := t.ready[t.nextSeq]
 		if !ok {
@@ -400,6 +414,7 @@ func (t *Total) drain() []*types.Message {
 		out = append(out, m)
 		t.nextSeq++
 	}
+	t.out = out
 	return out
 }
 
@@ -510,6 +525,14 @@ func (s *Sequencer) Assign() uint64 {
 func (s *Sequencer) Assigned() uint64 { return s.next - 1 }
 
 // --- helpers ----------------------------------------------------------------
+
+// reuse empties an engine's release buffer for the next call, dropping the
+// pointers the previous call released so the buffer pins no delivered
+// message.
+func reuse(buf *[]*types.Message) []*types.Message {
+	clear(*buf)
+	return (*buf)[:0]
+}
 
 // Sorted returns the message ids of a batch sorted by (sender, seq); used by
 // tests to compare delivery orders deterministically.

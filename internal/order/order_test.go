@@ -690,3 +690,60 @@ func TestTotalUnorderedIDs(t *testing.T) {
 		t.Fatalf("UnorderedIDs = %v, want [%v]", ids, a.ID)
 	}
 }
+
+// TestReleaseBufferReusedAndCleared pins the Engine result contract: every
+// engine releases into one buffer of its own, reused by its next call — so a
+// caller must not call back into an engine while iterating its result —
+// and that next call drops the previous result's pointers before releasing
+// anything, so a quiet engine pins no delivered message.
+func TestReleaseBufferReusedAndCleared(t *testing.T) {
+	members := []types.ProcessID{p(1), p(2)}
+	fifo, causal, total := NewFIFO(), NewCausal(members), NewTotal()
+	for _, c := range []struct {
+		name  string
+		buf   *[]*types.Message
+		first func() []*types.Message // releases one message
+		quiet func() []*types.Message // releases nothing
+		next  func() []*types.Message // releases one message
+	}{
+		{"fifo", &fifo.out,
+			func() []*types.Message { return fifo.Add(cast(p(1), 1)) },
+			func() []*types.Message { return fifo.AddBatch([]*types.Message{cast(p(1), 3)}) },
+			func() []*types.Message { return fifo.Add(cast(p(2), 1)) }},
+		{"causal", &causal.out,
+			func() []*types.Message { return causal.Add(causalCast(p(1), 1, vclock.VC{1, 0})) },
+			func() []*types.Message { return causal.Add(causalCast(p(1), 3, vclock.VC{3, 0})) },
+			func() []*types.Message {
+				return causal.AddBatch([]*types.Message{causalCast(p(2), 1, vclock.VC{1, 1})})
+			}},
+		{"total", &total.out,
+			func() []*types.Message { return total.Add(withSeq(totalCast(p(1), 1), 1)) },
+			func() []*types.Message { return total.AddData(totalCast(p(1), 2)) },
+			func() []*types.Message { return total.AddOrder(2, types.MsgID{Sender: p(1), Seq: 2}) }},
+	} {
+		first := c.first()
+		if len(first) != 1 {
+			t.Fatalf("%s: first call released %d, want 1", c.name, len(first))
+		}
+		if out := c.quiet(); len(out) != 0 {
+			t.Fatalf("%s: quiet call released %d, want 0", c.name, len(out))
+		}
+		if first[0] != nil {
+			t.Errorf("%s: a call that released nothing left the previous result's message pinned", c.name)
+		}
+		for _, m := range (*c.buf)[:cap(*c.buf)] {
+			if m != nil {
+				t.Errorf("%s: the release buffer pins %v after a quiet call", c.name, m.ID)
+			}
+		}
+		next := c.next()
+		if len(next) != 1 || &next[0] != &first[0] {
+			t.Errorf("%s: the next release got a new buffer, want the engine's own one reused", c.name)
+		}
+	}
+}
+
+func withSeq(m *types.Message, seq uint64) *types.Message {
+	m.Seq = seq
+	return m
+}

@@ -197,6 +197,11 @@ type Tracker struct {
 	rep    [][]uint64
 	ordRep []uint64
 	stats  *Stats
+	// vec is the StabVector snapshot and vecOK whether it is still current:
+	// it changes only when another sender's contiguous watermark moves, so
+	// every cast and report in between shares one frozen vector.
+	vec   []types.StabEntry
+	vecOK bool
 }
 
 // NewTracker creates the reliability state for one freshly installed view.
@@ -297,6 +302,7 @@ func (t *Tracker) Note(m *types.Message) bool {
 		for s.ctg < s.maxSeen && s.buf[s.ctg+1] != nil {
 			s.ctg++
 		}
+		t.moved(s)
 		t.settle(s)
 	}
 	if s.ctg >= s.maxSeen {
@@ -323,21 +329,38 @@ func (t *Tracker) CutVector() map[types.ProcessID]uint64 {
 	return out
 }
 
-// StabVector encodes the member's current receive watermarks for
-// piggybacking on outgoing casts and stability reports, in slot order.
+// moved records that s's contiguous watermark rose. Only another sender's
+// entry is in the StabVector snapshot (a report carries the reporter's own in
+// its ID), so only then is the snapshot stale: the test is StabVector's.
+func (t *Tracker) moved(s *senderState) {
+	if s.pid != t.self {
+		t.vecOK = false
+	}
+}
+
+// StabVector encodes the member's current receive watermarks for the other
+// senders, in slot order, for piggybacking on outgoing casts and stability
+// reports. The member's own entry is left out: the message that carries the
+// vector names it (a cast's ID.Seq, a report's ID), and receivers fold it
+// with ReportOwn. The vector is a snapshot shared until another sender's
+// watermark moves, so callers and every receiver must treat it as frozen.
 func (t *Tracker) StabVector() []types.StabEntry {
-	n := 0 // sized exactly: every cast and every report carries one
+	if t.vecOK {
+		return t.vec
+	}
+	n := 0 // sized exactly: the snapshot rides every cast and report until it changes
 	for i := range t.senders {
-		if t.senders[i].ctg > 0 {
+		if s := &t.senders[i]; s.ctg > 0 && s.pid != t.self {
 			n++
 		}
 	}
 	out := make([]types.StabEntry, 0, n)
 	for i := range t.senders {
-		if s := &t.senders[i]; s.ctg > 0 {
+		if s := &t.senders[i]; s.ctg > 0 && s.pid != t.self {
 			out = append(out, types.StabEntry{Sender: s.pid, Seq: s.ctg})
 		}
 	}
+	t.vec, t.vecOK = out, true
 	return out
 }
 
@@ -347,7 +370,9 @@ func (t *Tracker) StabVector() []types.StabEntry {
 // ABCAST prefix (StabOrd-1). Watermarks are monotone: a reordered (older)
 // report can never regress them. Only what the view's members say about each
 // other's casts counts: a report from outside the view, or an entry naming a
-// sender outside it, is dropped without allocating anything.
+// sender outside it, is dropped without allocating anything. The reporter's
+// watermark for its own casts rides outside the vector; fold it with
+// ReportOwn.
 func (t *Tracker) Report(from types.ProcessID, vec []types.StabEntry, ordDelivered uint64) {
 	n := len(t.members)
 	m, ok := t.memberSlot(from)
@@ -358,46 +383,70 @@ func (t *Tracker) Report(from types.ProcessID, vec []types.StabEntry, ordDeliver
 	if ordDelivered > t.ordRep[m] {
 		t.ordRep[m] = ordDelivered
 	}
-	row := t.rep[m]
-	if row == nil {
-		if len(vec) == 0 {
-			return
-		}
-		row = make([]uint64, n)
-		t.rep[m] = row
+	if len(vec) == 0 {
+		return
 	}
-	next := 0 // a full vector names the members in slot order
+	row := t.row(m)
+	next := 0 // a full vector names the members in slot order, skipping the reporter
 	for _, e := range vec {
 		k := next
+		if k == m {
+			k++
+		}
 		if k >= n || t.members[k] != e.Sender {
 			if k, ok = t.slots[e.Sender]; !ok || k >= n {
 				continue
 			}
 		}
 		next = k + 1
-		old := row[k]
-		if e.Seq <= old {
-			continue
-		}
-		row[k] = e.Seq
-		s := &t.senders[k]
-		// A peer holding more of a sender's traffic than we have ever seen
-		// reveals casts we missed every copy of (the sender may be dead).
-		// Raising maxSeen turns that knowledge into a NAKable gap, which is
-		// what lets members converge on a crashed sender's tail even when no
-		// view change (and hence no flush forwarding) occurs.
-		if e.Seq > s.maxSeen {
-			s.maxSeen = e.Seq
-		}
-		// The sender's minimum can only have moved if this member was the
-		// last one holding it back.
-		if m == t.selfSlot || old != s.minRep {
-			continue
-		}
-		if s.minCnt--; s.minCnt == 0 {
-			t.rescanMin(k)
-			t.settle(s)
-		}
+		t.fold(m, row, k, e.Seq)
+	}
+}
+
+// ReportOwn folds a view member's watermark for its own casts — the part of
+// its report that rides in the message's ID rather than in the vector: a
+// cast's own sequence number, a standalone report's ID.Seq. It is Report's
+// fold for one entry, and counts no extra report.
+func (t *Tracker) ReportOwn(from types.ProcessID, seq uint64) {
+	m, ok := t.memberSlot(from)
+	if !ok || seq == 0 {
+		return
+	}
+	t.fold(m, t.row(m), m, seq)
+}
+
+// row returns member slot m's report row, allocating it at its first report.
+func (t *Tracker) row(m int) []uint64 {
+	if t.rep[m] == nil {
+		t.rep[m] = make([]uint64, len(t.members))
+	}
+	return t.rep[m]
+}
+
+// fold raises member m's reported watermark for sender slot k to seq.
+func (t *Tracker) fold(m int, row []uint64, k int, seq uint64) {
+	old := row[k]
+	if seq <= old {
+		return
+	}
+	row[k] = seq
+	s := &t.senders[k]
+	// A peer holding more of a sender's traffic than we have ever seen
+	// reveals casts we missed every copy of (the sender may be dead).
+	// Raising maxSeen turns that knowledge into a NAKable gap, which is
+	// what lets members converge on a crashed sender's tail even when no
+	// view change (and hence no flush forwarding) occurs.
+	if seq > s.maxSeen {
+		s.maxSeen = seq
+	}
+	// The sender's minimum can only have moved if this member was the
+	// last one holding it back.
+	if m == t.selfSlot || old != s.minRep {
+		return
+	}
+	if s.minCnt--; s.minCnt == 0 {
+		t.rescanMin(k)
+		t.settle(s)
 	}
 }
 
@@ -495,6 +544,9 @@ func (t *Tracker) Bootstrap(sender types.ProcessID, seq uint64) bool {
 		return false
 	}
 	s.ctg, s.stable, s.maxSeen = seq, seq, seq
+	if seq > 0 {
+		t.moved(s)
+	}
 	return true
 }
 

@@ -16,6 +16,11 @@ import (
 // obvious maps — the reports exactly as they arrived, every accepted cast
 // forever — and rescans every sender × member after every operation; it is
 // the specification the slice-and-cache implementation has to agree with.
+//
+// Reports follow the wire contract: a member's vector leaves out its own
+// casts, whose watermark rides in the message's ID and is folded with
+// ReportOwn. The model's expected StabVector is rebuilt from scratch at every
+// step, so a snapshot the tracker failed to invalidate shows as a mismatch.
 
 type modelSender struct {
 	got      map[uint64]*types.Message // every cast accepted, never pruned
@@ -145,6 +150,24 @@ func (m *model) report(from types.ProcessID, vec []types.StabEntry, ord uint64) 
 		if s := m.sender(e.Sender); e.Seq > s.maxSeen {
 			s.maxSeen = e.Seq
 		}
+	}
+	m.settle()
+}
+
+// reportOwn folds a member's watermark for its own casts: the one entry a
+// report carries outside its vector, counted as part of that report.
+func (m *model) reportOwn(from types.ProcessID, seq uint64) {
+	if !m.isMember(from) || seq == 0 {
+		return
+	}
+	if m.reports[from] == nil {
+		m.reports[from] = map[types.ProcessID]uint64{}
+	}
+	if seq > m.reports[from][from] {
+		m.reports[from][from] = seq
+	}
+	if s := m.sender(from); seq > s.maxSeen {
+		s.maxSeen = seq
 	}
 	m.settle()
 }
@@ -320,11 +343,18 @@ func (h *diffHarness) note(p *simProc, seq uint64) {
 // randomVector builds a report as some process might send it: mostly the
 // pool in view order with watermarks at what each process has issued,
 // sometimes stale, inflated past anything issued, thinned, shuffled, or
-// naming a sender twice. Outsiders are named like anyone else.
-func (h *diffHarness) randomVector() []types.StabEntry {
+// naming a sender twice. Outsiders are named like anyone else; the reporter
+// itself usually is not.
+func (h *diffHarness) randomVector(from types.ProcessID) []types.StabEntry {
 	var vec []types.StabEntry
 	for i := range h.pool {
 		if h.rng.Intn(16) == 0 {
+			continue
+		}
+		// A vector leaves the reporter's own casts out (they ride in the
+		// message's ID); an odd one still names them, and Report must fold
+		// that too.
+		if h.pool[i].pid == from && h.rng.Intn(8) != 0 {
 			continue
 		}
 		seq := h.pool[i].sent
@@ -381,7 +411,7 @@ func (h *diffHarness) doStep() {
 		h.note(p, seq)
 	case r < 86: // a report: fresh, or the previous one again (duplicated / reordered)
 		from := h.pick()
-		vec := h.randomVector()
+		vec := h.randomVector(from.pid)
 		if from.last != nil && h.rng.Intn(5) == 0 {
 			vec = from.last
 		}
@@ -389,6 +419,15 @@ func (h *diffHarness) doStep() {
 		ord := uint64(h.rng.Intn(h.step/8 + 1))
 		h.tr.Report(from.pid, vec, ord)
 		h.mo.report(from.pid, vec, ord)
+		// The reporter's own watermark from the message's ID: what it has
+		// issued (a cast's own seq), sometimes stale, sometimes absent.
+		if own := from.sent; own > 0 && h.rng.Intn(4) != 0 {
+			if h.rng.Intn(6) == 0 {
+				own = uint64(h.rng.Int63n(int64(own) + 1))
+			}
+			h.tr.ReportOwn(from.pid, own)
+			h.mo.reportOwn(from.pid, own)
+		}
 	case r < 90: // an out-of-band floor, usually near what the sender has issued
 		p := h.pick()
 		floor := p.sent + 2 - uint64(h.rng.Intn(6))
@@ -435,21 +474,24 @@ func (h *diffHarness) compare() {
 	// Tracker-wide lists. Unstable promises sequence order per sender; the
 	// tracker also keeps senders in slot order (members, then first contact),
 	// which mo.order mirrors.
-	gotCut := tr.CutVector()
+	gotCut, cutLen := tr.CutVector(), 0
 	h.wantMsgs, h.wantRanges, h.wantVec = h.wantMsgs[:0], h.wantRanges[:0], h.wantVec[:0]
 	for _, p := range mo.order {
 		s := mo.senders[p]
 		h.wantMsgs = s.held(h.wantMsgs, 0, ^uint64(0))
 		h.wantRanges = s.gaps(h.wantRanges, p, s.maxSeen)
 		if s.ctg > 0 {
-			h.wantVec = append(h.wantVec, types.StabEntry{Sender: p, Seq: s.ctg})
+			cutLen++
 			if gotCut[p] != s.ctg {
 				h.failf("CutVector[%v] = %d, model says %d", p, gotCut[p], s.ctg)
 			}
+			if p != mo.self {
+				h.wantVec = append(h.wantVec, types.StabEntry{Sender: p, Seq: s.ctg})
+			}
 		}
 	}
-	if len(gotCut) != len(h.wantVec) {
-		h.failf("CutVector = %v, model says %v", gotCut, h.wantVec)
+	if len(gotCut) != cutLen {
+		h.failf("CutVector = %v, model has %d senders", gotCut, cutLen)
 	}
 	if got := tr.Buffered(); got != len(h.wantMsgs) {
 		h.failf("Buffered = %d, model says %d", got, len(h.wantMsgs))
@@ -526,7 +568,8 @@ func TestTrackerMatchesBruteForceModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			// 1–16 members plus three outsiders; every fourth seed runs with
 			// no member list at all (the treecast hop tracker), and every
-			// fifth with a self that is not in the view.
+			// fifth with a self that is not in the view. The StabVector
+			// snapshot must leave self out and stay fresh either way.
 			n := 1 + rng.Intn(16)
 			if seed%4 == 0 {
 				n = 0
@@ -537,7 +580,7 @@ func TestTrackerMatchesBruteForceModel(t *testing.T) {
 			}
 			rng.Shuffle(len(pids), func(i, j int) { pids[i], pids[j] = pids[j], pids[i] })
 			members := pids[:n:n]
-			self := pids[rng.Intn(len(pids))]
+			self := pids[n+rng.Intn(len(pids)-n)] // an outsider
 			if n > 0 && seed%5 != 0 {
 				self = members[rng.Intn(n)]
 			}

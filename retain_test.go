@@ -13,7 +13,10 @@ import (
 // Process reachable (the runtime keeps them until Shutdown, and so does the
 // test). A crashed process must release its network inbox and its group
 // stack: the live heap may grow by its bookkeeping only, not by a queue
-// buffer and a group's protocol state per crash.
+// buffer and a group's protocol state per crash. Each crash lands while the
+// member is still taking in the founder's last burst, with the receipt
+// acknowledgements it owes unpaid, so the stack's list of owing groups must
+// let go too.
 func TestCrashedProcessPinsNothing(t *testing.T) {
 	const cycles = 50
 	const perCrashBound = 32 << 10 // an inbox queue alone is ~98 KB
@@ -36,7 +39,19 @@ func TestCrashedProcessPinsNothing(t *testing.T) {
 	cycle := func() {
 		t.Helper()
 		p := rt.MustSpawn()
-		if _, err := p.JoinGroup(ctxT(t), "g", a.ID(), cfg); err != nil {
+		// The member's delivery of the last cast of the final burst parks
+		// its actor until the crash has begun: the acknowledgement it owes
+		// the founder is never paid.
+		var burst, got atomic.Int64
+		inCrashBurst, crashing := make(chan struct{}), make(chan struct{})
+		pcfg := isis.GroupConfig{OnDeliver: func(isis.Delivery) {
+			delivered.Add(1)
+			if burst.Load() == 1 && got.Add(1) == 20 {
+				close(inCrashBurst)
+				<-crashing
+			}
+		}}
+		if _, err := p.JoinGroup(ctxT(t), "g", a.ID(), pcfg); err != nil {
 			t.Fatal(err)
 		}
 		// Traffic the crashed member holds at its crash: deliveries,
@@ -48,11 +63,26 @@ func TestCrashedProcessPinsNothing(t *testing.T) {
 		if err := isis.Await(ctxT(t), func() bool { return delivered.Load() >= want }); err != nil {
 			t.Fatalf("casts never delivered: %v", err)
 		}
-		// And a burst it is still receiving when it crashes.
+		// And a burst it is still taking in when it crashes.
+		burst.Store(1)
 		for k := 0; k < 20; k++ {
 			ga.CastAsync(isis.CBCAST, make([]byte, 512))
 		}
-		rt.Crash(p)
+		select {
+		case <-inCrashBurst:
+		case <-ctxT(t).Done():
+			t.Fatal("the crash burst never reached the member")
+		}
+		halted := make(chan struct{})
+		go func() {
+			defer close(halted)
+			rt.Crash(p)
+		}()
+		if err := isis.Await(ctxT(t), p.Stopped); err != nil {
+			t.Fatalf("crash never began: %v", err)
+		}
+		close(crashing)
+		<-halted
 		rt.InjectFailure(p)
 		if err := isis.Await(ctxT(t), func() bool { return ga.Size() == 2 }); err != nil {
 			t.Fatalf("crash never installed: %v", err)

@@ -5,6 +5,14 @@
 // chaos harness checks with Digest — and the store doubles as the group's
 // StateHandler: its deterministic Snapshot is what joiners restore and what
 // the write-ahead log compacts to.
+//
+// A stored value is a view of the delivered operation's payload rather
+// than a copy of it. That is safe because the group freezes a payload once
+// it is cast (Group.Cast): the sender, the retransmit buffer and every
+// member's delivery share it and none may write it again, and a payload
+// decoded off a socket or out of the write-ahead log is freshly allocated
+// for its message. Restore and DecodeOp copy what they return, since their
+// input belongs to the caller.
 package kvstore
 
 import (
@@ -12,6 +20,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/group"
 	"repro/internal/types"
@@ -25,36 +34,55 @@ const (
 
 // EncodeOp encodes one operation: [op][nonce][key][value]. The nonce lets
 // the issuing replica recognise its own op coming back through the total
-// order (read-your-writes Put).
+// order (read-your-writes Put). The encoding is built in one allocation of
+// its exact length.
 func EncodeOp(op byte, nonce uint64, key, value string) []byte {
-	b := []byte{op}
+	b := make([]byte, 0, 1+8+8+len(key)+8+len(value))
+	b = append(b, op)
 	b = types.EncodeUint64(b, nonce)
 	b = types.EncodeString(b, key)
 	return types.EncodeString(b, value)
 }
 
-// DecodeOp decodes an operation; ok is false for foreign payloads.
+// DecodeOp decodes an operation; ok is false for foreign payloads. The key
+// and value are copies: b may be rewritten afterwards.
 func DecodeOp(b []byte) (op byte, nonce uint64, key, value string, ok bool) {
-	if len(b) < 1 {
+	op, nonce, k, v, ok := decodeOp(b)
+	if !ok {
 		return 0, 0, "", "", false
+	}
+	return op, nonce, string(k), string(v), true
+}
+
+// decodeOp splits an operation into views of b.
+func decodeOp(b []byte) (op byte, nonce uint64, key, value []byte, ok bool) {
+	if len(b) < 1 {
+		return 0, 0, nil, nil, false
 	}
 	op = b[0]
 	if op != OpPut && op != OpDelete {
-		return 0, 0, "", "", false
+		return 0, 0, nil, nil, false
 	}
 	nonce, rest, ok := types.DecodeUint64(b[1:])
 	if !ok {
-		return 0, 0, "", "", false
+		return 0, 0, nil, nil, false
 	}
-	key, rest, ok = types.DecodeString(rest)
-	if !ok {
-		return 0, 0, "", "", false
+	if key, rest, ok = decodeBytes(rest); !ok {
+		return 0, 0, nil, nil, false
 	}
-	value, _, ok = types.DecodeString(rest)
-	if !ok {
-		return 0, 0, "", "", false
+	if value, _, ok = decodeBytes(rest); !ok {
+		return 0, 0, nil, nil, false
 	}
 	return op, nonce, key, value, true
+}
+
+// decodeBytes is types.DecodeString without the copy.
+func decodeBytes(b []byte) (s, rest []byte, ok bool) {
+	n, rest, ok := types.DecodeUint64(b)
+	if !ok || uint64(len(rest)) < n {
+		return nil, b, false
+	}
+	return rest[:n:n], rest[n:], true
 }
 
 // Store is one replica's state. It is safe for concurrent use: Apply runs on
@@ -75,17 +103,22 @@ func New() *Store {
 // Apply folds one delivered operation into the map. Wire it as the group's
 // OnDeliver (or call it from one); it also serves write-ahead-log replay via
 // the group.StateApplier interface.
+//
+// The stored value is a view of d.Payload, not a copy (see the package
+// doc): a delivered payload is frozen, and a replayed one is the log's own
+// decoded copy. The key is copied, so a payload is kept alive only while
+// its value is the key's current binding.
 func (s *Store) Apply(d group.Delivery) {
-	op, nonce, key, value, ok := DecodeOp(d.Payload)
+	op, nonce, key, value, ok := decodeOp(d.Payload)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
 	switch op {
 	case OpPut:
-		s.data[key] = value
+		s.data[string(key)] = unsafe.String(unsafe.SliceData(value), len(value))
 	case OpDelete:
-		delete(s.data, key)
+		delete(s.data, string(key))
 	}
 	s.applied++
 	w := s.waiters[nonce]

@@ -452,7 +452,9 @@ func (t *Total) SetStable(ord uint64) {
 	for _, id := range t.log[:n] {
 		delete(t.done, id)
 	}
-	t.log = append(t.log[:0:0], t.log[n:]...)
+	// Compact in place: the log's capacity settles at the widest unstable
+	// window and pruning allocates nothing.
+	t.log = t.log[:copy(t.log, t.log[n:])]
 	t.logBase = ord
 }
 

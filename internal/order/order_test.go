@@ -747,3 +747,75 @@ func withSeq(m *types.Message, seq uint64) *types.Message {
 	m.Seq = seq
 	return m
 }
+
+// TestTotalSetStableCompactsInPlace drives 10 000 deliver/prune cycles with a
+// stability watermark that trails delivery by a random lag of at most
+// window slots: the binding log's capacity must settle near the widest
+// window instead of following the slots delivered, Bindings must answer as
+// a plain model of the retained history does, and pruning must allocate
+// nothing.
+func TestTotalSetStableCompactsInPlace(t *testing.T) {
+	const cycles, window = 10000, 48
+	rng := rand.New(rand.NewSource(7))
+	tot := NewTotal()
+	var model []types.SeqBinding // delivered bindings above the watermark
+	stable := uint64(0)
+	maxCap := 0
+	for i := uint64(1); i <= cycles; i++ {
+		m := withSeq(totalCast(p(1+uint32(i%3)), i), i)
+		if out := tot.Add(m); len(out) != 1 || out[0] != m {
+			t.Fatalf("slot %d: released %d messages", i, len(out))
+		}
+		model = append(model, types.SeqBinding{Seq: i, ID: m.ID})
+		if lag := uint64(rng.Intn(window + 1)); i > lag && i-lag > stable {
+			stable = i - lag
+			tot.SetStable(stable)
+			model = model[stable-model[0].Seq+1:]
+		}
+		maxCap = max(maxCap, cap(tot.log))
+		if i%97 == 0 {
+			from := stable + uint64(rng.Intn(window+2))
+			var want []types.SeqBinding
+			for _, b := range model {
+				if b.Seq > from {
+					want = append(want, b)
+				}
+			}
+			if got := tot.Bindings(from); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d: Bindings(%d) = %v, want %v", i, from, got, want)
+			}
+		}
+	}
+	if maxCap > 4*(window+1) {
+		t.Errorf("binding log capacity reached %d over a window of %d slots", maxCap, window)
+	}
+
+	// Pruning one slot at a time out of a long retained history allocates
+	// nothing.
+	tot = NewTotal()
+	for i := uint64(1); i <= 2000; i++ {
+		tot.Add(withSeq(totalCast(p(1), i), i))
+	}
+	stable = 0
+	if a := testing.AllocsPerRun(1000, func() {
+		stable++
+		tot.SetStable(stable)
+	}); a != 0 {
+		t.Errorf("SetStable allocates %.1f objects per prune, want 0", a)
+	}
+}
+
+// BenchmarkTotalDeliverPrune is one sequenced ABCAST delivered and the
+// stability watermark advanced behind it by a 64-slot lag: the steady state
+// of a member's total-order engine.
+func BenchmarkTotalDeliverPrune(b *testing.B) {
+	const window = 64
+	tot := NewTotal()
+	b.ReportAllocs()
+	for i := uint64(1); i <= uint64(b.N); i++ {
+		tot.Add(withSeq(totalCast(p(1), i), i))
+		if i > window {
+			tot.SetStable(i - window)
+		}
+	}
+}

@@ -215,12 +215,12 @@ func Run(cfg Config) (Result, error) {
 		if rng.Float64() < cfg.StallProb {
 			res.Stalls++
 			cfg.Log("stall %s (SIGSTOP %s)", name, cfg.StallDuration)
-			if err := sup.Signal(name, syscall.SIGSTOP); err != nil {
+			if err := sup.Signal(name, stallSignal); err != nil {
 				cfg.Log("stall %s failed: %v", name, err)
 				continue
 			}
 			time.Sleep(cfg.StallDuration)
-			_ = sup.Signal(name, syscall.SIGCONT)
+			_ = sup.Signal(name, resumeSignal)
 		} else {
 			res.Kills++
 			cfg.Log("kill -9 %s (os pid %d)", name, sup.OSPid(name))

@@ -190,7 +190,7 @@ func (s *Supervisor) Signal(name string, sig syscall.Signal) error {
 	if pid == 0 {
 		return fmt.Errorf("supervisor: member %q has no running process", name)
 	}
-	return syscall.Kill(pid, sig)
+	return kill(pid, sig)
 }
 
 // Stop terminates the fleet: every member gets SIGTERM (the daemons drain

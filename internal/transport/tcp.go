@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/types"
@@ -38,16 +39,22 @@ import (
 //
 // # Connection management
 //
-// Each destination gets one peerConn: a bounded queue of encoded frames
-// drained by a writer goroutine that owns the socket. The writer dials
-// lazily, enables TCP keepalives, reconnects with exponential backoff and
-// jitter, and puts a deadline on every write so a hung peer (stopped
-// process, full socket buffers on a dead path) errors out instead of
-// blocking the sender forever; a failed write closes the connection and the
-// frame is retried once on a fresh dial, after which it is dropped — the
-// reliability layer's NAK/retransmit machinery repairs the gap end-to-end.
-// A full queue sheds its oldest frame, so a slow peer loses its own traffic
-// instead of wedging the outbox flush toward everyone else. When
+// Each destination gets one peerConn: a socket, a bounded queue of encoded
+// frames, and a writer goroutine. A frame that finds the socket idle (a
+// live connection, nothing queued, no write in progress) is written by the
+// sender itself, on its own goroutine, with one non-blocking write through
+// syscall.RawConn; what the socket does not take goes to the head of the
+// queue, and the writer finishes it on the same connection before any other
+// frame. Everything else — and every frame on builds other than unix — is
+// queued for the writer. The writer dials lazily, enables TCP keepalives,
+// reconnects with exponential backoff and jitter, and puts a deadline on
+// every write so a hung peer (stopped process, full socket buffers on a
+// dead path) errors out instead of blocking forever; a failed write closes
+// the connection and the frame is retried once, whole, on a fresh dial,
+// after which it is dropped — the reliability layer's NAK/retransmit
+// machinery repairs the gap end-to-end. A full queue sheds its oldest frame
+// not yet started, so a slow peer loses its own traffic instead of wedging
+// the outbox flush toward everyone else. When
 // FailThreshold consecutive dial-or-write failures accumulate, the peer is
 // declared down: sends fail fast, the peer-down handler (wired to the
 // failure detector by the boot package) is told, and the peer is re-probed
@@ -322,18 +329,22 @@ func (e *tcpEndpoint) noteAlive(pid types.ProcessID) {
 	}
 }
 
-func (e *tcpEndpoint) getBuf() []byte {
+// getBuf takes an empty frame buffer from the pool. Buffers travel as
+// pointers so returning one to the pool allocates nothing.
+func (e *tcpEndpoint) getBuf() *[]byte {
 	if p, ok := e.bufPool.Get().(*[]byte); ok {
-		return (*p)[:0]
+		*p = (*p)[:0]
+		return p
 	}
-	return make([]byte, 0, 4<<10)
+	b := make([]byte, 0, 4<<10)
+	return &b
 }
 
-func (e *tcpEndpoint) putBuf(b []byte) {
-	if cap(b) > wire.MaxFrameBytes/4 {
+func (e *tcpEndpoint) putBuf(p *[]byte) {
+	if cap(*p) > wire.MaxFrameBytes/4 {
 		return // never pool pathological buffers
 	}
-	e.bufPool.Put(&b)
+	e.bufPool.Put(p)
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -455,25 +466,27 @@ func (e *tcpEndpoint) SendBatch(msgs []*types.Message) error {
 // sendFrame encodes one frame and hands it to the destination's peer
 // connection. Encoding happens synchronously on the caller's goroutine —
 // an oversized frame is rejected here, before any byte reaches a socket,
-// so the connection's stream stays untouched and usable — while the socket
-// write happens on the peer's writer goroutine, behind its bounded queue.
+// so the connection's stream stays untouched and usable — and so does the
+// socket write when the socket is idle (peerConn.enqueue).
 func (e *tcpEndpoint) sendFrame(msgs []*types.Message) error {
 	to := msgs[0].To
-	b := append(e.getBuf(), 0, 0, 0, 0) // room for the length prefix
+	p := e.getBuf()
+	b := append(*p, 0, 0, 0, 0) // room for the length prefix
 	b = wire.AppendFrame(b, msgs, types.ProcessID{}, "")
+	*p = b
 	payload := len(b) - 4
 	if payload > wire.MaxFrameBytes {
-		e.putBuf(b)
+		e.putBuf(p)
 		return fmt.Errorf("tcp transport send to %v: frame of %d bytes exceeds limit: %w", to, payload, wire.ErrFrameTooLarge)
 	}
 	binary.BigEndian.PutUint32(b[:4], uint32(payload))
 
 	c, err := e.peer(to)
 	if err != nil {
-		e.putBuf(b)
+		e.putBuf(p)
 		return err
 	}
-	return c.enqueue(b)
+	return c.enqueue(p)
 }
 
 // peer returns (creating if needed) the connection manager for a
@@ -491,11 +504,7 @@ func (e *tcpEndpoint) peer(to types.ProcessID) (*peerConn, error) {
 	if _, ok := e.net.PeerAddr(to); !ok {
 		return nil, fmt.Errorf("tcp transport send to %v: %w", to, types.ErrNoSuchProcess)
 	}
-	c := &peerConn{
-		ep: e,
-		to: to,
-		q:  make(chan []byte, e.cfg.QueueFrames),
-	}
+	c := newPeerConn(e, to)
 	e.conns[to] = c
 	return c, nil
 }
@@ -538,33 +547,62 @@ func (e *tcpEndpoint) Close() error {
 
 // --- per-peer connection management ------------------------------------------
 
-// peerConn manages the outbound path to one destination: a bounded queue of
-// encoded frames and a writer goroutine owning the socket.
+// peerConn manages the outbound path to one destination: the socket, a
+// bounded queue of encoded frames, and a writer goroutine that dials and
+// drains the queue. A sender whose frame finds the socket idle writes it
+// itself (enqueue); the busy flag gives the socket one writer at a time.
 type peerConn struct {
-	ep *tcpEndpoint
-	to types.ProcessID
-	q  chan []byte
+	ep   *tcpEndpoint
+	to   types.ProcessID
+	wake chan struct{} // capacity 1: the queue grew or the socket came free
 
 	mu          sync.Mutex
-	conn        net.Conn  // current socket; nil while disconnected
-	everDialed  bool      // a successful dial happened before (reconnect accounting)
-	fails       int       // consecutive dial-or-write failures
-	down        bool      // fails reached the threshold; sends fail fast
-	writerLive  bool      // the writer goroutine is running
-	lastFailure time.Time // when the last failure happened (down re-probe pacing)
+	q           []*[]byte       // frames for the writer, oldest first
+	headSent    int             // bytes of q[0] already written, on headConn
+	headConn    net.Conn        // the connection q[0]'s written bytes went out on
+	busy        bool            // a write is in progress (writer or inline sender)
+	conn        net.Conn        // current socket; nil while disconnected
+	raw         syscall.RawConn // conn's raw handle for inline writes; nil where unsupported
+	everDialed  bool            // a successful dial happened before (reconnect accounting)
+	fails       int             // consecutive dial-or-write failures
+	down        bool            // fails reached the threshold; sends fail fast
+	writerLive  bool            // the writer goroutine is running
+	lastFailure time.Time       // when the last failure happened (down re-probe pacing)
+
+	inline inlineWrite // the inline sender's state; used only while holding busy
 }
 
-// enqueue queues one encoded frame, starting the writer if needed. A full
-// queue sheds its oldest frame (the slow peer loses its own traffic; the
-// reliability layer repairs the gap). A peer declared down fails fast until
-// the backoff ceiling passes or inbound traffic clears the state.
-func (c *peerConn) enqueue(b []byte) error {
+// inlineWrite is one non-blocking write attempt through syscall.RawConn.
+// Its callback is bound once per peerConn, so an inline write allocates
+// nothing.
+type inlineWrite struct {
+	b  []byte
+	n  int // bytes of b the socket took
+	fn func(fd uintptr) bool
+}
+
+func newPeerConn(e *tcpEndpoint, to types.ProcessID) *peerConn {
+	c := &peerConn{ep: e, to: to, wake: make(chan struct{}, 1)}
+	c.inline.fn = c.inline.write
+	return c
+}
+
+// enqueue hands one encoded frame to the peer. When the peer has a live
+// connection, nothing queued and no write in progress, the frame is written
+// here, on the caller's goroutine, without blocking: what the socket does
+// not take goes to the head of the queue, and the writer sends it on the
+// same connection before any other frame. Otherwise the frame is queued for
+// the writer. A full queue sheds its oldest frame that has not been started
+// (the slow peer loses its own traffic; the reliability layer repairs the
+// gap). A peer declared down fails fast until the backoff ceiling passes or
+// inbound traffic clears the state.
+func (c *peerConn) enqueue(p *[]byte) error {
 	c.mu.Lock()
 	if c.down {
 		if time.Since(c.lastFailure) < c.ep.cfg.BackoffMax {
 			c.mu.Unlock()
 			c.ep.stats.framesDropped.Add(1)
-			c.ep.putBuf(b)
+			c.ep.putBuf(p)
 			return fmt.Errorf("tcp transport send to %v: %w", c.to, ErrPeerDown)
 		}
 		// Probe: allow one frame through; a failure re-arms fast-fail.
@@ -575,28 +613,83 @@ func (c *peerConn) enqueue(b []byte) error {
 		c.writerLive = true
 		go c.writer()
 	}
+	if c.raw != nil && !c.busy && len(c.q) == 0 {
+		return c.writeInline(p)
+	}
+	if len(c.q) >= c.ep.cfg.QueueFrames && !c.shedOldest() {
+		c.mu.Unlock()
+		c.ep.stats.framesShed.Add(1)
+		c.ep.putBuf(p)
+		return fmt.Errorf("tcp transport send to %v: %w", c.to, ErrBackpressure)
+	}
+	c.q = append(c.q, p)
+	c.mu.Unlock()
+	c.signal()
+	return nil
+}
+
+// writeInline writes a frame on the caller's goroutine. Called with c.mu
+// held, an idle socket and an empty queue; returns with c.mu released.
+func (c *peerConn) writeInline(p *[]byte) error {
+	c.busy = true
+	conn, raw := c.conn, c.raw
 	c.mu.Unlock()
 
-	select {
-	case c.q <- b:
+	// Whatever stops the write short — a full socket, a socket error, a
+	// closed socket or an expired write deadline — leaves the rest to the
+	// writer, which reports and repairs any failure.
+	w := &c.inline
+	w.b, w.n = *p, 0
+	_ = raw.Write(w.fn)
+	n := w.n
+	w.b = nil
+	c.ep.stats.bytesSent.Add(uint64(n))
+
+	c.mu.Lock()
+	c.busy = false
+	if n == len(*p) {
+		c.fails, c.down = 0, false
+		more := len(c.q) > 0 // queued behind the write
+		c.mu.Unlock()
+		c.ep.stats.framesSent.Add(1)
+		c.ep.putBuf(p)
+		if more {
+			c.signal()
+		}
 		return nil
-	default:
 	}
-	// Queue full: shed the oldest queued frame to make room, keeping the
-	// freshest traffic (watermarks, recent casts) flowing.
-	select {
-	case old := <-c.q:
-		c.ep.stats.framesShed.Add(1)
-		c.ep.putBuf(old)
-	default:
+	// The rest of the frame jumps every frame queued meanwhile.
+	c.q = append(c.q, nil)
+	copy(c.q[1:], c.q)
+	c.q[0] = p
+	c.headSent, c.headConn = n, conn
+	c.mu.Unlock()
+	c.signal()
+	return nil
+}
+
+// shedOldest drops the oldest queued frame whose first byte has not been
+// written, reporting whether one was found. Called with c.mu held.
+func (c *peerConn) shedOldest() bool {
+	i := 0
+	if c.headSent > 0 {
+		i = 1 // dropping a started frame would break the stream
 	}
+	if i >= len(c.q) {
+		return false
+	}
+	c.ep.stats.framesShed.Add(1)
+	c.ep.putBuf(c.q[i])
+	c.q = append(c.q[:i], c.q[i+1:]...)
+	c.q[:cap(c.q)][len(c.q)] = nil
+	return true
+}
+
+// signal wakes the writer if it is waiting.
+func (c *peerConn) signal() {
 	select {
-	case c.q <- b:
-		return nil
+	case c.wake <- struct{}{}:
 	default:
-		c.ep.stats.framesShed.Add(1)
-		c.ep.putBuf(b)
-		return fmt.Errorf("tcp transport send to %v: %w", c.to, ErrBackpressure)
 	}
 }
 
@@ -608,7 +701,7 @@ func (c *peerConn) markAlive() {
 	c.mu.Unlock()
 }
 
-// cutConn closes the current socket from under the writer (endpoint close,
+// cutConn closes the current socket from under its writer (endpoint close,
 // chaos injection). Reports whether a live socket was cut.
 func (c *peerConn) cutConn() bool {
 	c.mu.Lock()
@@ -628,82 +721,95 @@ func (c *peerConn) currentConn() net.Conn {
 }
 
 // writer drains the queue: ensure a connection, write each frame under a
-// deadline, account failures. It exits when the endpoint closes or when the
-// peer went down and the queue drained (a later send restarts it).
+// deadline, account failures. It waits while an inline sender holds the
+// socket. It exits when the endpoint closes or when the peer went down and
+// the queue drained (a later send restarts it).
 func (c *peerConn) writer() {
 	for {
-		select {
-		case <-c.ep.done:
-			c.writerExit()
-			return
-		case b := <-c.q:
-			c.writeBuf(b)
-			c.ep.putBuf(b)
-			if c.drainIfDown() {
-				return
-			}
-		default:
-			// Queue empty: block until work arrives or the endpoint closes.
+		c.mu.Lock()
+		if c.busy || len(c.q) == 0 {
+			c.mu.Unlock()
 			select {
 			case <-c.ep.done:
 				c.writerExit()
 				return
-			case b := <-c.q:
-				c.writeBuf(b)
-				c.ep.putBuf(b)
-				if c.drainIfDown() {
-					return
-				}
+			case <-c.wake:
 			}
+			continue
+		}
+		p, sent, on := c.q[0], c.headSent, c.headConn
+		copy(c.q, c.q[1:])
+		c.q[len(c.q)-1] = nil
+		c.q = c.q[:len(c.q)-1]
+		c.headSent, c.headConn = 0, nil
+		c.busy = true
+		c.mu.Unlock()
+
+		c.writeBuf(*p, sent, on)
+		c.ep.putBuf(p)
+		if c.drainIfDown() {
+			return
 		}
 	}
 }
 
-// drainIfDown empties the queue and parks the writer once the peer is down,
-// so per-dead-peer goroutines are reaped instead of accumulating. Returns
-// true when the writer should exit.
+// drainIfDown releases the socket and, once the peer is down, empties the
+// queue and parks the writer, so per-dead-peer goroutines are reaped
+// instead of accumulating. Returns true when the writer should exit.
 func (c *peerConn) drainIfDown() bool {
 	c.mu.Lock()
-	down := c.down
-	c.mu.Unlock()
-	if !down {
+	defer c.mu.Unlock()
+	c.busy = false
+	if !c.down {
 		return false
 	}
-	for {
-		select {
-		case b := <-c.q:
-			c.ep.stats.framesDropped.Add(1)
-			c.ep.putBuf(b)
-		default:
-			c.writerExit()
-			return true
-		}
+	for _, p := range c.q {
+		c.ep.stats.framesDropped.Add(1)
+		c.ep.putBuf(p)
 	}
+	clear(c.q)
+	c.q = c.q[:0]
+	c.headSent, c.headConn = 0, nil
+	c.closeLocked()
+	return true
 }
 
 func (c *peerConn) writerExit() {
 	c.mu.Lock()
-	c.writerLive = false
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+	c.closeLocked()
 	c.mu.Unlock()
 }
 
-// writeBuf transmits one encoded frame: connect if needed, write under a
-// deadline, and on a broken write retry once on a fresh connection (the
-// common case — a cut socket with a live peer — loses nothing). A frame
-// that cannot be transmitted is dropped; NAK/retransmit repairs it.
-func (c *peerConn) writeBuf(b []byte) {
+// closeLocked marks the writer gone and closes its socket. Called with
+// c.mu held.
+func (c *peerConn) closeLocked() {
+	c.writerLive = false
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn, c.raw = nil, nil
+	}
+}
+
+// writeBuf transmits one encoded frame whose first sent bytes already went
+// out on connection on: connect if needed, write under a deadline, and on a
+// broken write retry once on a fresh connection (the common case — a cut
+// socket with a live peer — loses nothing). A started frame is finished on
+// the connection that carries its head; if that connection is gone, the
+// whole frame goes out on the next one, never its tail alone. A frame that
+// cannot be transmitted is dropped; NAK/retransmit repairs it.
+func (c *peerConn) writeBuf(b []byte, sent int, on net.Conn) {
 	conn := c.currentConn()
+	rest := b
+	if sent > 0 && conn == on {
+		rest = b[sent:]
+	}
 	if conn == nil {
 		if conn = c.redial(); conn == nil {
 			c.ep.stats.framesDropped.Add(1)
 			return
 		}
 	}
-	if c.writeTo(conn, b) == nil {
+	if c.writeTo(conn, rest) == nil {
 		return
 	}
 	c.dropConn(conn)
@@ -719,14 +825,15 @@ func (c *peerConn) writeBuf(b []byte) {
 	}
 }
 
-// writeTo writes one frame under the write deadline, accounting the result.
+// writeTo writes the rest of one frame under the write deadline,
+// accounting the result.
 func (c *peerConn) writeTo(conn net.Conn, b []byte) error {
 	_ = conn.SetWriteDeadline(time.Now().Add(c.ep.cfg.WriteTimeout))
-	_, err := conn.Write(b)
+	n, err := conn.Write(b)
+	c.ep.stats.bytesSent.Add(uint64(n))
 	if err == nil {
 		c.noteSuccess()
 		c.ep.stats.framesSent.Add(1)
-		c.ep.stats.bytesSent.Add(uint64(len(b)))
 		return nil
 	}
 	c.ep.stats.writeErrors.Add(1)
@@ -767,7 +874,7 @@ func (c *peerConn) redial() net.Conn {
 		c.ep.stats.reconnects.Add(1)
 	}
 	c.everDialed = true
-	c.conn = conn
+	c.conn, c.raw = conn, rawConnOf(conn)
 	c.mu.Unlock()
 	c.ep.stats.dials.Add(1)
 	return conn
@@ -776,12 +883,14 @@ func (c *peerConn) redial() net.Conn {
 // sendHello writes the identity frame a fresh connection opens with, so the
 // accepting side learns the dialer's return route.
 func (c *peerConn) sendHello(conn net.Conn) error {
-	b := append(c.ep.getBuf(), 0, 0, 0, 0)
+	p := c.ep.getBuf()
+	b := append(*p, 0, 0, 0, 0)
 	b = wire.AppendFrame(b, nil, c.ep.pid, c.ep.advertiseAddr(conn))
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+	*p = b
 	_ = conn.SetWriteDeadline(time.Now().Add(c.ep.cfg.WriteTimeout))
 	_, err := conn.Write(b)
-	c.ep.putBuf(b)
+	c.ep.putBuf(p)
 	return err
 }
 
@@ -789,7 +898,7 @@ func (c *peerConn) dropConn(conn net.Conn) {
 	conn.Close()
 	c.mu.Lock()
 	if c.conn == conn {
-		c.conn = nil
+		c.conn, c.raw = nil, nil
 	}
 	c.mu.Unlock()
 }

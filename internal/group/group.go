@@ -66,7 +66,7 @@ type Group struct {
 	// install arrives and discarded beyond it.
 	parked       []*types.Message
 	intake       castIntake      // onCastBatch's per-frame scratch
-	forwardedFor types.ViewID    // proposed view we already flush-forwarded for
+	forwarded    member.View     // proposed view we already flush-forwarded for
 	proposeFrom  types.ProcessID // proposer of the in-progress view change
 	proposedView types.ViewID
 
@@ -274,7 +274,7 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 	}
 	g.parked = nil
 	g.owed = g.owed[:0] // acknowledgements of the closing view: nobody waits on them now
-	g.forwardedFor = 0
+	g.forwarded = member.View{}
 	g.proposeFrom = types.NilProcess
 	g.proposedView = 0
 	g.ordGapTicks = 0
@@ -432,6 +432,7 @@ func (g *Group) reportFailure(p types.ProcessID) {
 	if g.closed || p == g.stack.node.PID() {
 		return
 	}
+	newly := !g.suspected[p]
 	g.suspected[p] = true
 	// A suspected process must not be admitted either: a join request whose
 	// sender died while queued would otherwise put a corpse in the next view
@@ -440,6 +441,16 @@ func (g *Group) reportFailure(p types.ProcessID) {
 	g.pendJoin = types.RemoveProcess(g.pendJoin, p)
 	if !g.joined || !g.view.Contains(p) {
 		return
+	}
+	// Flush forwarding leaves a survivor's casts to it; once it is suspected
+	// in a flush this member has forwarded for, every holder forwards them.
+	if newly && g.wedged && g.forwarded.ID == g.proposedView && g.forwarded.Contains(p) {
+		dests := g.flushDests()
+		for _, m := range g.rel.Unstable() {
+			if m.ID.Sender == p {
+				g.forward(m, dests)
+			}
+		}
 	}
 	// If we are coordinating a flush and waiting on the failed process, stop
 	// waiting for it.
@@ -556,55 +567,97 @@ func (g *Group) startViewChange() {
 	g.scheduleFlushRetry(corr, payload)
 
 	// The coordinator's own flush contribution.
-	g.flush.NoteOrder(self, g.orderInfo())
+	g.flush.NoteOrder(self, g.orderInfo(self))
 	if g.flush.Ack(self, g.cutVector()) {
 		g.finishFlush()
 	}
 }
 
-// flushForward re-multicasts every unstable cast this member holds to the
-// survivors of a proposed view change (classic virtual synchrony's flush
-// forwarding). It runs once per proposed view, at the moment the member
-// wedges: anything a survivor received before acknowledging the flush is
-// thereby offered to every other survivor, so the aggregated delivery cut —
-// built from contiguous-receive watermarks — is always satisfiable, even for
-// casts whose sender crashed mid-fanout. Stability bounds the forwarded set:
-// casts every member already holds are never re-sent.
+// flushForward re-multicasts the unstable casts a survivor of a proposed
+// view change may lack (classic virtual synchrony's flush forwarding). It
+// runs once per proposed view, at the moment the member wedges, so the
+// aggregated delivery cut — built from contiguous-receive watermarks — is
+// satisfiable everywhere, even for casts whose sender crashed mid-fanout.
+// Forwarding sends only what a survivor may lack:
+//
+//   - this member's own casts go to the survivors whose acknowledgements do
+//     not cover them yet: receivers pay their acknowledgements to the
+//     originator, so its tracker knows best who holds what;
+//   - the casts of a sender that is leaving the view, or that this member
+//     suspects, go to every survivor from every holder;
+//   - the casts of any other surviving sender are left to that sender. Should
+//     it become suspected before the install, reportFailure forwards them.
+//
+// Stability bounds the forwarded set: casts every member already holds are
+// never re-sent.
 func (g *Group) flushForward(proposed member.View) {
-	if g.rel == nil || !g.joined {
+	if g.rel == nil || !g.joined || g.forwarded.ID == proposed.ID {
 		return
 	}
-	if g.forwardedFor == proposed.ID {
-		return
-	}
-	g.forwardedFor = proposed.ID
-	self := g.stack.node.PID()
-	var dests []types.ProcessID
-	for _, p := range g.view.Members {
-		if p != self && proposed.Contains(p) && !g.suspected[p] {
-			dests = append(dests, p)
-		}
-	}
+	g.forwarded = proposed
+	dests := g.flushDests()
 	if len(dests) == 0 {
 		return
 	}
+	self := g.stack.node.PID()
+	covered := make([]uint64, len(dests)) // what each survivor has acknowledged of our casts
+	for i, d := range dests {
+		covered[i] = g.rel.Reported(d, self)
+	}
+	var lacking []types.ProcessID
 	for _, m := range g.rel.Unstable() {
-		g.stack.node.SendCopies(dests, retransmission(m, g.total))
-		g.relStats.Forwarded++
+		switch sender := m.ID.Sender; {
+		case sender == self && proposed.Contains(self):
+			lacking = lacking[:0]
+			for i, d := range dests {
+				if covered[i] < m.ID.Seq {
+					lacking = append(lacking, d)
+				}
+			}
+			g.forward(m, lacking)
+		case !proposed.Contains(sender) || g.suspected[sender]:
+			g.forward(m, dests)
+		}
 	}
 }
 
+// flushDests lists the survivors of the view change being forwarded for:
+// members of both the closing view and the proposed one, other than this
+// member and the members it suspects.
+func (g *Group) flushDests() []types.ProcessID {
+	self := g.stack.node.PID()
+	var dests []types.ProcessID
+	for _, p := range g.view.Members {
+		if p != self && g.forwarded.Contains(p) && !g.suspected[p] {
+			dests = append(dests, p)
+		}
+	}
+	return dests
+}
+
+// forward sends one flush-forwarded copy of a held cast to dests.
+func (g *Group) forward(m *types.Message, dests []types.ProcessID) {
+	if len(dests) == 0 {
+		return
+	}
+	g.stack.node.SendCopies(dests, retransmission(m, g.total))
+	g.relStats.Forwarded++
+}
+
 // orderInfo snapshots this member's ABCAST state for a flush
-// acknowledgement.
-func (g *Group) orderInfo() member.OrderInfo {
+// acknowledgement to proposer. The closing view's coordinator is its
+// sequencer and retains every binding above the group-wide stable prefix —
+// every slot some survivor has yet to deliver — so a report to it carries no
+// bindings; a takeover proposer, whose sequencer has died, gets them all.
+func (g *Group) orderInfo(proposer types.ProcessID) member.OrderInfo {
 	if g.total == nil {
 		return member.OrderInfo{Next: 1}
 	}
-	return member.OrderInfo{
-		Next:      g.total.NextSeq(),
-		Bindings:  g.total.Bindings(0),
-		Unordered: g.total.UnorderedIDs(),
+	oi := member.OrderInfo{Next: g.total.NextSeq(), Unordered: g.total.UnorderedIDs()}
+	if proposer != g.view.Coordinator() || proposer == g.stack.node.PID() {
+		oi.Bindings = g.total.Bindings(0)
 	}
+	return oi
 }
 
 // cutVector is this member's flush-acknowledgement delivery cut: per-sender
@@ -845,7 +898,7 @@ func (g *Group) onViewPropose(m *types.Message) {
 	// Flush acknowledgement carries the contiguous prefix of each sender's
 	// traffic we hold, plus our ABCAST order state for sequencer failover.
 	payload := member.EncodeCut(g.cutVector())
-	payload = append(payload, member.EncodeOrderInfo(g.orderInfo())...)
+	payload = append(payload, member.EncodeOrderInfo(g.orderInfo(m.From))...)
 	_ = g.stack.node.Send(m.From, &types.Message{
 		Kind:    types.KindViewFlushAck,
 		Group:   g.id,
@@ -1157,10 +1210,13 @@ func (g *Group) onCast(m *types.Message) {
 // that. Delivering one eagerly could exceed the eventual cut at this member
 // only, breaking set agreement; the install replays parked casts up to the
 // cut and discards the rest. A cast at or below a known cut is taken in, so
-// the pending install can complete.
+// the pending install can complete, and so is a cast the tracker already
+// holds (a forwarded or network duplicate): the receive path drops it, and
+// the acknowledgement it is owed still goes out.
 func (g *Group) parksCast(m *types.Message) bool {
 	return g.wedged && m.From != g.stack.node.PID() &&
-		(g.pending == nil || m.ID.Seq > g.pending.cut[m.ID.Sender])
+		(g.pending == nil || m.ID.Seq > g.pending.cut[m.ID.Sender]) &&
+		!g.rel.Holds(m.ID)
 }
 
 // maySequence reports whether the sequencer may still assign m a slot:

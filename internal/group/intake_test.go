@@ -70,6 +70,13 @@ type rig struct {
 // The recovery timer is parked so the only traffic is what intake causes.
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
+	return newRigView(t, cfg, tpid(1), tpid(2), tpid(3))
+}
+
+// newRigView is newRig with view 2's members in the given order: p1 is the
+// member, the first one the coordinator.
+func newRigView(t *testing.T, cfg Config, members ...types.ProcessID) *rig {
+	t.Helper()
 	self := tpid(1)
 	net := &recorder{pid: self, inbox: make(chan []*types.Message, 64)}
 	n, err := node.New(self, net)
@@ -85,7 +92,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	r := &rig{t: t, net: net, node: n, g: g}
-	r.do(func() { g.install(member.NewView(gid, 2, []types.ProcessID{self, tpid(2), tpid(3)}), nil) })
+	r.do(func() { g.install(member.NewView(gid, 2, members), nil) })
 	return r
 }
 

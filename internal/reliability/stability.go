@@ -311,6 +311,13 @@ func (t *Tracker) Note(m *types.Message) bool {
 	return true
 }
 
+// Holds reports whether the tracker already holds the cast id — buffered or
+// below the stability watermark — so Note would report it as a duplicate.
+func (t *Tracker) Holds(id types.MsgID) bool {
+	s := t.peek(id.Sender)
+	return id.Seq != 0 && (id.Seq <= s.stable || s.buf[id.Seq] != nil)
+}
+
 // Ctg returns the contiguous receive watermark for a sender.
 func (t *Tracker) Ctg(p types.ProcessID) uint64 { return t.peek(p).ctg }
 

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -355,7 +356,9 @@ func (r *Runtime) Stats() Stats {
 	return r.fabric.Stats()
 }
 
-// Processes returns every process spawned so far.
+// Processes returns every process spawned so far, less the ones crashed
+// with Crash or a fault-plan crash event: the runtime lets go of a crashed
+// process, so a caller that drops it too leaves nothing of it reachable.
 func (r *Runtime) Processes() []*Process {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -537,12 +540,23 @@ func (r *Runtime) adopt(bp *boot.Proc) *Process {
 
 // Crash simulates a workstation power failure for p: on the simulated
 // fabric the network additionally stops delivering to it; in all cases its
-// runtime halts. Stopping is idempotent, so a later Shutdown is safe.
+// runtime halts and the runtime forgets it (Processes no longer lists it).
+// Stopping is idempotent, so a later Stop or Shutdown is safe.
 func (r *Runtime) Crash(p *Process) {
 	if r.fabric != nil {
 		r.fabric.Crash(p.ID())
 	}
 	p.boot.Halt()
+	r.forget(p)
+}
+
+// forget drops a crashed process from the runtime's list.
+func (r *Runtime) forget(p *Process) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := slices.Index(r.procs, p); i >= 0 {
+		r.procs = slices.Delete(r.procs, i, i+1)
+	}
 }
 
 // FaultPlan returns the fault plan attached with WithFaultPlan (nil when
@@ -554,9 +568,9 @@ func (r *Runtime) FaultPlan() []FaultEvent {
 // StepFaults applies every fault-plan event scheduled for the given step and
 // returns the events applied. Network-level events (partitions, loss, delay,
 // duplication, reordering, heals) go to the simulated fabric; crash events
-// additionally stop the targeted process and inform the survivors, exactly
-// like Crash+InjectFailure. On TCP runtimes (no fabric to inject into) it
-// applies nothing.
+// additionally stop the targeted process, forget it and inform the
+// survivors, exactly like Crash+InjectFailure. On TCP runtimes (no fabric to
+// inject into) it applies nothing.
 func (r *Runtime) StepFaults(step int) []FaultEvent {
 	if r.fabric == nil {
 		return nil
@@ -570,6 +584,7 @@ func (r *Runtime) StepFaults(step int) []FaultEvent {
 		if ev.Kind == netsim.FaultCrash {
 			if p := r.processByID(ev.Proc); p != nil && !p.Stopped() {
 				p.boot.Halt()
+				r.forget(p)
 				r.InjectFailure(p)
 			}
 		}

@@ -9,12 +9,13 @@ import (
 )
 
 // TestCrashedProcessPinsNothing crashes and respawns one member of a
-// three-member group 50 times while the founder casts, keeping every crashed
-// Process reachable (the runtime keeps them until Shutdown, and so does the
-// test). A crashed process must release its network inbox and its group
-// stack: the live heap may grow by its bookkeeping only, not by a queue
-// buffer and a group's protocol state per crash. Each crash lands while the
-// member is still taking in the founder's last burst, with the receipt
+// three-member group 50 times while the founder casts. The runtime lets go
+// of a crashed Process, but the test keeps every one of them reachable, so
+// the bound below is per crashed process still held by its caller. A
+// crashed process must release its network inbox and its group stack: the
+// live heap may grow by its bookkeeping only, not by a queue buffer and a
+// group's protocol state per crash. Each crash lands while the member is
+// still taking in the founder's last burst, with the receipt
 // acknowledgements it owes unpaid, so the stack's list of owing groups must
 // let go too.
 func TestCrashedProcessPinsNothing(t *testing.T) {

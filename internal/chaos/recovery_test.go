@@ -92,8 +92,10 @@ func TestDeadSequencerReannounce(t *testing.T) {
 	seqr, starved := procs[0], procs[2]
 
 	// Starve p3 of every order announcement while the workload runs. The
-	// casts come from a non-sequencer member, so their agreed slots exist
-	// only as KindOrder announcements.
+	// casts are p3's own: a non-sequencer's cast reaches the other members
+	// as the sequencer's relayed copy, which carries its agreed slot, but
+	// its originator holds the data and learns the slot only from a
+	// KindOrder announcement.
 	removeRule := rt.Fabric().AddDropRule(func(pkt netsim.Packet) bool {
 		return pkt.Msg.Kind == types.KindOrder && pkt.To == starved.ID()
 	})
@@ -101,7 +103,7 @@ func TestDeadSequencerReannounce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), recoveryTimeout)
 	defer cancel()
 	for i := 0; i < casts; i++ {
-		if err := groups[1].Cast(ctx, isis.ABCAST, []byte{byte(i)}); err != nil {
+		if err := groups[2].Cast(ctx, isis.ABCAST, []byte{byte(i)}); err != nil {
 			t.Fatalf("cast %d: %v", i, err)
 		}
 	}

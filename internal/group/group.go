@@ -3,6 +3,7 @@ package group
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,14 +66,16 @@ type Group struct {
 	// breaking set agreement. They are replayed (up to the cut) when the
 	// install arrives and discarded beyond it.
 	parked       []*types.Message
-	intake       castIntake      // onCastBatch's per-frame scratch
-	forwarded    member.View     // proposed view we already flush-forwarded for
-	proposeFrom  types.ProcessID // proposer of the in-progress view change
+	intake       castIntake        // onCastBatch's per-frame scratch
+	relayTo      []types.ProcessID // relay's destination scratch
+	forwarded    member.View       // proposed view we already flush-forwarded for
+	proposeFrom  types.ProcessID   // proposer of the in-progress view change
 	proposedView types.ViewID
 
 	// owed lists the originators of current-view casts this member has
 	// taken in but not yet acknowledged. The next cast it multicasts pays
-	// them all (it carries the same report); the stack's idle hook pays the
+	// them all (it carries the same report), an ABCAST it sends to the
+	// sequencer alone pays the sequencer; the stack's idle hook pays the
 	// rest with one report envelope. owing marks the group as listed in the
 	// stack's owing list.
 	owed  []types.ProcessID
@@ -84,7 +87,8 @@ type Group struct {
 	stabRR             int               // rotation cursor for the bounded-fanout stability tick
 	tickVec            []types.StabEntry // the snapshot the ticks are rotating
 	tickLeft           int               // members the rotation has yet to reach with tickVec
-	ordGapTicks        int
+	ordGapTicks        int               // consecutive recovery ticks the delivered ABCAST prefix stalled
+	ordTickNext        uint64            // the delivered ABCAST prefix (NextSeq) at the last recovery tick
 	viewNakRR          int
 	wedgeTicks         int // consecutive recovery ticks spent wedged awaiting an install
 	lastInstallView    types.ViewID
@@ -277,7 +281,7 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 	g.forwarded = member.View{}
 	g.proposeFrom = types.NilProcess
 	g.proposedView = 0
-	g.ordGapTicks = 0
+	g.ordGapTicks, g.ordTickNext = 0, 0
 
 	g.view = v
 	g.joined = true
@@ -743,7 +747,7 @@ func (g *Group) finishFlush() {
 
 	// Replay casts parked during the wedge, up to the cut, before the
 	// install freezes the view's delivered set.
-	g.applyParked(cut)
+	g.applyParked(cut, abCut)
 
 	viewBytes := types.EncodeString(nil, string(proposed.Encode()))
 	payload := append(viewBytes, member.EncodeCut(cut)...)
@@ -995,7 +999,7 @@ func (g *Group) onViewInstall(m *types.Message) {
 		// Replay casts parked during the wedge up to the cut; anything
 		// beyond it belongs to no survivor's acknowledged prefix and is
 		// discarded, so no member's delivered set can exceed the cut.
-		g.applyParked(cut)
+		g.applyParked(cut, abCut)
 		g.holdOrInstall(v, cut, abCut)
 		return
 	}
@@ -1058,15 +1062,35 @@ func (g *Group) cutSatisfied(cut map[types.ProcessID]uint64, abCut uint64) bool 
 // view's agreed order is frozen by the flush). Casts beyond the cut are
 // discarded — no acknowledged survivor holds them, so delivering them here
 // would break set agreement.
-func (g *Group) applyParked(cut map[types.ProcessID]uint64) {
+func (g *Group) applyParked(cut map[types.ProcessID]uint64, abCut uint64) {
 	parked := g.parked
 	g.parked = nil
 	for _, m := range parked {
-		if m.View != g.view.ID || m.ID.Seq > cut[m.ID.Sender] {
+		if m.View != g.view.ID || !g.withinCut(m, cut, abCut) {
 			continue
 		}
 		g.processCast(m, false, false)
 	}
+}
+
+// withinCut reports whether an install with delivery cut cut and
+// re-announced ABCAST prefix abCut obliges this member to deliver m: m lies
+// in its sender's acknowledged prefix, or its agreed slot is one of the
+// prefix's. The two differ when the sequencer bound a cast whose sender's
+// earlier casts no survivor holds: survivors that delivered the cast before
+// wedging reported its binding, so every member must deliver it.
+func (g *Group) withinCut(m *types.Message, cut map[types.ProcessID]uint64, abCut uint64) bool {
+	if m.ID.Seq <= cut[m.ID.Sender] {
+		return true
+	}
+	if abCut == 0 || m.Ordering != types.Total {
+		return false
+	}
+	slot := g.total.Bound(m.ID)
+	if slot == 0 {
+		slot = g.binding(m)
+	}
+	return slot != 0 && slot <= abCut
 }
 
 // --- multicast ----------------------------------------------------------------
@@ -1160,21 +1184,35 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done fun
 	// Piggyback our receive watermarks and delivered ABCAST prefix: the
 	// receivers aggregate every member's report into the stability watermark
 	// that bounds retransmit buffers and the ordering engines' memory. Our
-	// own casts' watermark is the cast's ID. The report reaches every
-	// member, so it pays every acknowledgement this member owes.
+	// own casts' watermark is the cast's ID.
 	msg.Stab = g.rel.StabVector()
 	msg.StabOrd = g.total.NextSeq()
-	g.owed = g.owed[:0]
 
 	need = min(need, g.view.Size()-1)
 	if need > 0 && done != nil {
 		g.acks[g.sendSeq] = &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
 	}
 
-	g.stack.node.SendCopies(g.view.Members, msg)
+	if seqr := g.view.Coordinator(); o == types.Total && g.seqr == nil && !g.suspected[seqr] {
+		// An ABCAST goes through the sequencer, which relays it to the other
+		// members with its slot (relay). The report reaches the sequencer
+		// alone, so it pays only that debt.
+		_ = g.stack.node.Send(seqr, msg)
+		if i := slices.Index(g.owed, seqr); i >= 0 {
+			g.owed = slices.Delete(g.owed, i, i+1)
+		}
+	} else {
+		// The report reaches every member: it pays every debt.
+		g.stack.node.SendCopies(g.view.Members, msg)
+		g.owed = g.owed[:0]
+	}
 	// Self-delivery through the same path as remote copies, of the same
 	// frozen envelope every receiver shares: nothing on the receive path
-	// writes a cast. ingestStab ignores our own stability report.
+	// writes a cast. ingestStab ignores our own stability report. The
+	// sequencer's ABCAST, delivered at once, leaves first, as its relays do.
+	if msg.Seq != 0 {
+		g.stack.node.Flush()
+	}
 	g.onCast(msg)
 
 	if need <= 0 && done != nil {
@@ -1209,13 +1247,13 @@ func (g *Group) onCast(m *types.Message) {
 // install announces the delivery cut, and every cast beyond the cut after
 // that. Delivering one eagerly could exceed the eventual cut at this member
 // only, breaking set agreement; the install replays parked casts up to the
-// cut and discards the rest. A cast at or below a known cut is taken in, so
-// the pending install can complete, and so is a cast the tracker already
+// cut and discards the rest. A cast within a known cut (withinCut) is taken
+// in, so the pending install can complete, and so is a cast the tracker already
 // holds (a forwarded or network duplicate): the receive path drops it, and
 // the acknowledgement it is owed still goes out.
 func (g *Group) parksCast(m *types.Message) bool {
 	return g.wedged && m.From != g.stack.node.PID() &&
-		(g.pending == nil || m.ID.Seq > g.pending.cut[m.ID.Sender]) &&
+		(g.pending == nil || !g.withinCut(m, g.pending.cut, g.pending.abCut)) &&
 		!g.rel.Holds(m.ID)
 }
 
@@ -1238,22 +1276,19 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 		// Already held (network duplicate or a retransmission of something
 		// we have). This receive-side filter is what lets the ordering
 		// engines prune their duplicate-suppression state to the unstable
-		// suffix.
+		// suffix. The slot a copy carries still counts.
+		if seq := g.binding(m); seq != 0 {
+			g.deliverAll(g.total.AddOrder(seq, m.ID))
+		}
 		return
 	}
-	// The sequencer assigns the total order for casts that need one. The
-	// Ordered check keeps an already-sequenced retransmission from being
-	// sequenced a second time (which would deliver it twice everywhere).
-	if allowSequence && m.Ordering == types.Total && m.Seq == 0 && g.seqr != nil && !g.total.Ordered(m.ID) {
+	m = g.withoutFencedBinding(m)
+	// The sequencer assigns the total order for casts that need one and
+	// relays them before it delivers anything.
+	if allowSequence && g.sequences(m) {
 		seq := g.seqr.Assign()
-		orderMsg := &types.Message{
-			Kind:  types.KindOrder,
-			Group: g.id,
-			View:  g.view.ID,
-			ID:    m.ID,
-			Seq:   seq,
-		}
-		g.stack.node.SendCopies(g.view.Members, orderMsg)
+		g.relay(m, seq)
+		g.stack.node.Flush()
 		g.deliverAll(g.total.AddOrder(seq, m.ID))
 	}
 
@@ -1385,9 +1420,9 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 // and everything cumulative is settled once for the whole frame — the
 // piggybacked stability report is folded once per source, every originator
 // in the frame is owed one acknowledgement, and the pending-install cut is
-// rechecked once. The order announcements coalesce in
-// the node's outbox, so they cost at most a frame rather than one
-// transmission each.
+// rechecked once. A sequencer's relays coalesce in the node's outbox, which
+// it flushes once for the frame, before the engines deliver the frame's
+// casts: the other members get their copies while this one applies its own.
 func (g *Group) onCastBatch(ms []*types.Message) {
 	if len(ms) == 1 {
 		g.onCast(ms[0])
@@ -1405,6 +1440,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// each in turn would. A frame has one source; should the source change
 	// mid-run the previous one's report is folded on the spot.
 	var report *types.Message
+	relayed := false
 	// Acknowledgement is per sender, not per message: each distinct
 	// originator in the frame is owed one report, paid after intake so it
 	// covers the whole frame (parked casts and duplicates count too — their
@@ -1430,20 +1466,20 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			continue
 		}
 		if !g.rel.Note(m) {
-			continue // already held: a network duplicate or retransmission
+			// Already held: a network duplicate or retransmission, whose
+			// slot still counts.
+			if seq := g.binding(m); seq != 0 {
+				g.deliverAll(g.total.AddOrder(seq, m.ID))
+			}
+			continue
 		}
+		m = g.withoutFencedBinding(m)
 		// The sequencer assigns the total order for casts that need one,
 		// skipping casts it has already sequenced.
-		if m.Ordering == types.Total && m.Seq == 0 && g.seqr != nil && g.maySequence(m) && !g.total.Ordered(m.ID) {
+		if g.maySequence(m) && g.sequences(m) {
 			seq := g.seqr.Assign()
-			orderMsg := &types.Message{
-				Kind:  types.KindOrder,
-				Group: g.id,
-				View:  g.view.ID,
-				ID:    m.ID,
-				Seq:   seq,
-			}
-			g.stack.node.SendCopies(g.view.Members, orderMsg)
+			g.relay(m, seq)
+			relayed = true
 			g.deliverAll(g.total.AddOrder(seq, m.ID))
 		}
 		switch m.Ordering {
@@ -1452,6 +1488,10 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		default: // Unordered
 			in.direct = append(in.direct, m)
 		}
+	}
+	if relayed {
+		// The relays leave before this member applies the frame.
+		g.stack.node.Flush()
 	}
 	for _, d := range in.direct {
 		g.deliver(d)
@@ -1489,11 +1529,78 @@ func (g *Group) onOrder(m *types.Message) {
 	// acknowledgement and therefore part of the merge. When the coordinator
 	// is itself the proposer (plain join/leave changes) there is no second
 	// announcement source and its traffic passes.
-	if g.wedged && m.From == g.view.Coordinator() && g.proposeFrom != m.From {
+	if g.orderFenced(m.From) {
 		return
 	}
 	g.deliverAll(g.total.AddOrder(m.Seq, m.ID))
 	g.recheckPendingInstall()
+}
+
+// orderFenced reports whether ABCAST bindings p sends must be ignored: p is
+// the sequencer of a view this member has wedged to close under another
+// proposer (see onOrder).
+func (g *Group) orderFenced(p types.ProcessID) bool {
+	return g.wedged && p == g.view.Coordinator() && g.proposeFrom != p
+}
+
+// sequences reports whether this member, the sequencer, assigns m a slot:
+// an ABCAST that carries none and has none yet. The Ordered check keeps an
+// already-sequenced retransmission from being sequenced a second time (which
+// would deliver it twice everywhere).
+func (g *Group) sequences(m *types.Message) bool {
+	return m.Ordering == types.Total && m.Seq == 0 && g.seqr != nil && !g.total.Ordered(m.ID)
+}
+
+// relay sends a peer's ABCAST on from the sequencer with the slot it was
+// just assigned: every member but its originator gets a self-describing copy
+// (retransmission's, with the slot set), so the data and its binding arrive
+// as one message; the originator, which holds the data, gets the bare
+// announcement.
+func (g *Group) relay(m *types.Message, seq uint64) {
+	c := retransmission(m, nil)
+	c.Seq = seq
+	orig := m.ID.Sender
+	dests := g.relayTo[:0]
+	for _, p := range g.view.Members {
+		if p != orig {
+			dests = append(dests, p)
+		}
+	}
+	g.relayTo = dests
+	// One SendCopies, not a Send per member: the copy is frozen once it is
+	// queued, and Send would write its From again.
+	g.stack.node.SendCopies(dests, c)
+	_ = g.stack.node.Send(orig, &types.Message{
+		Kind:  types.KindOrder,
+		Group: g.id,
+		View:  g.view.ID,
+		ID:    m.ID,
+		Seq:   seq,
+	})
+}
+
+// binding returns the agreed slot a cast carries that this member may use,
+// or zero: a copy the sequencer relayed (or re-served) is a binding from the
+// sequencer, and onOrder's fence applies to it. A cast's originator is not
+// fenced: a sequencer's own cast carries its slot from the start, so every
+// member that holds it holds its binding.
+func (g *Group) binding(m *types.Message) uint64 {
+	if m.Ordering != types.Total || (m.ID.Sender != m.From && g.orderFenced(m.From)) {
+		return 0
+	}
+	return m.Seq
+}
+
+// withoutFencedBinding returns m, or a copy of it without its slot when the
+// fence rules the slot out: the data still counts, and the flush's merged
+// order binds it.
+func (g *Group) withoutFencedBinding(m *types.Message) *types.Message {
+	if g.binding(m) == m.Seq {
+		return m
+	}
+	c := *m
+	c.Seq = 0
+	return &c
 }
 
 func (g *Group) deliver(m *types.Message) {

@@ -833,11 +833,13 @@ func TestCumulativeAckLostReportRecovered(t *testing.T) {
 	}
 }
 
-// TestAbcastRetransmissionCarriesSlot pins the ABCAST recovery path. One
-// member loses its copy of an ABCAST cast and the cast's order
-// announcement. The NAK-served retransmission, from a member that has
-// delivered the cast, must carry the agreed slot, and the member must then
-// deliver the cast in that slot, like every other member.
+// TestAbcastRetransmissionCarriesSlot pins the ABCAST recovery path. A
+// non-sequencer's cast reaches the other members through the sequencer, as
+// a copy carrying its agreed slot. One member loses that relayed copy. The
+// NAK-served retransmission, from a member that has delivered the cast, must
+// carry the agreed slot too — the member is sent no separate announcement —
+// and the member must then deliver the cast in that slot, like every other
+// member.
 func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 	const n = 3
 	c := cluster.MustNew(n, cluster.Options{})
@@ -848,33 +850,37 @@ func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 	// Process 0 created the group and sequences it; the sender is another
-	// member, so its cast leaves without a slot.
-	sender, starved := c.Proc(1).ID, c.Proc(2).ID
+	// member, so its cast goes to the sequencer alone, without a slot.
+	seqr, sender, starved := c.Proc(0).ID, c.Proc(1).ID, c.Proc(2).ID
 	lost := types.MsgID{Sender: sender, Seq: 1}
 
-	var droppedCast, droppedOrder bool // drop rules run under the fabric's lock
+	var droppedRelay bool // drop rules run under the fabric's lock
 	removeRule := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
-		if p.To != starved || p.Msg.ID != lost {
+		if p.To != starved || p.Msg.ID != lost || p.Msg.Kind != types.KindCast || droppedRelay {
 			return false
 		}
-		switch {
-		case p.Msg.Kind == types.KindCast && !droppedCast:
-			droppedCast = true
-			return true
-		case p.Msg.Kind == types.KindOrder && !droppedOrder:
-			droppedOrder = true
-			return true
-		}
-		return false
+		droppedRelay = true
+		return true
 	})
 	defer removeRule()
+	type copyOf struct {
+		from types.ProcessID
+		seq  uint64
+	}
 	var mu sync.Mutex
-	var copies []uint64 // the Seq of every copy of the lost cast sent to starved
+	var copies []copyOf // every copy of the lost cast sent to starved
+	var orders int      // announcements of the lost cast sent to starved
 	c.Fabric.Watch(func(p netsim.Packet) {
-		if p.Msg.Kind == types.KindCast && p.To == starved && p.Msg.ID == lost {
-			mu.Lock()
-			copies = append(copies, p.Msg.Seq)
-			mu.Unlock()
+		if p.To != starved || p.Msg.ID != lost {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch p.Msg.Kind {
+		case types.KindCast:
+			copies = append(copies, copyOf{p.From, p.Msg.Seq})
+		case types.KindOrder:
+			orders++
 		}
 	})
 	defer c.Fabric.Watch(nil)
@@ -916,15 +922,18 @@ func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !droppedCast || !droppedOrder || len(copies) < 2 {
-		t.Fatalf("dropped cast %v, order %v; %d copies sent, want a retransmission", droppedCast, droppedOrder, len(copies))
+	if !droppedRelay || len(copies) < 2 {
+		t.Fatalf("dropped relay %v; %d copies sent, want a retransmission", droppedRelay, len(copies))
 	}
-	if copies[0] != 0 {
-		t.Errorf("the sender's own copy carries slot %d; a non-sequencer's cast carries none", copies[0])
+	if orders != 0 {
+		t.Errorf("the starved member was sent %d announcements of the cast; a relayed copy carries its slot", orders)
 	}
-	for i, seq := range copies[1:] {
-		if seq != slot {
-			t.Errorf("retransmission %d carries slot %d, want %d", i+1, seq, slot)
+	if copies[0] != (copyOf{seqr, slot}) {
+		t.Errorf("first copy %+v, want the sequencer's relay carrying slot %d", copies[0], slot)
+	}
+	for i, cp := range copies[1:] {
+		if cp.seq != slot {
+			t.Errorf("retransmission %d from %v carries slot %d, want %d", i+1, cp.from, cp.seq, slot)
 		}
 	}
 }

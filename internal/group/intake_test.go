@@ -342,24 +342,86 @@ func TestBusyPassiveMemberPaysWithinOneFrame(t *testing.T) {
 // TestInstallDropsOwedReports: acknowledgements intake owed in a view are
 // not paid after the next view is installed — they would describe the new
 // view's watermarks to a process that may no longer be a member — and the
-// group leaves the stack's owing list when the stack pays.
+// group leaves the stack's owing list when the stack pays. The member is not
+// the sequencer: a sequencer relays the frame's ABCASTs and pays its debts
+// before it applies them.
 func TestInstallDropsOwedReports(t *testing.T) {
-	r := newRig(t, Config{})
 	p2, p3 := tpid(2), tpid(3)
+	r := newRigView(t, Config{}, p2, tpid(1), p3) // p2 sequences
 	var owed, owing int
 	r.do(func() {
-		r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, 3, 0))
+		r.g.onCastBatch(frameFrom(r.g, p3, p2, 1, 3, 0))
 		owed = len(r.g.owed)
-		r.g.install(member.NewView(r.g.id, 3, []types.ProcessID{tpid(1), p3}), nil)
+		r.g.install(member.NewView(r.g.id, 3, []types.ProcessID{p2, tpid(1)}), nil)
 	})
 	r.do(func() { owing = len(r.g.stack.owing) }) // after the idle hook ran
 	if owed != 1 {
-		t.Fatalf("intake of p2's frame left %d originators owed, want 1", owed)
+		t.Fatalf("intake of p3's frame left %d originators owed, want 1", owed)
 	}
-	if got := r.net.sentTo(p2, types.KindStability); got != 0 {
-		t.Errorf("%d reports sent to p2 after the install dropped the debt, want 0", got)
+	if got := r.net.sentTo(p3, types.KindStability); got != 0 {
+		t.Errorf("%d reports sent to p3 after the install dropped the debt, want 0", got)
 	}
 	if owing != 0 {
 		t.Errorf("the stack still lists %d owing groups after paying", owing)
+	}
+}
+
+// TestRelayedDuplicateYieldsBinding: a member that already holds a cast —
+// its originator multicast it after suspecting the sequencer — still takes
+// the slot from the sequencer's relayed copy, which the receive path drops
+// as a duplicate, whether it arrives alone or in a frame.
+func TestRelayedDuplicateYieldsBinding(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+		r := newRigView(t, Config{}, p2, p1, p3) // p2 sequences
+		cast := func(from types.ProcessID, seq, slot uint64) *types.Message {
+			return &types.Message{
+				Kind: types.KindCast, From: from, Group: r.g.id, View: 2,
+				ID: types.MsgID{Sender: p3, Seq: seq}, Ordering: types.Total, Seq: slot,
+			}
+		}
+		var delivered uint64
+		r.do(func() {
+			r.g.onCastBatch([]*types.Message{cast(p3, 1, 0), cast(p3, 2, 0)})
+			if batch {
+				r.g.onCastBatch([]*types.Message{cast(p2, 1, 1), cast(p2, 2, 2)})
+			} else {
+				r.g.onCast(cast(p2, 1, 1))
+				r.g.onCast(cast(p2, 2, 2))
+			}
+			delivered = r.g.total.NextSeq() - 1
+		})
+		if delivered != 2 {
+			t.Errorf("batch=%v: delivered %d of 2 held casts after their relayed duplicates", batch, delivered)
+		}
+	}
+}
+
+// TestRelayedCastPaysOnlyTheSequencer: a non-sequencer's ABCAST goes to the
+// sequencer alone, so the report it carries pays only what the member owes
+// the sequencer; what it owes another member still goes out as a report.
+func TestRelayedCastPaysOnlyTheSequencer(t *testing.T) {
+	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+	r := newRigView(t, Config{}, p2, p1, p3) // p2 sequences
+	r.do(func() {
+		r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, 2, 0))
+		r.g.onCast(&types.Message{
+			Kind: types.KindCast, From: p2, Group: r.g.id, View: 2,
+			ID: types.MsgID{Sender: p3, Seq: 1}, Ordering: types.Total, Seq: 3,
+		})
+		r.g.castOnActor(types.Total, []byte("own"), 0, nil)
+	})
+	r.do(func() {}) // the actor pays what is owed when it runs out of work
+	if got := r.net.sentTo(p2, types.KindCast); got != 1 {
+		t.Errorf("%d casts sent to the sequencer, want 1", got)
+	}
+	if got := r.net.sentTo(p3, types.KindCast); got != 0 {
+		t.Errorf("%d casts sent to p3, want 0: the sequencer relays", got)
+	}
+	if got := r.net.sentTo(p2, types.KindStability); got != 0 {
+		t.Errorf("%d reports sent to the sequencer, want 0: the cast paid it", got)
+	}
+	if got := r.net.sentTo(p3, types.KindStability); got != 1 {
+		t.Errorf("%d reports sent to p3, want 1: the cast to the sequencer does not pay it", got)
 	}
 }

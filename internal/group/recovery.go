@@ -19,8 +19,9 @@ import (
 //     otherwise outlive the view change);
 //   - NAKs the casts and ABCAST bindings a pending install's delivery cut
 //     still misses;
-//   - NAKs steady-state receive gaps that have outlived one tick (younger
-//     gaps are usually just out-of-order arrival);
+//   - NAKs steady-state receive gaps whose sender's watermark has stalled
+//     (a gap behind a moving watermark is usually just out-of-order
+//     arrival), and ABCAST bindings behind a stalled delivered prefix;
 //   - emits a standalone stability report when traffic is too idle for the
 //     piggybacked ones to circulate.
 func (g *Group) onRecoveryTick() {
@@ -67,26 +68,37 @@ func (g *Group) onRecoveryTick() {
 	}
 
 	if g.pending != nil {
-		// A pending install names exactly what we are missing.
-		g.sendNaks(g.rel.MissingBelow(g.pending.cut))
+		// A pending install names exactly what we are missing: the casts
+		// below its cut, and those bound to the slots it re-announced.
+		missing := g.rel.MissingBelow(g.pending.cut)
+		for _, id := range g.total.Awaiting(g.pending.abCut) {
+			if id.Seq > g.pending.cut[id.Sender] {
+				missing = append(missing, reliability.SeqRange{Sender: id.Sender, Lo: id.Seq, Hi: id.Seq})
+			}
+		}
+		g.sendNaks(missing)
 		if g.pending.abCut > 0 && g.total.NextSeq() <= g.pending.abCut {
 			g.sendOrderNak()
 		}
 		return
 	}
 
-	// Steady-state gap repair.
-	if g.rel.GapTick() >= rcfg.NakTicks {
+	// Steady-state gap repair, once a sender's watermark has stalled for
+	// more than NakTicks ticks. One stalled tick is not evidence of loss: a
+	// peer blocked for a tick (a write-ahead-log sync) stalls every cast it
+	// relays or sends.
+	if g.rel.GapTick() > rcfg.NakTicks {
 		g.sendNaks(g.rel.Missing())
 	}
 
 	// ABCAST data waiting for (or bindings waiting for data of) agreed
-	// slots: after a persistent stall, ask for the announcements we may
-	// have lost.
-	if g.total.Pending() > 0 {
+	// slots: once the delivered prefix has stalled for a while, ask for the
+	// announcements we may have lost. A prefix that moved since the last
+	// tick is not stalled, however much is in flight behind it.
+	if next := g.total.NextSeq(); g.total.Pending() > 0 && next == g.ordTickNext {
 		g.ordGapTicks++
 	} else {
-		g.ordGapTicks = 0
+		g.ordGapTicks, g.ordTickNext = 0, next
 	}
 	if g.ordGapTicks > rcfg.NakTicks {
 		g.sendOrderNak()

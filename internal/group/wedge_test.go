@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/member"
+	"repro/internal/reliability"
 	"repro/internal/types"
 )
 
@@ -118,5 +119,134 @@ func TestWedgedMemberParksNoHeldCast(t *testing.T) {
 	}
 	if r.net.sentTo(p2, types.KindStability) == reports {
 		t.Error("the originator of the duplicates was never acknowledged")
+	}
+}
+
+// TestWedgedMemberIgnoresDeposedRelayBinding: the slot in a copy the
+// sequencer relayed is the sequencer's binding, and onOrder's fence covers
+// it. Once a member wedges for a view change that deposes the sequencer, a
+// relayed copy from it binds nothing — neither as a duplicate of a cast the
+// member holds nor as a fresh cast the pending install's cut admits — while
+// the proposer's re-announcements still bind.
+func TestWedgedMemberIgnoresDeposedRelayBinding(t *testing.T) {
+	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+	r := newRigView(t, Config{}, p2, p1, p3) // p2 coordinates and sequences
+	held := types.MsgID{Sender: p3, Seq: 1}
+	fresh := types.MsgID{Sender: p3, Seq: 2}
+	cast := func(from types.ProcessID, id types.MsgID, slot uint64) *types.Message {
+		return &types.Message{
+			Kind: types.KindCast, From: from, Group: r.g.id, View: 2,
+			ID: id, Ordering: types.Total, Seq: slot, Payload: []byte{byte(id.Seq)},
+		}
+	}
+	order := func(from types.ProcessID, id types.MsgID, slot uint64) *types.Message {
+		return &types.Message{Kind: types.KindOrder, From: from, Group: r.g.id, View: 2, ID: id, Seq: slot}
+	}
+	var delivered []types.MsgID
+	r.do(func() {
+		r.g.cfg.OnDeliver = func(d Delivery) { delivered = append(delivered, d.ID) }
+		// p3 multicast its first cast (it suspected the sequencer), so p1
+		// holds the data unbound.
+		r.g.onCast(cast(p3, held, 0))
+	})
+	flushAckTo(r, p3, 9, p1, p3) // p3 takes the view change over, deposing p2
+
+	// An install from p3 names the cut and the re-announced prefix.
+	cut := map[types.ProcessID]uint64{p3: 2}
+	proposed := member.NewView(r.g.id, 3, []types.ProcessID{p1, p3})
+	payload := append(types.EncodeString(nil, string(proposed.Encode())), member.EncodeCut(cut)...)
+	payload = types.EncodeUint64(payload, 2)
+	var heldBound, freshBound bool
+	var pending bool
+	r.do(func() {
+		r.g.onCast(cast(p2, held, 1)) // the deposed sequencer's relay, a duplicate here
+		heldBound = r.g.total.Ordered(held)
+		r.g.onViewInstall(&types.Message{Kind: types.KindViewInstall, From: p3, Group: r.g.id, View: 3, Payload: payload})
+		r.g.onCast(cast(p2, fresh, 2)) // a relay the cut admits
+		freshBound = r.g.total.Ordered(fresh)
+		pending = r.g.pending != nil
+	})
+	if heldBound {
+		t.Error("a duplicate relayed by the deposed sequencer bound its cast")
+	}
+	if freshBound {
+		t.Error("a fresh cast relayed by the deposed sequencer arrived bound")
+	}
+	if !pending || len(delivered) != 0 {
+		t.Fatalf("pending install %v, delivered %v: want the install held and nothing delivered", pending, delivered)
+	}
+
+	// The proposer's re-announcement binds both; the install completes.
+	var view types.ViewID
+	r.do(func() {
+		r.g.onOrder(order(p3, fresh, 1))
+		r.g.onOrder(order(p3, held, 2))
+		view = r.g.view.ID
+	})
+	if want := []types.MsgID{fresh, held}; !slices.Equal(delivered, want) {
+		t.Errorf("delivered %v, want %v in the re-announced order", delivered, want)
+	}
+	if view != 3 {
+		t.Errorf("installed view %d, want 3", view)
+	}
+}
+
+// TestInstallObligesReannouncedSlotsAboveTheCut: the sequencer may bind a
+// cast whose sender's earlier casts no survivor holds — the cast then lies
+// above its sender's delivery cut, yet its slot is in the install's
+// re-announced prefix, which every member must deliver. A copy parked
+// before the install is replayed rather than discarded, and a member that
+// lacks the data NAKs it; the install completes with both delivered.
+func TestInstallObligesReannouncedSlotsAboveTheCut(t *testing.T) {
+	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+	r := newRigView(t, Config{}, p2, p1, p3)  // p2 coordinates and sequences
+	parked := types.MsgID{Sender: p3, Seq: 2} // p3's cast 1 was lost everywhere
+	naked := types.MsgID{Sender: p3, Seq: 3}
+	relay := func(id types.MsgID, slot uint64) *types.Message {
+		return &types.Message{
+			Kind: types.KindCast, From: p2, Group: r.g.id, View: 2,
+			ID: id, Ordering: types.Total, Seq: slot, Payload: []byte{byte(id.Seq)},
+		}
+	}
+	var delivered []types.MsgID
+	r.do(func() { r.g.cfg.OnDeliver = func(d Delivery) { delivered = append(delivered, d.ID) } })
+	flushAckTo(r, p2, 11, p2, p1) // p2 removes p3
+
+	proposed := member.NewView(r.g.id, 3, []types.ProcessID{p2, p1})
+	payload := append(types.EncodeString(nil, string(proposed.Encode())), member.EncodeCut(map[types.ProcessID]uint64{})...)
+	payload = types.EncodeUint64(payload, 2)
+	var parkedN int
+	var pending bool
+	r.do(func() {
+		r.g.onCast(relay(parked, 1))
+		parkedN = len(r.g.parked)
+		for slot, id := range []types.MsgID{parked, naked} {
+			r.g.onOrder(&types.Message{Kind: types.KindOrder, From: p2, Group: r.g.id, View: 2, ID: id, Seq: uint64(slot + 1)})
+		}
+		r.g.onViewInstall(&types.Message{Kind: types.KindViewInstall, From: p2, Group: r.g.id, View: 3, Payload: payload})
+		pending = r.g.pending != nil
+		r.g.onRecoveryTick()
+	})
+	if parkedN != 1 {
+		t.Fatalf("%d casts parked before the install, want 1", parkedN)
+	}
+	if !pending || !slices.Equal(delivered, []types.MsgID{parked}) {
+		t.Fatalf("pending install %v, delivered %v: want the parked cast delivered and the install held", pending, delivered)
+	}
+	var asked bool
+	for _, m := range r.net.sentKind(types.KindNak) {
+		ranges, _ := reliability.DecodeNak(m.Payload)
+		asked = asked || slices.Contains(ranges, reliability.SeqRange{Sender: p3, Lo: 3, Hi: 3})
+	}
+	if !asked {
+		t.Fatal("the member never NAKed the cast bound to a re-announced slot")
+	}
+	var view types.ViewID
+	r.do(func() {
+		r.g.onCast(relay(naked, 2)) // the NAK's answer
+		view = r.g.view.ID
+	})
+	if !slices.Equal(delivered, []types.MsgID{parked, naked}) || view != 3 {
+		t.Errorf("delivered %v in view %d, want %v and view 3", delivered, view, []types.MsgID{parked, naked})
 	}
 }

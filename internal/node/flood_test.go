@@ -72,8 +72,9 @@ func TestSharedTemplateGroupFlood(t *testing.T) {
 	payload := func(sender, k int) []byte {
 		return append([]byte(fmt.Sprintf("%d/%d/", sender, k)), bytes.Repeat([]byte{byte(k)}, k%97)...)
 	}
-	// ABCAST exercises the sequencer's shared order templates and a
-	// sender delivering its own frozen cast; CBCAST the shared VT.
+	// ABCAST exercises the sequencer's shared relayed copies and order
+	// announcements and a sender delivering its own frozen cast; CBCAST
+	// the shared VT.
 	orderings := []types.Ordering{types.Total, types.Causal}
 	var wg sync.WaitGroup
 	for s, g := range groups {

@@ -49,7 +49,8 @@
 // A protocol layer uses it to settle what a burst of intake left owed in a
 // single send — the group layer's receipt acknowledgements, which a cast the
 // process multicasts meanwhile carries for free — while bounding the delay
-// by one frame under saturation.
+// by one frame under saturation. Flush does the same at once, from inside a
+// handler of an otherwise idle actor.
 package node
 
 import (
@@ -177,6 +178,21 @@ func (n *Node) runIdle() {
 	if fn := n.idle.Load(); fn != nil {
 		(*fn)()
 	}
+}
+
+// Flush settles and sends now what the actor would settle and send once the
+// running handler returns, if the actor has no other work queued: it runs
+// the OnIdle callback and flushes the outbox. A handler calls it to get its
+// sends on the wire before slow local work, such as applying and logging a
+// delivery. With work queued it does nothing — the actor is busy, and the
+// sends leave in the larger frames of its next idle flush. Actor goroutine
+// only.
+func (n *Node) Flush() {
+	if len(n.actions) > 0 || len(n.ep.Inbox()) > 0 {
+		return
+	}
+	n.runIdle()
+	n.ob.flushAll()
 }
 
 // Start launches the actor loop. Calling Start more than once is a no-op.

@@ -424,6 +424,23 @@ func (t *Total) drain() []*types.Message {
 // private copy a retransmission of a held cast is sent in.
 func (t *Total) Slot(id types.MsgID) uint64 { return t.done[id] }
 
+// Bound returns the agreed slot bound to a message id the engine has not
+// delivered yet, or 0 when it knows no binding for it.
+func (t *Total) Bound(id types.MsgID) uint64 { return t.ordered[id] }
+
+// Awaiting returns the ids bound to slots at or below upTo whose data the
+// engine does not hold yet: the casts a member must still obtain to deliver
+// that prefix.
+func (t *Total) Awaiting(upTo uint64) []types.MsgID {
+	var out []types.MsgID
+	for seq, id := range t.order {
+		if seq <= upTo {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Ordered reports whether an agreed slot has already been assigned to the
 // message id (sequenced, or already delivered). The sequencer consults it so
 // a network-duplicated cast can never be sequenced twice.

@@ -24,9 +24,10 @@ import (
 
 // Config tunes the per-group reliability layer.
 type Config struct {
-	// NakTicks is how many NAK-timer ticks a gap must persist before the
-	// first retransmission request is sent (a gap younger than one tick is
-	// usually just out-of-order arrival). Zero selects 1.
+	// NakTicks paces NAKs: a gap (or a stalled ABCAST prefix) is NAKed once
+	// its sender's contiguous watermark (the delivered prefix) has stood
+	// still for more than NakTicks NAK-timer ticks — a gap behind a moving
+	// watermark is just out-of-order arrival. Zero selects 1.
 	NakTicks int
 	// NakInterval is the period of the per-group recovery timer driving
 	// NAKs, order NAKs and stability reports. Zero selects 20ms.
@@ -126,8 +127,9 @@ type senderState struct {
 	// its minRep stays zero and only SetFloor moves its stability.
 	minRep   uint64
 	minCnt   int
-	gapTicks int // consecutive timer ticks a gap has persisted
-	nakRR    int // round-robin cursor over NAK targets
+	gapTicks int    // consecutive timer ticks a gap has persisted behind a stalled ctg
+	tickCtg  uint64 // ctg at the previous GapTick
+	nakRR    int    // round-robin cursor over NAK targets
 }
 
 // settle raises the stability watermark to what the view agrees on — the
@@ -586,21 +588,26 @@ func (t *Tracker) MissingBelow(cut map[types.ProcessID]uint64) []SeqRange {
 }
 
 // GapTick bumps and returns the per-tracker gap age for NAK pacing: the
-// caller's recovery timer calls it once per tick, and a sender's gap is only
-// NAKed once it has survived at least cfg.NakTicks consecutive ticks (fresh
-// arrivals reset the age in Note). The age returned is the maximum across
-// senders with gaps; zero means no gaps.
+// caller's recovery timer calls it once per tick and NAKs a gap once its age
+// passes the caller's threshold (fresh arrivals reset the age in Note). A
+// gap ages only while the sender's
+// contiguous watermark stands still: one that moved since the previous tick
+// is being filled — a report that overtook the casts it covers opens a gap
+// the casts close behind it — and its age starts over. The age returned is
+// the maximum across senders with gaps; zero means no gaps.
 func (t *Tracker) GapTick() int {
 	max := 0
 	for i := range t.senders {
 		s := &t.senders[i]
-		if s.ctg < s.maxSeen {
-			s.gapTicks++
-			if s.gapTicks > max {
-				max = s.gapTicks
-			}
-		} else {
+		switch {
+		case s.ctg >= s.maxSeen, s.ctg != s.tickCtg:
 			s.gapTicks = 0
+		default:
+			s.gapTicks++
+		}
+		s.tickCtg = s.ctg
+		if s.gapTicks > max {
+			max = s.gapTicks
 		}
 	}
 	return max

@@ -28,6 +28,7 @@ type modelSender struct {
 	stable   uint64
 	maxSeen  uint64
 	gapTicks int
+	lastCtg  uint64 // ctg when gapTick last ran
 }
 
 type model struct {
@@ -195,10 +196,13 @@ func (m *model) bootstrap(p types.ProcessID, seq uint64) bool {
 	return true
 }
 
+// gapTick ages a sender's gap by one tick only while its contiguous
+// watermark has not moved since the previous tick; a watermark that moved, or
+// no gap at all, starts the age over.
 func (m *model) gapTick() int {
 	max := 0
 	for _, s := range m.senders {
-		if s.ctg < s.maxSeen {
+		if s.ctg < s.maxSeen && s.ctg == s.lastCtg {
 			s.gapTicks++
 			if s.gapTicks > max {
 				max = s.gapTicks
@@ -206,6 +210,7 @@ func (m *model) gapTick() int {
 		} else {
 			s.gapTicks = 0
 		}
+		s.lastCtg = s.ctg
 	}
 	return max
 }

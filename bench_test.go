@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/experiments"
 	"repro/internal/group"
 	"repro/internal/metrics"
@@ -229,26 +229,36 @@ var raceEnabled bool
 // first `senders` members casting round-robin with at most 1024 casts in
 // flight, and waits until every member has delivered every cast.
 func benchCastFlood(b *testing.B, n, senders int, o types.Ordering) {
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt := isis.NewSimulated()
+	defer rt.Shutdown()
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
+	}
 
 	var delivered atomic.Int64
-	gid := types.FlatGroup("hotpath")
 	cfg := group.Config{OnDeliver: func(group.Delivery) { delivered.Add(1) }}
 	groups := make([]*group.Group, n)
 	var err error
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
+	groups[0], err = procs[0].CreateGroup("hotpath", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		if groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg); err != nil {
+		if groups[i], err = procs[i].JoinGroup(ctx, "hotpath", procs[0].ID(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if !cluster.WaitForViewSize(30*time.Second, n, groups...) {
+	if isis.Await(ctx, func() bool {
+		for _, g := range groups {
+			if g.Size() != n {
+				return false
+			}
+		}
+		return true
+	}) != nil {
 		b.Fatal("group never converged")
 	}
 	payload := []byte("hot-path-payload-0123456789")

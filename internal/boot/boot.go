@@ -2,11 +2,11 @@
 // endpoint, node actor loop, failure detector, group stack and hierarchical
 // host — in the one canonical order every deployment uses.
 //
-// Before this package existed the same wiring was written three times (the
-// public facade, the internal cluster harness and the isis-node daemon),
-// and the copies drifted. Every way of standing up a process now goes
-// through Spawn, so the in-memory simulation and the TCP deployment run
-// literally the same bootstrap code; only the transport.Network differs.
+// The public facade's Runtime spawns every process through Spawn, on the
+// in-memory simulation and on TCP alike (the isis-node daemon is a TCP
+// Runtime), so both substrates run literally the same bootstrap code; only
+// the transport.Network differs. Tests and the experiment harness call
+// Spawn directly only for a process whose raw node or host they must drive.
 package boot
 
 import (

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
+	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/fdetect"
+	"repro/internal/node"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -17,32 +21,47 @@ const testTimeout = 10 * time.Second
 
 func ctxT(t *testing.T) context.Context {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	return within(t, testTimeout)
+}
+
+// within returns a context that ends after d, or when the test does.
+func within(t *testing.T, d time.Duration) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
 	t.Cleanup(cancel)
 	return ctx
 }
 
-// service spins up a large group of n member processes (process 0 founds it)
-// on the given cluster and returns the hosts and agents.
-func buildService(t *testing.T, c *cluster.Cluster, n int, cfgFor func(i int) core.Config) ([]*core.Host, []*core.Agent) {
+// spawn starts a simulated runtime of n processes, shut down when the test
+// ends.
+func spawn(t *testing.T, n int, opts ...isis.Option) (*isis.Runtime, []*isis.Process) {
 	t.Helper()
-	hosts := make([]*core.Host, n)
-	agents := make([]*core.Agent, n)
-	for i := 0; i < n; i++ {
-		hosts[i] = c.Proc(i).Host
+	rt := isis.NewSimulated(opts...)
+	t.Cleanup(rt.Shutdown)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
 	}
+	return rt, procs
+}
+
+// buildService spins up a large group of the first n processes (process 0
+// founds it) and returns their agents.
+func buildService(t *testing.T, procs []*isis.Process, n int, cfgFor func(i int) core.Config) []*core.Agent {
+	t.Helper()
+	agents := make([]*core.Agent, n)
 	var err error
-	agents[0], err = hosts[0].Create("svc", cfgFor(0))
+	agents[0], err = procs[0].CreateService("svc", cfgFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
-		agents[i], err = hosts[i].Join(ctxT(t), "svc", c.Proc(0).ID, cfgFor(i))
+		agents[i], err = procs[i].JoinService(ctxT(t), "svc", procs[0].ID(), cfgFor(i))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	return hosts, agents
+	return agents
 }
 
 func echoCfg(fanout, resiliency int) core.Config {
@@ -56,9 +75,15 @@ func echoCfg(fanout, resiliency int) core.Config {
 }
 
 func TestCreateLargeGroupFounder(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
-	h := c.Proc(0).Host
+	// Host.Agent has no facade counterpart: drive a host spawned directly
+	// on the runtime's fabric.
+	rt := isis.NewSimulated()
+	p, err := boot.Spawn(isis.Site(1), transport.NewMemory(rt.Fabric()), fdetect.Config{}, node.Batching{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	h := p.Host
 	a, err := h.Create("svc", echoCfg(4, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -87,15 +112,14 @@ func TestCreateLargeGroupFounder(t *testing.T) {
 func TestJoinFillsLeavesUpToFanout(t *testing.T) {
 	const n = 10
 	fanout := 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(fanout, 2) })
+	_, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(fanout, 2) })
 
 	// The leader's tree must account for every member, keep every leaf at or
 	// below the fanout bound, and satisfy the structural invariants.
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		return agents[0].Tree().TotalMembers() == n
-	})
+	}) == nil
 	tr := agents[0].Tree()
 	if !ok {
 		t.Fatalf("tree accounts for %d of %d members: %+v", tr.TotalMembers(), n, tr.Leaves)
@@ -118,7 +142,7 @@ func TestJoinFillsLeavesUpToFanout(t *testing.T) {
 		if leafView.Size() > fanout {
 			t.Errorf("member %d sees a leaf of %d members", i, leafView.Size())
 		}
-		if !leafView.Contains(c.Proc(i).ID) {
+		if !leafView.Contains(procs[i].ID()) {
 			t.Errorf("member %d not in its own leaf view", i)
 		}
 	}
@@ -126,9 +150,8 @@ func TestJoinFillsLeavesUpToFanout(t *testing.T) {
 
 func TestMembersViewStorageBoundedWhileServiceGrows(t *testing.T) {
 	const n = 24
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 2) })
+	_, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 2) })
 
 	maxStorage := 0
 	for _, a := range agents[1:] { // skip the founder (leader member)
@@ -149,15 +172,13 @@ func TestMembersViewStorageBoundedWhileServiceGrows(t *testing.T) {
 
 func TestClientRequestRoutedToSingleLeaf(t *testing.T) {
 	const n = 12
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 2) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	rt, procs := spawn(t, n+1)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 2) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 
-	clientProc := c.Proc(n)
-	client := core.NewClient(clientProc.Node, "svc", c.Proc(0).ID)
+	client := procs[n].NewServiceClient("svc", procs[0].ID())
 	reply, err := client.Request(ctxT(t), []byte("quote IBM"))
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +195,13 @@ func TestClientRequestRoutedToSingleLeaf(t *testing.T) {
 	// cohort replication drain first, so a loaded machine cannot leak its
 	// tail into the measured window.
 	time.Sleep(50 * time.Millisecond)
-	c.Fabric.ResetStats()
+	rt.Fabric().ResetStats()
 	if _, err := client.Request(ctxT(t), []byte("quote DEC")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let cohort replication finish
-	stats := c.Fabric.Stats()
-	disturbed := c.Fabric.DistinctReceivers()
+	stats := rt.Fabric().Stats()
+	disturbed := rt.Fabric().DistinctReceivers()
 	maxLeaf := 0
 	for _, l := range agents[0].Tree().Leaves {
 		if l.Size > maxLeaf {
@@ -202,10 +223,9 @@ func TestClientRequestRoutedToSingleLeaf(t *testing.T) {
 
 func TestRequestsSpreadAcrossLeaves(t *testing.T) {
 	const n = 12
-	c := cluster.MustNew(n+3, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 2) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	_, procs := spawn(t, n+3)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 2) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 	// Three clients, each issuing several requests; at least two distinct
@@ -217,7 +237,7 @@ func TestRequestsSpreadAcrossLeaves(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			client := core.NewClient(c.Proc(n+ci).Node, "svc", c.Proc(0).ID)
+			client := procs[n+ci].NewServiceClient("svc", procs[0].ID())
 			for r := 0; r < 3; r++ {
 				if _, err := client.Request(ctxT(t), []byte(fmt.Sprintf("c%d-r%d", ci, r))); err != nil {
 					t.Errorf("client %d request %d: %v", ci, r, err)
@@ -237,10 +257,9 @@ func TestRequestsSpreadAcrossLeaves(t *testing.T) {
 
 func TestBroadcastReachesEveryMember(t *testing.T) {
 	const n = 14
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	var delivered atomic.Int64
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := echoCfg(4, 2)
 		cfg.OnBroadcast = func(p []byte) {
 			if string(p) == "market-open" {
@@ -249,7 +268,7 @@ func TestBroadcastReachesEveryMember(t *testing.T) {
 		}
 		return cfg
 	})
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatalf("tree never converged: %+v", agents[0].Tree().Leaves)
 	}
 
@@ -260,7 +279,7 @@ func TestBroadcastReachesEveryMember(t *testing.T) {
 	if covered != n {
 		t.Errorf("broadcast covered %d of %d members", covered, n)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return delivered.Load() == int64(n) }) {
+	if isis.Await(ctxT(t), func() bool { return delivered.Load() == int64(n) }) != nil {
 		t.Fatalf("broadcast delivered to %d of %d members", delivered.Load(), n)
 	}
 	// The whole-group broadcast must respect the fanout bound: no process
@@ -271,18 +290,17 @@ func TestBroadcastReachesEveryMember(t *testing.T) {
 
 func TestBroadcastFromClient(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n+1)
 	var delivered atomic.Int64
-	_, agents := buildService(t, c, n, func(int) core.Config {
+	agents := buildService(t, procs, n, func(int) core.Config {
 		cfg := echoCfg(3, 2)
 		cfg.OnBroadcast = func([]byte) { delivered.Add(1) }
 		return cfg
 	})
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
-	client := core.NewClient(c.Proc(n).Node, "svc", c.Proc(0).ID)
+	client := procs[n].NewServiceClient("svc", procs[0].ID())
 	covered, err := client.Broadcast(ctxT(t), []byte("halt-trading"))
 	if err != nil {
 		t.Fatal(err)
@@ -290,18 +308,17 @@ func TestBroadcastFromClient(t *testing.T) {
 	if covered != n {
 		t.Errorf("covered = %d, want %d", covered, n)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return delivered.Load() == int64(n) }) {
+	if isis.Await(ctxT(t), func() bool { return delivered.Load() == int64(n) }) != nil {
 		t.Fatalf("delivered to %d of %d", delivered.Load(), n)
 	}
 }
 
 func TestLeafCastStaysInsideLeaf(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	var mu sync.Mutex
 	got := map[int]int{}
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := echoCfg(4, 2)
 		cfg.OnLeafDeliver = func(_ types.ProcessID, p []byte) {
 			mu.Lock()
@@ -310,7 +327,7 @@ func TestLeafCastStaysInsideLeaf(t *testing.T) {
 		}
 		return cfg
 	})
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 	sender := agents[n-1]
@@ -318,7 +335,7 @@ func TestLeafCastStaysInsideLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	leafSize := sender.Leaf().Size()
-	if !cluster.WaitFor(testTimeout, func() bool {
+	if isis.Await(ctxT(t), func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		total := 0
@@ -326,7 +343,7 @@ func TestLeafCastStaysInsideLeaf(t *testing.T) {
 			total += v
 		}
 		return total >= leafSize
-	}) {
+	}) != nil {
 		t.Fatal("leaf cast not delivered within the leaf")
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -343,10 +360,9 @@ func TestLeafCastStaysInsideLeaf(t *testing.T) {
 
 func TestSingleFailureDisturbsOnlyOneLeaf(t *testing.T) {
 	const n = 16
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 3) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	rt, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 3) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 
@@ -355,19 +371,19 @@ func TestSingleFailureDisturbsOnlyOneLeaf(t *testing.T) {
 	victimLeaf := agents[victim].Leaf().CurrentView()
 	peers := victimLeaf.Size() - 1
 
-	c.Fabric.ResetStats()
-	c.Crash(victim)
-	c.InjectFailure(victim)
+	rt.Fabric().ResetStats()
+	rt.Crash(procs[victim])
+	rt.InjectFailure(procs[victim])
 
 	// The victim's leaf peers must install a shrunk view.
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		for i := 0; i < n-1; i++ {
-			if agents[i].Leaf().ID().Equal(victimLeaf.Group) && agents[i].Leaf().CurrentView().Contains(c.Proc(victim).ID) {
+			if agents[i].Leaf().ID().Equal(victimLeaf.Group) && agents[i].Leaf().CurrentView().Contains(procs[victim].ID()) {
 				return false
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Fatal("victim never removed from its leaf")
 	}
@@ -375,7 +391,7 @@ func TestSingleFailureDisturbsOnlyOneLeaf(t *testing.T) {
 
 	// Membership traffic must have reached only the victim's leaf peers plus
 	// the leader group — a bounded set, not the whole service.
-	disturbed := c.Fabric.DistinctReceivers()
+	disturbed := rt.Fabric().DistinctReceivers()
 	bound := peers + 4 /* leader members + report forwarding slack */
 	if disturbed > bound {
 		t.Errorf("failure disturbed %d processes, want <= %d (leaf peers %d)", disturbed, bound, peers)
@@ -383,7 +399,7 @@ func TestSingleFailureDisturbsOnlyOneLeaf(t *testing.T) {
 	// Members of other leaves must not have installed any new leaf view.
 	for i := 0; i < n-1; i++ {
 		if !agents[i].Leaf().ID().Equal(victimLeaf.Group) {
-			if agents[i].Leaf().CurrentView().Contains(c.Proc(victim).ID) {
+			if agents[i].Leaf().CurrentView().Contains(procs[victim].ID()) {
 				t.Errorf("member %d (different leaf) somehow saw the victim", i)
 			}
 		}
@@ -392,16 +408,15 @@ func TestSingleFailureDisturbsOnlyOneLeaf(t *testing.T) {
 
 func TestLeaderTreeUpdatedAfterFailure(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 2) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	rt, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 2) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 	victim := n - 1
-	c.Crash(victim)
-	c.InjectFailure(victim)
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n-1 }) {
+	rt.Crash(procs[victim])
+	rt.InjectFailure(procs[victim])
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n-1 }) != nil {
 		t.Fatalf("leader tree still counts %d members", agents[0].Tree().TotalMembers())
 	}
 	if err := agents[0].Tree().CheckInvariants(); err != nil {
@@ -411,29 +426,27 @@ func TestLeaderTreeUpdatedAfterFailure(t *testing.T) {
 
 func TestAgentLeaveShrinksTree(t *testing.T) {
 	const n = 6
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(3, 2) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	_, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(3, 2) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
 	if err := agents[n-1].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n-1 }) {
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n-1 }) != nil {
 		t.Fatalf("tree still counts %d members after leave", agents[0].Tree().TotalMembers())
 	}
 }
 
 func TestRequestAfterLeafCoordinatorFailure(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config { return echoCfg(4, 3) })
-	if !cluster.WaitFor(testTimeout, func() bool { return agents[0].Tree().TotalMembers() == n }) {
+	rt, procs := spawn(t, n+1)
+	agents := buildService(t, procs, n, func(int) core.Config { return echoCfg(4, 3) })
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
 		t.Fatal("tree never converged")
 	}
-	client := core.NewClient(c.Proc(n).Node, "svc", c.Proc(0).ID)
+	client := procs[n].NewServiceClient("svc", procs[0].ID())
 	if _, err := client.Request(ctxT(t), []byte("r1")); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +456,7 @@ func TestRequestAfterLeafCoordinatorFailure(t *testing.T) {
 	// this small test).
 	victim := -1
 	for i := 1; i < n; i++ {
-		if c.Proc(i).ID == served {
+		if procs[i].ID() == served {
 			victim = i
 			break
 		}
@@ -451,8 +464,8 @@ func TestRequestAfterLeafCoordinatorFailure(t *testing.T) {
 	if victim < 0 {
 		t.Skip("request was served by the founder; coordinator-failure path exercised elsewhere")
 	}
-	c.Crash(victim)
-	c.InjectFailure(victim)
+	rt.Crash(procs[victim])
+	rt.InjectFailure(procs[victim])
 	// Allow the leaf to elect a new coordinator and the leader to hear the
 	// report, then the client (whose cache now points at a dead process)
 	// must still get an answer via its entry point.
@@ -469,25 +482,20 @@ func TestRequestAfterLeafCoordinatorFailure(t *testing.T) {
 }
 
 func TestHostJoinUnknownServiceFails(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	_ = c.Proc(0).Host
-	h1 := c.Proc(1).Host
+	_, procs := spawn(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	if _, err := h1.Join(ctx, "ghost", c.Proc(0).ID, echoCfg(4, 2)); err == nil {
+	if _, err := procs[1].JoinService(ctx, "ghost", procs[0].ID(), echoCfg(4, 2)); err == nil {
 		t.Error("joining a non-existent service succeeded")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
-	h := c.Proc(0).Host
-	if _, err := h.Create("bad", core.Config{Fanout: 2, Resiliency: 5}); err == nil {
+	_, procs := spawn(t, 1)
+	if _, err := procs[0].CreateService("bad", core.Config{Fanout: 2, Resiliency: 5}); err == nil {
 		t.Error("resiliency > fanout accepted")
 	}
-	if _, err := h.Create("bad2", core.Config{MinLeafSize: 9, MaxLeafSize: 3}); err == nil {
+	if _, err := procs[0].CreateService("bad2", core.Config{MinLeafSize: 9, MaxLeafSize: 3}); err == nil {
 		t.Error("min > max leaf size accepted")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/core"
 	"repro/internal/fdetect"
 	"repro/internal/group"
@@ -21,9 +21,9 @@ import (
 // representative failover when a stage's first contact is silently dead,
 // NAK/retransmit repair of a dropped inter-leaf treecast frame, and client
 // re-routing away from a crashed cached server. "Silently dead" is modelled
-// by stopping only the node actor (not the fabric port), so sends to the
-// victim succeed and vanish — the hard case that synchronous send errors
-// never reveal.
+// by stopping only the node actor (reached through the victim's leaf
+// membership), not the fabric port, so sends to the victim succeed and
+// vanish — the hard case that synchronous send errors never reveal.
 
 // deliveryLog records tree-broadcast deliveries per process.
 type deliveryLog struct {
@@ -108,10 +108,9 @@ func waitDelivered(t *testing.T, log *deliveryLog, members []int, payload string
 // subtree forever.
 func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		return recoveryCfg(3, 2, log, i)
 	})
 
@@ -126,7 +125,7 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 		}
 		coord := agents[members[0]].Leaf().CurrentView().Coordinator()
 		for _, i := range members {
-			if c.Proc(i).ID == coord {
+			if procs[i].ID() == coord {
 				victim = i
 			}
 		}
@@ -137,7 +136,7 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no victim leaf found")
 	}
-	c.Proc(victim).Node.Stop()
+	agents[victim].Leaf().Stack().Node().Stop()
 
 	covered, err := agents[0].Broadcast(ctxT(t), []byte("b1"))
 	if err != nil {
@@ -166,10 +165,9 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 // reliability path can recover it.
 func TestTreeCastLossRepairedByNak(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.StageRetries = -1 // isolate the NAK path
 		cfg.OpTimeout = 500 * time.Millisecond
@@ -184,7 +182,7 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 			continue
 		}
 		for _, i := range members {
-			victims[c.Proc(i).ID] = true
+			victims[procs[i].ID()] = true
 			victimIdx = append(victimIdx, i)
 		}
 		break
@@ -205,7 +203,7 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 	// Drop every treecast stage frame addressed to the victim leaf while
 	// broadcast b2 is in flight: the whole leaf misses the record, and with
 	// retries off the loss is permanent until the NAK path repairs it.
-	remove := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	remove := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		return p.Msg.Kind == types.KindTreeCast && victims[p.To]
 	})
 	if _, err := agents[0].Broadcast(ctxT(t), []byte("b2")); err != nil {
@@ -251,14 +249,11 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 // the leaves, and keep broadcasts working.
 func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{
-		// Heartbeats on: the surviving leader has to *detect* the crashes
-		// before it can react to them.
-		Detector: fdetect.Config{Interval: 20 * time.Millisecond, Timeout: 100 * time.Millisecond},
-	})
-	defer c.Stop()
+	// Heartbeats on: the surviving leader has to *detect* the crashes before
+	// it can react to them.
+	_, procs := spawn(t, n, isis.WithDetector(fdetect.Config{Interval: 20 * time.Millisecond, Timeout: 100 * time.Millisecond}))
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.LeaderSize = 3
 		return cfg
@@ -281,8 +276,8 @@ func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 	// the node actor stops, sends to it keep succeeding and vanish.
 	dead := map[types.ProcessID]bool{}
 	for _, i := range leaders[:2] {
-		dead[c.Proc(i).ID] = true
-		c.Proc(i).Node.Stop()
+		dead[procs[i].ID()] = true
+		agents[i].Leaf().Stack().Node().Stop()
 	}
 	live := []int{leaders[2]}
 	live = append(live, others...)
@@ -346,14 +341,13 @@ func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 // live leaf instead of hanging or erroring out.
 func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n+1)
 	log := newDeliveryLog(n)
-	_, _ = buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		return recoveryCfg(4, 2, log, i)
 	})
 
-	client := core.NewClient(c.Proc(n).Node, "svc", c.Proc(0).ID)
+	client := procs[n].NewServiceClient("svc", procs[0].ID())
 	client.AttemptTimeout = 300 * time.Millisecond
 
 	// Prime the cache with a server other than the entry point (requests
@@ -363,7 +357,7 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 		if _, err := client.Request(ctxT(t), []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
-		if s := client.CachedServer(); !s.IsNil() && s != c.Proc(0).ID {
+		if s := client.CachedServer(); !s.IsNil() && s != procs[0].ID() {
 			victimPID = s
 			break
 		}
@@ -373,7 +367,7 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	}
 	victim := -1
 	for i := 0; i < n; i++ {
-		if c.Proc(i).ID == victimPID {
+		if procs[i].ID() == victimPID {
 			victim = i
 		}
 	}
@@ -381,7 +375,7 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 		t.Fatalf("cached server %v is not a cluster member", victimPID)
 	}
 	// Silent death: the node stops consuming, the fabric keeps accepting.
-	c.Proc(victim).Node.Stop()
+	agents[victim].Leaf().Stack().Node().Stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
 	defer cancel()
@@ -416,26 +410,25 @@ func TestLeaderCoordinatorCrashBetweenPlacementAndReplication(t *testing.T) {
 }
 
 func testCrashAfterPlacement(t *testing.T, partitioned bool) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 3)
 	cfg := func(int) core.Config {
 		// Fanout 2 caps leaves at two members, so the third process founds a
 		// new leaf.
 		return core.Config{Fanout: 2, Resiliency: 2, LeaderSize: 2, OpTimeout: time.Second,
 			RecoveryInterval: 10 * time.Millisecond}
 	}
-	_, agents := buildService(t, c, 2, cfg)
-	coord, surv := c.Proc(0).ID, c.Proc(1).ID
-	if !cluster.WaitFor(5*time.Second, func() bool {
+	agents := buildService(t, procs, 2, cfg)
+	coord, surv := procs[0].ID(), procs[1].ID()
+	if isis.Await(within(t, 5*time.Second), func() bool {
 		return agents[1].IsLeader() && len(agents[1].LeaderContacts()) == 2 &&
 			agents[1].Tree().TotalMembers() == 2
-	}) {
+	}) != nil {
 		t.Fatal("second member never joined the leader group with the tree")
 	}
 
 	// Keep leaf reports away from the survivor so none can heal its tree
 	// before the check, and cut the two leader members apart if asked.
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		cut := p.From == coord && p.To == surv || p.From == surv && p.To == coord
 		return partitioned && cut || p.To == surv && p.Msg.Kind == types.KindHLeafReport
 	})
@@ -447,13 +440,13 @@ func testCrashAfterPlacement(t *testing.T, partitioned bool) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		a, err := c.Proc(2).Host.Join(ctx, "svc", coord, cfg(2))
+		a, err := procs[2].JoinService(ctx, "svc", coord, cfg(2))
 		result <- joined{a, err}
 	}()
 	// Crash the coordinator once it has decided the placement: the joiner
 	// holds it, or the coordinator's own tree shows it.
 	var res *joined
-	if !cluster.WaitFor(2*time.Second, func() bool {
+	if isis.Await(within(t, 2*time.Second), func() bool {
 		select {
 		case r := <-result:
 			res = &r
@@ -461,14 +454,14 @@ func testCrashAfterPlacement(t *testing.T, partitioned bool) {
 		default:
 			return agents[0].Tree().TotalMembers() == 3
 		}
-	}) {
+	}) != nil {
 		t.Fatal("the coordinator never decided the placement")
 	}
-	c.Crash(0)
-	c.InjectFailure(0)
-	if !cluster.WaitFor(5*time.Second, func() bool {
+	rt.Crash(procs[0])
+	rt.InjectFailure(procs[0])
+	if isis.Await(within(t, 5*time.Second), func() bool {
 		return !types.ContainsProcess(agents[1].LeaderContacts(), coord)
-	}) {
+	}) != nil {
 		t.Fatal("survivor never installed a leader view without the coordinator")
 	}
 	tree := agents[1].Tree()
@@ -503,18 +496,17 @@ func testCrashAfterPlacement(t *testing.T, partitioned bool) {
 // coordinator's tree.
 func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config {
+	rt, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config {
 		return core.Config{Fanout: 2, Resiliency: 1, LeaderSize: 2, OpTimeout: 300 * time.Millisecond,
 			RecoveryInterval: 10 * time.Millisecond}
 	})
-	if !cluster.WaitFor(5*time.Second, func() bool { return agents[1].IsLeader() }) {
+	if isis.Await(within(t, 5*time.Second), func() bool { return agents[1].IsLeader() }) != nil {
 		t.Fatal("second member never joined the leader group")
 	}
 	var dropping atomic.Bool
 	dropping.Store(true)
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		switch p.Msg.Kind {
 		case types.KindStateOffer, types.KindStateChunk, types.KindStateTransfer:
 			return dropping.Load() && p.Msg.Group.Kind == types.KindLeader
@@ -522,8 +514,8 @@ func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
 		return false
 	})
 	// The leader coordinator recruits a replacement for the crashed leader.
-	c.Crash(1)
-	c.InjectFailure(1)
+	rt.Crash(procs[1])
+	rt.InjectFailure(procs[1])
 	time.Sleep(time.Second)
 	for _, i := range []int{2, 3} {
 		if agents[i].IsLeader() {
@@ -531,7 +523,7 @@ func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
 		}
 	}
 	dropping.Store(false)
-	if !cluster.WaitFor(5*time.Second, func() bool {
+	if isis.Await(within(t, 5*time.Second), func() bool {
 		ref := agents[0].Tree().Encode()
 		for _, i := range []int{2, 3} {
 			if agents[i].IsLeader() && bytes.Equal(agents[i].Tree().Encode(), ref) {
@@ -539,7 +531,7 @@ func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
 			}
 		}
 		return false
-	}) {
+	}) != nil {
 		t.Fatal("no recruit holds the coordinator's tree once the checkpoint gets through")
 	}
 }
@@ -550,9 +542,8 @@ func TestRecruitWithoutCheckpointRejoinsLeaderGroup(t *testing.T) {
 // so once they get through the movers land in the one leaf founded for them.
 func TestLostSplitDirectivesAreResent(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config {
+	rt, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config {
 		return core.Config{Fanout: 4, Resiliency: 1, LeaderSize: 1, MinLeafSize: 1,
 			OpTimeout: time.Second, RecoveryInterval: 10 * time.Millisecond}
 	})
@@ -565,7 +556,7 @@ func TestLostSplitDirectivesAreResent(t *testing.T) {
 	var dropping atomic.Bool
 	dropping.Store(true)
 	var dropped atomic.Int64
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		if p.Msg.Kind == types.KindHJoinRedirect && dropping.Load() {
 			dropped.Add(1)
 			return true
@@ -574,7 +565,7 @@ func TestLostSplitDirectivesAreResent(t *testing.T) {
 	})
 	// A bound of 3 makes the four-member leaf oversized: it splits 2 + 2.
 	agents[0].SetMaxLeafSize(3)
-	if !cluster.WaitFor(5*time.Second, func() bool { return dropped.Load() >= 4 }) {
+	if isis.Await(within(t, 5*time.Second), func() bool { return dropped.Load() >= 4 }) != nil {
 		t.Fatalf("split directives sent %d times, want them re-sent", dropped.Load())
 	}
 	if got := agents[0].Tree().LeafCount(); got != 2 {
@@ -586,11 +577,11 @@ func TestLostSplitDirectivesAreResent(t *testing.T) {
 		}
 	}
 	dropping.Store(false)
-	if !cluster.WaitFor(5*time.Second, func() bool {
+	if isis.Await(within(t, 5*time.Second), func() bool {
 		moved := agents[2].LeafID()
 		return !moved.Equal(leaf) && agents[3].LeafID().Equal(moved) &&
 			agents[1].LeafID().Equal(leaf) && agents[0].Tree().LeafCount() == 2
-	}) {
+	}) != nil {
 		t.Fatalf("movers never landed together: leaves %v %v %v %v, tree %d leaves",
 			agents[0].LeafID(), agents[1].LeafID(), agents[2].LeafID(), agents[3].LeafID(),
 			agents[0].Tree().LeafCount())
@@ -602,9 +593,8 @@ func TestLostSplitDirectivesAreResent(t *testing.T) {
 // nor any leaf delivers a single multicast over two seconds of recovery ticks.
 func TestIdleServiceIsQuiet(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	_, agents := buildService(t, c, n, func(int) core.Config {
+	_, procs := spawn(t, n)
+	agents := buildService(t, procs, n, func(int) core.Config {
 		cfg := echoCfg(3, 2)
 		cfg.LeaderSize = 3
 		cfg.RecoveryInterval = 15 * time.Millisecond
@@ -628,14 +618,14 @@ func TestIdleServiceIsQuiet(t *testing.T) {
 		}
 		return ref != ""
 	}
-	if !cluster.WaitFor(5*time.Second, settled) {
+	if isis.Await(within(t, 5*time.Second), settled) != nil {
 		t.Fatal("leader trees never settled")
 	}
 	time.Sleep(300 * time.Millisecond)
 
 	var leaderCasts, leafCasts atomic.Int64
-	for _, p := range c.Procs {
-		p.Stack.SetObserver(group.Observer{OnDeliver: func(gid types.GroupID, _ group.Delivery) {
+	for _, p := range procs {
+		p.ObserveGroups(group.Observer{OnDeliver: func(gid types.GroupID, _ group.Delivery) {
 			switch gid.Kind {
 			case types.KindLeader:
 				leaderCasts.Add(1)
@@ -657,10 +647,9 @@ func TestIdleServiceIsQuiet(t *testing.T) {
 func TestBroadcastBoundedWhenCoordinatorBlackHoled(t *testing.T) {
 	const n = 4
 	const opTimeout = 300 * time.Millisecond
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.LeaderSize = 1
 		cfg.OpTimeout = opTimeout
@@ -676,8 +665,8 @@ func TestBroadcastBoundedWhenCoordinatorBlackHoled(t *testing.T) {
 	if caller < 0 {
 		t.Fatal("no non-leader member")
 	}
-	coord := c.Proc(0).ID
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool { return p.To == coord })
+	coord := procs[0].ID()
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool { return p.To == coord })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*opTimeout)
 	defer cancel()

@@ -16,13 +16,17 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
+	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/fdetect"
 	"repro/internal/group"
 	"repro/internal/member"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/reliability"
 	"repro/internal/toolkit"
+	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -58,21 +62,57 @@ const opTimeout = 30 * time.Second
 
 // --- shared builders -------------------------------------------------------------
 
+// simulate starts a simulated runtime of n processes.
+func simulate(n int, opts ...isis.Option) (*isis.Runtime, []*isis.Process, error) {
+	rt := isis.NewSimulated(opts...)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		p, err := rt.Spawn()
+		if err != nil {
+			rt.Shutdown()
+			return nil, nil, err
+		}
+		procs[i] = p
+	}
+	return rt, procs, nil
+}
+
+// await reports whether cond came true within opTimeout.
+func await(cond func() bool) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
+	return isis.Await(ctx, cond) == nil
+}
+
+// sized reports whether every listed membership's view has n members.
+func sized(n int, groups ...*group.Group) func() bool {
+	return func() bool {
+		for _, g := range groups {
+			if g.Size() != n {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // flatService is a coordinator-cohort service over one flat group of n
 // members plus one external client process.
 type flatService struct {
-	c      *cluster.Cluster
+	rt     *isis.Runtime
+	procs  []*isis.Process
 	client *toolkit.FlatClient
 	groups []*group.Group
+
+	clientProc *boot.Proc
 }
 
 func buildFlatService(n int) (*flatService, error) {
-	c, err := cluster.New(n+1, cluster.Options{})
+	rt, procs, err := simulate(n)
 	if err != nil {
 		return nil, err
 	}
-	fs := &flatService{c: c}
-	gid := types.FlatGroup("flat-svc")
+	fs := &flatService{rt: rt, procs: procs}
 	services := make([]*toolkit.Service, n)
 	cfg := func(i int) group.Config {
 		return group.Config{OnDeliver: func(d group.Delivery) {
@@ -82,17 +122,17 @@ func buildFlatService(n int) (*flatService, error) {
 		}}
 	}
 	fs.groups = make([]*group.Group, n)
-	fs.groups[0], err = c.Proc(0).Stack.Create(gid, cfg(0))
+	fs.groups[0], err = procs[0].CreateGroup("flat-svc", cfg(0))
 	if err != nil {
-		c.Stop()
+		rt.Shutdown()
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		fs.groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg(i))
+		fs.groups[i], err = procs[i].JoinGroup(ctx, "flat-svc", procs[0].ID(), cfg(i))
 		if err != nil {
-			c.Stop()
+			rt.Shutdown()
 			return nil, fmt.Errorf("flat join %d/%d: %w", i, n, err)
 		}
 	}
@@ -100,7 +140,15 @@ func buildFlatService(n int) (*flatService, error) {
 		services[i] = toolkit.NewService(fs.groups[i], func(p []byte) []byte { return p })
 		toolkit.NewFlatServer(services[i])
 	}
-	fs.client = toolkit.NewFlatClient(c.Proc(n).Node, "flat-svc", c.Proc(0).ID)
+	// The flat client drives a raw node, which the facade does not hand
+	// out: its process is spawned directly on the runtime's fabric, at a
+	// site the runtime never assigns.
+	fs.clientProc, err = boot.Spawn(isis.Site(1<<20), transport.NewMemory(rt.Fabric()), fdetect.Config{}, node.Batching{}, "")
+	if err != nil {
+		rt.Shutdown()
+		return nil, err
+	}
+	fs.client = toolkit.NewFlatClient(fs.clientProc.Node, "flat-svc", procs[0].ID())
 	return fs, nil
 }
 
@@ -111,22 +159,26 @@ func (fs *flatService) request(payload []byte) error {
 	return err
 }
 
-func (fs *flatService) stop() { fs.c.Stop() }
+func (fs *flatService) stop() {
+	fs.rt.Shutdown()
+	fs.clientProc.Stop()
+}
 
 // hierService is a hierarchical-group service of n members plus one external
 // client process.
 type hierService struct {
-	c      *cluster.Cluster
+	rt     *isis.Runtime
+	procs  []*isis.Process
 	agents []*core.Agent
 	client *core.Client
 }
 
 func buildHierService(n, fanout, resiliency int, onBroadcast func()) (*hierService, error) {
-	c, err := cluster.New(n+1, cluster.Options{})
+	rt, procs, err := simulate(n + 1)
 	if err != nil {
 		return nil, err
 	}
-	hs := &hierService{c: c, agents: make([]*core.Agent, n)}
+	hs := &hierService{rt: rt, procs: procs, agents: make([]*core.Agent, n)}
 	cfg := core.Config{
 		Fanout:         fanout,
 		Resiliency:     resiliency,
@@ -135,28 +187,24 @@ func buildHierService(n, fanout, resiliency int, onBroadcast func()) (*hierServi
 	if onBroadcast != nil {
 		cfg.OnBroadcast = func([]byte) { onBroadcast() }
 	}
-	hosts := make([]*core.Host, n)
-	for i := 0; i < n; i++ {
-		hosts[i] = c.Proc(i).Host
-	}
-	hs.agents[0], err = hosts[0].Create("hier-svc", cfg)
+	hs.agents[0], err = procs[0].CreateService("hier-svc", cfg)
 	if err != nil {
-		c.Stop()
+		rt.Shutdown()
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		hs.agents[i], err = hosts[i].Join(ctx, "hier-svc", c.Proc(0).ID, cfg)
+		hs.agents[i], err = procs[i].JoinService(ctx, "hier-svc", procs[0].ID(), cfg)
 		if err != nil {
-			c.Stop()
+			rt.Shutdown()
 			return nil, fmt.Errorf("hier join %d/%d: %w", i, n, err)
 		}
 	}
 	// Wait for the leader's tree to account for everyone so routing spreads
 	// over all leaves.
-	cluster.WaitFor(opTimeout, func() bool { return hs.agents[0].Tree().TotalMembers() == n })
-	hs.client = core.NewClient(c.Proc(n).Node, "hier-svc", c.Proc(0).ID)
+	await(func() bool { return hs.agents[0].Tree().TotalMembers() == n })
+	hs.client = procs[n].NewServiceClient("hier-svc", procs[0].ID())
 	return hs, nil
 }
 
@@ -167,7 +215,7 @@ func (hs *hierService) request(payload []byte) error {
 	return err
 }
 
-func (hs *hierService) stop() { hs.c.Stop() }
+func (hs *hierService) stop() { hs.rt.Shutdown() }
 
 func settle() { time.Sleep(50 * time.Millisecond) }
 
@@ -190,14 +238,14 @@ func E1RequestCost(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		if err := fs.request([]byte("measured")); err != nil {
 			fs.stop()
 			return nil, err
 		}
 		settle()
-		flatStats := fs.c.Fabric.Stats()
-		flatTouched := fs.c.Fabric.DistinctReceivers()
+		flatStats := fs.rt.Fabric().Stats()
+		flatTouched := fs.rt.Fabric().DistinctReceivers()
 		fs.stop()
 
 		hs, err := buildHierService(n, fanout, resiliency, nil)
@@ -209,14 +257,14 @@ func E1RequestCost(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		hierStats := hs.c.Fabric.Stats()
-		hierTouched := hs.c.Fabric.DistinctReceivers()
+		hierStats := hs.rt.Fabric().Stats()
+		hierTouched := hs.rt.Fabric().DistinctReceivers()
 		hs.stop()
 
 		ratio := float64(flatStats.MessagesSent) / float64(maxU64(hierStats.MessagesSent, 1))
@@ -255,7 +303,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		for c := 0; c < clients; c++ {
 			for r := 0; r < requestsPerClient; r++ {
 				if err := fs.request([]byte(fmt.Sprintf("c%d-r%d", c, r))); err != nil {
@@ -265,7 +313,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			}
 		}
 		settle()
-		flatMsgs := fs.c.Fabric.Stats().MessagesSent
+		flatMsgs := fs.rt.Fabric().Stats().MessagesSent
 		fs.stop()
 
 		hs, err := buildHierService(n, e2Fanout, minInt(s.hierResiliency(), e2Fanout), nil)
@@ -275,7 +323,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 		// Each client keeps its own cached binding, like real workstations.
 		clientsHier := make([]*core.Client, clients)
 		for c := 0; c < clients; c++ {
-			clientsHier[c] = core.NewClient(hs.c.Proc(n).Node, "hier-svc", hs.c.Proc(0).ID)
+			clientsHier[c] = hs.procs[n].NewServiceClient("hier-svc", hs.procs[0].ID())
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		for c := 0; c < clients; c++ { // warm the caches before measuring
@@ -286,7 +334,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			}
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		for c := 0; c < clients; c++ {
 			for r := 0; r < requestsPerClient; r++ {
 				if _, err := clientsHier[c].Request(ctx, []byte(fmt.Sprintf("c%d-r%d", c, r))); err != nil {
@@ -298,7 +346,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		hierMsgs := hs.c.Fabric.Stats().MessagesSent
+		hierMsgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 
 		t.AddRow(clients, n, flatMsgs, hierMsgs,
@@ -325,16 +373,16 @@ func E3MembershipChange(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E3 flat n=%d: %w", n, err)
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		// A mid-ranked victim sits inside a filled leaf in the hierarchical
 		// configuration, which is the representative single-failure case.
 		victim := n / 2
-		fs.c.Crash(victim)
-		fs.c.InjectFailure(victim)
-		cluster.WaitFor(opTimeout, func() bool { return fs.groups[0].Size() == n-1 })
+		fs.rt.Crash(fs.procs[victim])
+		fs.rt.InjectFailure(fs.procs[victim])
+		await(func() bool { return fs.groups[0].Size() == n-1 })
 		settle()
-		flatStats := fs.c.Fabric.Stats()
-		flatTouched := fs.c.Fabric.DistinctReceivers()
+		flatStats := fs.rt.Fabric().Stats()
+		flatTouched := fs.rt.Fabric().DistinctReceivers()
 		fs.stop()
 
 		hs, err := buildHierService(n, s.hierFanout(), s.hierResiliency(), nil)
@@ -342,13 +390,13 @@ func E3MembershipChange(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E3 hier n=%d: %w", n, err)
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
-		hs.c.Crash(victim)
-		hs.c.InjectFailure(victim)
-		cluster.WaitFor(opTimeout, func() bool { return hs.agents[0].Tree().TotalMembers() == n-1 })
+		hs.rt.Fabric().ResetStats()
+		hs.rt.Crash(hs.procs[victim])
+		hs.rt.InjectFailure(hs.procs[victim])
+		await(func() bool { return hs.agents[0].Tree().TotalMembers() == n-1 })
 		settle()
-		hierStats := hs.c.Fabric.Stats()
-		hierTouched := hs.c.Fabric.DistinctReceivers()
+		hierStats := hs.rt.Fabric().Stats()
+		hierTouched := hs.rt.Fabric().DistinctReceivers()
 		hs.stop()
 
 		t.AddRow(n, flatStats.MessagesSent, flatTouched, hierStats.MessagesSent, hierTouched)
@@ -409,7 +457,7 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E5 flat n=%d: %w", n, err)
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		if err := fs.groups[0].Cast(ctx, types.FIFO, []byte("to-everyone")); err != nil {
 			cancel()
@@ -418,8 +466,8 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		st := fs.c.Fabric.Stats()
-		t.AddRow(n, "flat", n-1, st.MessagesSent, fs.c.Fabric.MaxFanout(), 1)
+		st := fs.rt.Fabric().Stats()
+		t.AddRow(n, "flat", n-1, st.MessagesSent, fs.rt.Fabric().MaxFanout(), 1)
 		fs.stop()
 
 		for _, fanout := range fanouts {
@@ -432,7 +480,7 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 			}
 			settle()
 			depth := hs.agents[0].Tree().Depth() + 1
-			hs.c.Fabric.ResetStats()
+			hs.rt.Fabric().ResetStats()
 			ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 			covered, err := hs.agents[0].Broadcast(ctx, []byte("to-everyone"))
 			cancel()
@@ -441,9 +489,9 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 				return nil, err
 			}
 			settle()
-			st := hs.c.Fabric.Stats()
+			st := hs.rt.Fabric().Stats()
 			row := fmt.Sprintf("tree (covered %d)", covered)
-			t.AddRow(n, row, fanout, st.MessagesSent, hs.c.Fabric.MaxFanout(), depth)
+			t.AddRow(n, row, fanout, st.MessagesSent, hs.rt.Fabric().MaxFanout(), depth)
 			hs.stop()
 		}
 	}
@@ -514,14 +562,14 @@ func E7TradingRoom(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E7 flat w=%d: %w", w, err)
 		}
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		driver := workload.Driver{Deadline: cfg.Deadline, Concurrency: 16, PerRequestTimeout: opTimeout}
 		res := driver.Run(context.Background(), streams, func(int) workload.RequestFunc {
 			return func(ctx context.Context, payload []byte) ([]byte, error) {
 				return fs.client.Request(ctx, payload)
 			}
 		})
-		msgs := fs.c.Fabric.Stats().MessagesSent
+		msgs := fs.rt.Fabric().Stats().MessagesSent
 		t.AddRow(w, "flat", res.Requests, res.Latency.Percentile(50), res.Latency.Percentile(99),
 			res.DeadlineMiss, res.Errors, float64(msgs)/float64(maxInt(res.Requests, 1)))
 		fs.stop()
@@ -534,15 +582,15 @@ func E7TradingRoom(s Scale) (*metrics.Table, error) {
 		}
 		clients := make([]*core.Client, w)
 		for i := range clients {
-			clients[i] = core.NewClient(hs.c.Proc(serviceSize).Node, "hier-svc", hs.c.Proc(0).ID)
+			clients[i] = hs.procs[serviceSize].NewServiceClient("hier-svc", hs.procs[0].ID())
 		}
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		res = driver.Run(context.Background(), streams, func(client int) workload.RequestFunc {
 			return func(ctx context.Context, payload []byte) ([]byte, error) {
 				return clients[client].Request(ctx, payload)
 			}
 		})
-		msgs = hs.c.Fabric.Stats().MessagesSent
+		msgs = hs.rt.Fabric().Stats().MessagesSent
 		t.AddRow(w, "hier", res.Requests, res.Latency.Percentile(50), res.Latency.Percentile(99),
 			res.DeadlineMiss, res.Errors, float64(msgs)/float64(maxInt(res.Requests, 1)))
 		hs.stop()
@@ -596,15 +644,15 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 	victimLeaf := tree.Leaves[len(tree.Leaves)-1]
 	firstLeaf := tree.Leaves[0]
 	killed := 0
-	hs.c.Fabric.ResetStats()
+	hs.rt.Fabric().ResetStats()
 	for i := 1; i < n; i++ { // skip the founder
 		if hs.agents[i] == nil {
 			continue
 		}
 		leaf := hs.agents[i].Leaf()
 		if leaf != nil && leaf.ID().Equal(firstLeaf.ID) {
-			hs.c.Crash(i)
-			hs.c.InjectFailure(i)
+			hs.rt.Crash(hs.procs[i])
+			hs.rt.InjectFailure(hs.procs[i])
 			hs.agents[i] = nil
 			killed++
 			break
@@ -618,30 +666,29 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 		if leaf == nil || !leaf.ID().Equal(victimLeaf.ID) {
 			continue
 		}
-		hs.c.Crash(i)
-		hs.c.InjectFailure(i)
+		hs.rt.Crash(hs.procs[i])
+		hs.rt.InjectFailure(hs.procs[i])
 		hs.agents[i] = nil
 		killed++
 	}
-	cluster.WaitFor(opTimeout, func() bool {
+	await(func() bool {
 		tr := hs.agents[0].Tree()
 		return tr.TotalMembers() <= n-killed && tr.LeafCount() < tree.LeafCount()
 	})
 	settle()
-	snapshot(fmt.Sprintf("after %d failures + merge", killed), hs.c.Fabric.Stats().MessagesSent)
+	snapshot(fmt.Sprintf("after %d failures + merge", killed), hs.rt.Fabric().Stats().MessagesSent)
 
 	// Grow the service back: new processes join and the leader places them
 	// into (or creates) leaves, restoring the size distribution.
-	hs.c.Fabric.ResetStats()
+	hs.rt.Fabric().ResetStats()
 	added := 0
 	for i := 0; i < killed+2; i++ {
-		p, err := hs.c.AddProcess()
+		p, err := hs.rt.Spawn()
 		if err != nil {
 			return nil, err
 		}
-		h := p.Host
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-		_, err = h.Join(ctx, "hier-svc", hs.c.Proc(0).ID, core.Config{
+		_, err = p.JoinService(ctx, "hier-svc", hs.procs[0].ID(), core.Config{
 			Fanout: fanout, Resiliency: resiliency,
 			RequestHandler: func(b []byte) []byte { return b },
 		})
@@ -652,7 +699,7 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 		added++
 	}
 	settle()
-	snapshot(fmt.Sprintf("after %d joins (regrow)", added), hs.c.Fabric.Stats().MessagesSent)
+	snapshot(fmt.Sprintf("after %d joins (regrow)", added), hs.rt.Fabric().Stats().MessagesSent)
 
 	if err := hs.agents[0].Tree().CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("E8: tree invariants violated after churn: %w", err)
@@ -679,7 +726,7 @@ func A1Fanout(s Scale) (*metrics.Table, error) {
 		depth := hs.agents[0].Tree().Depth() + 1
 		leaves := hs.agents[0].Tree().LeafCount()
 
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		if _, err := hs.agents[0].Broadcast(ctx, []byte("x")); err != nil {
 			cancel()
@@ -688,20 +735,20 @@ func A1Fanout(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		bcastMsgs := hs.c.Fabric.Stats().MessagesSent
+		bcastMsgs := hs.rt.Fabric().Stats().MessagesSent
 
 		if err := hs.request([]byte("warm")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		reqMsgs := hs.c.Fabric.Stats().MessagesSent
+		reqMsgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 
 		t.AddRow(n, fanout, leaves, depth, bcastMsgs, reqMsgs)
@@ -732,13 +779,13 @@ func A2Resiliency(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		msgs := hs.c.Fabric.Stats().MessagesSent
+		msgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 		t.AddRow(r, msgs, reliability.RequestAvailability(0.05, r), reliability.MarginalGain(0.05, r-1))
 	}
@@ -763,7 +810,7 @@ func A3Ordering(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		const casts = 5
 		for i := 0; i < casts; i++ {
 			if err := fs.groups[1].Cast(ctx, o, []byte("measured")); err != nil {
@@ -774,7 +821,7 @@ func A3Ordering(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		msgs := fs.c.Fabric.Stats().MessagesSent
+		msgs := fs.rt.Fabric().Stats().MessagesSent
 		fs.stop()
 		t.AddRow(o.String(), n, float64(msgs)/casts)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/group"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -90,43 +89,42 @@ type floodResult struct {
 // n members, start dropping the given fraction of messages, flood casts from
 // one member, and wait until every member has delivered every cast.
 func runFloodLoad(n, casts int, loss float64) (floodResult, error) {
-	c, err := cluster.New(n, cluster.Options{})
+	rt, procs, err := simulate(n)
 	if err != nil {
 		return floodResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
 	var delivered atomic.Int64
-	gid := types.FlatGroup("flood")
 	cfg := group.Config{OnDeliver: func(group.Delivery) { delivered.Add(1) }}
 	groups := make([]*group.Group, n)
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
+	groups[0], err = procs[0].CreateGroup("flood", cfg)
 	if err != nil {
 		return floodResult{}, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg)
+		groups[i], err = procs[i].JoinGroup(ctx, "flood", procs[0].ID(), cfg)
 		if err != nil {
 			return floodResult{}, fmt.Errorf("join %d/%d: %w", i, n, err)
 		}
 	}
-	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
+	if !await(sized(n, groups...)) {
 		return floodResult{}, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
 	}
 	// Loss starts after the membership is settled: the experiments measure
 	// the data path, not join robustness (the chaos harness covers that).
-	c.Fabric.SetLossRate(loss)
+	rt.Fabric().SetLossRate(loss)
 	recovery := func() reliability.Stats {
 		var sum reliability.Stats
-		for i := 0; i < n; i++ {
-			sum.Add(c.Proc(i).Stack.ReliabilityStats())
+		for _, p := range procs {
+			sum.Add(p.ReliabilityStats())
 		}
 		return sum
 	}
 
-	// Two rounds on the same (warmed) cluster; the better one is reported.
+	// Two rounds on the same (warmed) group; the better one is reported.
 	// Short runs on shared CI hardware jitter enough that a single round
 	// under-reports whenever the scheduler happens to preempt it.
 	payload := []byte("flood-throughput-payload-0123456789abcdef")
@@ -134,7 +132,7 @@ func runFloodLoad(n, casts int, loss float64) (floodResult, error) {
 	for round := 0; round < 2; round++ {
 		already := delivered.Load()
 		want := already + int64(n)*int64(casts)
-		c.Fabric.ResetStats()
+		rt.Fabric().ResetStats()
 		before := recovery()
 		start := time.Now()
 		deadline := start.Add(opTimeout)
@@ -159,7 +157,7 @@ func runFloodLoad(n, casts int, loss float64) (floodResult, error) {
 			}
 			sent += burst
 		}
-		// Tight polling: cluster.WaitFor's 2ms granularity would be a
+		// Tight polling: isis.Await's 2ms granularity would be a
 		// visible constant error on runs this short.
 		for delivered.Load() < want && time.Now().Before(deadline) {
 			time.Sleep(50 * time.Microsecond)
@@ -171,7 +169,7 @@ func runFloodLoad(n, casts int, loss float64) (floodResult, error) {
 			elapsed:  elapsed,
 			fraction: float64(got) / float64(want-already),
 			rate:     float64(got) / elapsed.Seconds(),
-			stats:    c.Fabric.Stats(),
+			stats:    rt.Fabric().Stats(),
 			naks:     after.NaksSent - before.NaksSent,
 			served:   after.NaksServed - before.NaksServed,
 		}

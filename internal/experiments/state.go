@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
@@ -83,22 +83,22 @@ type kvLoadResult struct {
 // waits until every replica has applied all of them. With wal set, every
 // process logs its applied deliveries to a temporary directory.
 func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
-	opts := cluster.Options{}
+	var opts []isis.Option
 	if wal {
 		dir, err := os.MkdirTemp("", "isis-e13-wal-")
 		if err != nil {
 			return kvLoadResult{}, err
 		}
 		defer os.RemoveAll(dir)
-		opts.WALDir = dir
+		opts = append(opts, isis.WithWAL(dir))
 	}
-	c, err := cluster.New(n, opts)
+	rt, procs, err := simulate(n, opts...)
 	if err != nil {
 		return kvLoadResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
-	groups, stores, err := buildKVGroup(c, n)
+	groups, stores, err := buildKVGroup(procs)
 	if err != nil {
 		return kvLoadResult{}, err
 	}
@@ -164,13 +164,13 @@ type joinResult struct {
 // runJoinTransfer preloads a KV group of n members with a fixed map and
 // times how long a fresh joiner takes to hold an identical map.
 func runJoinTransfer(n, keys int) (joinResult, error) {
-	c, err := cluster.New(n, cluster.Options{})
+	rt, procs, err := simulate(n)
 	if err != nil {
 		return joinResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
-	groups, stores, err := buildKVGroup(c, n)
+	groups, stores, err := buildKVGroup(procs)
 	if err != nil {
 		return joinResult{}, err
 	}
@@ -178,7 +178,7 @@ func runJoinTransfer(n, keys int) (joinResult, error) {
 		groups[0].CastAsync(types.Total,
 			kvstore.EncodeOp(kvstore.OpPut, uint64(i+1), fmt.Sprintf("key-%06d", i), "value-0123456789abcdefghijklmnopqrstuvwxyz"))
 	}
-	if !cluster.WaitFor(opTimeout, func() bool {
+	if !await(func() bool {
 		for _, st := range stores {
 			if st.Applied() < uint64(keys) {
 				return false
@@ -194,7 +194,7 @@ func runJoinTransfer(n, keys int) (joinResult, error) {
 	// checkpoint transfer, not residual retransmission of the preload.
 	time.Sleep(250 * time.Millisecond)
 
-	p, err := c.AddProcess()
+	p, err := rt.Spawn()
 	if err != nil {
 		return joinResult{}, err
 	}
@@ -205,11 +205,11 @@ func runJoinTransfer(n, keys int) (joinResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*opTimeout)
 	defer cancel()
 	start := time.Now()
-	g, err := p.Stack.Join(ctx, types.FlatGroup("e13-kv"), c.Proc(0).ID, kvConfig(store))
+	g, err := p.JoinGroup(ctx, "e13-kv", procs[0].ID(), kvConfig(store))
 	if err != nil {
 		return joinResult{}, fmt.Errorf("join n=%d: %w", n, err)
 	}
-	if !cluster.WaitFor(opTimeout, func() bool { return store.Digest() == want }) {
+	if !await(func() bool { return store.Digest() == want }) {
 		return joinResult{}, fmt.Errorf("joiner never converged: %w", types.ErrTimeout)
 	}
 	latency := time.Since(start)
@@ -228,17 +228,17 @@ func kvConfig(store *kvstore.Store) group.Config {
 	}
 }
 
-// buildKVGroup stands a KV replica group up on an existing cluster: one
+// buildKVGroup stands a KV replica group up on the given processes: one
 // store per process, process 0 the founder.
-func buildKVGroup(c *cluster.Cluster, n int) ([]*group.Group, []*kvstore.Store, error) {
-	gid := types.FlatGroup("e13-kv")
+func buildKVGroup(procs []*isis.Process) ([]*group.Group, []*kvstore.Store, error) {
+	n := len(procs)
 	groups := make([]*group.Group, n)
 	stores := make([]*kvstore.Store, n)
 	var err error
 	for i := range stores {
 		stores[i] = kvstore.New()
 	}
-	groups[0], err = c.Proc(0).Stack.Create(gid, kvConfig(stores[0]))
+	groups[0], err = procs[0].CreateGroup("e13-kv", kvConfig(stores[0]))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,7 +251,7 @@ func buildKVGroup(c *cluster.Cluster, n int) ([]*group.Group, []*kvstore.Store, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			groups[i], errs[i] = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, kvConfig(stores[i]))
+			groups[i], errs[i] = procs[i].JoinGroup(ctx, "e13-kv", procs[0].ID(), kvConfig(stores[i]))
 		}()
 	}
 	wg.Wait()
@@ -260,7 +260,7 @@ func buildKVGroup(c *cluster.Cluster, n int) ([]*group.Group, []*kvstore.Store, 
 			return nil, nil, fmt.Errorf("join %d/%d: %w", i, n, e)
 		}
 	}
-	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
+	if !await(sized(n, groups...)) {
 		return nil, nil, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
 	}
 	return groups, stores, nil

@@ -66,27 +66,10 @@ type Config struct {
 	// stateless (every potential holder may be gone). Zero selects 2s.
 	StateGrace time.Duration
 
-	// WALCompactBytes is the write-ahead log's compaction threshold: at a
-	// checkpoint capture, logs that grew past it since their last snapshot
-	// record are rewritten to the fresh checkpoint. Zero selects 1MiB.
-	WALCompactBytes int64
-
 	// InstallGrace bounds how long a member waits for the flush delivery cut
 	// to be satisfied before installing a new view anyway. It protects
 	// against wedging forever when messages were lost. Zero selects 500ms.
 	InstallGrace time.Duration
-
-	// RetryInterval is how often blocking Join retries its request while the
-	// contact or coordinator is unresponsive. Zero selects 300ms.
-	RetryInterval time.Duration
-
-	// FlushRetry is how often a coordinator re-sends its view proposal to
-	// members that have not acknowledged the flush, so a lost propose or
-	// acknowledgement cannot stall a view change. It is deliberately close
-	// to the NAK interval: a wedged coordinator parks incoming casts, so
-	// every retry period of stall is a period of delivery divergence the
-	// cut must later repair. Zero selects 40ms.
-	FlushRetry time.Duration
 
 	// Reliability tunes the message-stability and NAK/retransmit layer
 	// (zero fields select the defaults).
@@ -103,18 +86,46 @@ func (c Config) withDefaults() Config {
 	if c.StateGrace <= 0 {
 		c.StateGrace = 2 * time.Second
 	}
-	if c.WALCompactBytes <= 0 {
-		c.WALCompactBytes = 1 << 20
-	}
 	if c.InstallGrace <= 0 {
 		c.InstallGrace = 500 * time.Millisecond
-	}
-	if c.RetryInterval <= 0 {
-		c.RetryInterval = 300 * time.Millisecond
-	}
-	if c.FlushRetry <= 0 {
-		c.FlushRetry = 40 * time.Millisecond
 	}
 	c.Reliability = c.Reliability.WithDefaults()
 	return c
 }
+
+// Fixed protocol timings and bounds.
+const (
+	// walCompactBytes is the write-ahead log's compaction threshold: at a
+	// checkpoint capture, logs that grew past it since their last snapshot
+	// record are rewritten to the fresh checkpoint.
+	walCompactBytes = 1 << 20
+
+	// retryInterval is how often blocking Join and Leave retry their request
+	// while the contact or coordinator is unresponsive.
+	retryInterval = 300 * time.Millisecond
+
+	// flushRetry is how often a coordinator re-sends its view proposal to
+	// members that have not acknowledged the flush, so a lost propose or
+	// acknowledgement cannot stall a view change. It is deliberately close
+	// to the NAK interval: a wedged coordinator parks incoming casts, so
+	// every retry period of stall is a period of delivery divergence the
+	// cut must later repair.
+	flushRetry = 40 * time.Millisecond
+
+	// stabilityTicks is how many recovery ticks pass between standalone
+	// stability reports while traffic is idle (reports also ride every
+	// outgoing cast for free).
+	stabilityTicks = 3
+
+	// maxRetransmit caps how many casts, ABCAST bindings or checkpoint
+	// chunks one NAK answer retransmits; the requester re-asks for the rest
+	// once those land.
+	maxRetransmit = 128
+
+	// stabilityFanout bounds how many members one standalone stability tick
+	// reports to. Reports rotate round-robin over the view, so every member
+	// still hears from every other member once per rotation, but an idle
+	// n-member group costs O(n·fanout) messages per tick instead of O(n²) —
+	// the term that would otherwise dominate large groups.
+	stabilityFanout = 4
+)

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/reliability"
@@ -27,7 +27,8 @@ const (
 
 // forwardRig is the five-member group with its one withheld cast.
 type forwardRig struct {
-	c      *cluster.Cluster
+	rt     *isis.Runtime
+	procs  []*isis.Process
 	groups []*group.Group
 	cols   []*collector
 	lost   types.MsgID
@@ -44,12 +45,11 @@ func newForwardRig(t *testing.T, dropPropose bool) *forwardRig {
 	t.Helper()
 	const n = 5
 	r := &forwardRig{
-		c:      cluster.MustNew(n, cluster.Options{}),
 		cols:   make([]*collector, n),
 		copies: make(map[[2]types.ProcessID]int),
 	}
-	t.Cleanup(r.c.Stop)
-	r.groups = buildGroup(t, r.c, n, func(i int) group.Config {
+	r.rt, r.procs = spawn(t, n)
+	r.groups = buildGroup(t, r.procs, n, func(i int) group.Config {
 		r.cols[i] = &collector{}
 		return group.Config{
 			OnDeliver: r.cols[i].onDeliver,
@@ -59,10 +59,10 @@ func newForwardRig(t *testing.T, dropPropose bool) *forwardRig {
 			Reliability: reliability.Config{NakInterval: time.Hour},
 		}
 	})
-	sender, starved := r.c.Proc(fwdSender).ID, r.c.Proc(fwdStarved).ID
+	sender, starved := r.procs[fwdSender].ID(), r.procs[fwdStarved].ID()
 	r.lost = types.MsgID{Sender: sender, Seq: 1}
 	withheld := false
-	r.c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	r.rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		switch {
@@ -95,22 +95,22 @@ func (r *forwardRig) crash(i int) {
 	r.mu.Lock()
 	r.after = true
 	r.mu.Unlock()
-	r.c.Crash(i)
-	r.c.InjectFailure(i)
+	r.rt.Crash(r.procs[i])
+	r.rt.InjectFailure(r.procs[i])
 }
 
 // awaitDelivered waits until every listed member delivered the cast.
 func (r *forwardRig) awaitDelivered(t *testing.T, members ...int) {
 	t.Helper()
 	for _, i := range members {
-		if !cluster.WaitFor(testTimeout, func() bool { return r.cols[i].count() == 1 }) {
+		if isis.Await(ctxT(t), func() bool { return r.cols[i].count() == 1 }) != nil {
 			t.Fatalf("member %d never delivered the cast (%s)", i, r.groups[i].DebugString())
 		}
 	}
 }
 
 func (r *forwardRig) forwarded(i int) uint64 {
-	return r.c.Proc(i).Stack.ReliabilityStats().Forwarded
+	return r.procs[i].ReliabilityStats().Forwarded
 }
 
 // TestFlushForwardsOnlyWhatASurvivorLacks: the crash of a member that never
@@ -121,7 +121,7 @@ func TestFlushForwardsOnlyWhatASurvivorLacks(t *testing.T) {
 	r := newForwardRig(t, false)
 	r.crash(fwdCrashed)
 	survivors := []*group.Group{r.groups[0], r.groups[1], r.groups[2], r.groups[3]}
-	if !cluster.WaitForViewSize(testTimeout, 4, survivors...) {
+	if isis.Await(ctxT(t), sized(4, survivors...)) != nil {
 		t.Fatal("survivors never installed the post-crash view")
 	}
 	r.awaitDelivered(t, fwdStarved)
@@ -137,7 +137,7 @@ func TestFlushForwardsOnlyWhatASurvivorLacks(t *testing.T) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	want := [2]types.ProcessID{r.c.Proc(fwdSender).ID, r.c.Proc(fwdStarved).ID}
+	want := [2]types.ProcessID{r.procs[fwdSender].ID(), r.procs[fwdStarved].ID()}
 	if len(r.copies) != 1 || r.copies[want] != 1 {
 		t.Errorf("copies of the cast sent after the crash (from, to): %v; want one, sender to starved member", r.copies)
 	}
@@ -152,7 +152,7 @@ func TestFlushForwardsASenderSuspectedMidFlush(t *testing.T) {
 	r := newForwardRig(t, true)
 	r.crash(fwdCrashed)
 	for _, i := range []int{0, 2, 3} {
-		if !cluster.WaitFor(testTimeout, func() bool { return strings.Contains(r.groups[i].DebugString(), "wedged=true") }) {
+		if isis.Await(ctxT(t), func() bool { return strings.Contains(r.groups[i].DebugString(), "wedged=true") }) != nil {
 			t.Fatalf("member %d never wedged: %s", i, r.groups[i].DebugString())
 		}
 	}
@@ -161,7 +161,7 @@ func TestFlushForwardsASenderSuspectedMidFlush(t *testing.T) {
 	}
 	r.crash(fwdSender)
 	survivors := []*group.Group{r.groups[0], r.groups[2], r.groups[3]}
-	if !cluster.WaitForViewSize(testTimeout, 3, survivors...) {
+	if isis.Await(ctxT(t), sized(3, survivors...)) != nil {
 		t.Fatal("survivors never installed the view without the sender")
 	}
 	r.awaitDelivered(t, 0, fwdStarved, 3)

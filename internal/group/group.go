@@ -684,7 +684,7 @@ func (g *Group) cutVector() map[types.ProcessID]uint64 {
 // stall the view change forever. The retry stops when the flush completes.
 func (g *Group) scheduleFlushRetry(corr uint64, payload []byte) {
 	g.cancelFlushRetry()
-	g.flushRetryCancel = g.stack.node.Every(g.cfg.FlushRetry, func() {
+	g.flushRetryCancel = g.stack.node.Every(flushRetry, func() {
 		if g.closed || g.flush == nil || g.flush.Corr != corr {
 			return
 		}
@@ -1665,7 +1665,7 @@ func (g *Group) Leave(ctx context.Context) error {
 		if coord.IsNil() {
 			return fmt.Errorf("leave %s: %w", g.id, types.ErrNotMember)
 		}
-		reqCtx, cancel := context.WithTimeout(ctx, g.cfg.RetryInterval)
+		reqCtx, cancel := context.WithTimeout(ctx, retryInterval)
 		var err error
 		if coord == g.stack.node.PID() {
 			err = g.stack.node.Call(func() {
@@ -1688,7 +1688,7 @@ func (g *Group) Leave(ctx context.Context) error {
 			select {
 			case <-g.leftC:
 				return nil
-			case <-time.After(g.cfg.RetryInterval):
+			case <-time.After(retryInterval):
 				continue
 			case <-ctx.Done():
 				return fmt.Errorf("leave %s: %w", g.id, types.ErrTimeout)

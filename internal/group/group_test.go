@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/member"
 	"repro/internal/netsim"
@@ -69,25 +70,49 @@ func (c *collector) lastView() member.View {
 	return c.views[len(c.views)-1]
 }
 
-// buildGroup creates a flat group named "g" whose members are the first n
-// processes of the cluster: process 0 creates, the rest join through it.
-func buildGroup(t *testing.T, c *cluster.Cluster, n int, cfgFor func(i int) group.Config) []*group.Group {
+// spawn starts a simulated runtime of n processes, shut down when the test
+// ends.
+func spawn(t *testing.T, n int, opts ...isis.Option) (*isis.Runtime, []*isis.Process) {
 	t.Helper()
-	gid := types.FlatGroup("g")
+	rt := isis.NewSimulated(opts...)
+	t.Cleanup(rt.Shutdown)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
+	}
+	return rt, procs
+}
+
+// sized reports whether every listed membership's view has n members.
+func sized(n int, groups ...*group.Group) func() bool {
+	return func() bool {
+		for _, g := range groups {
+			if g == nil || g.Size() != n {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// buildGroup creates a flat group named "g" whose members are the first n
+// processes: process 0 creates, the rest join through it.
+func buildGroup(t *testing.T, procs []*isis.Process, n int, cfgFor func(i int) group.Config) []*group.Group {
+	t.Helper()
 	groups := make([]*group.Group, n)
-	g0, err := c.Proc(0).Stack.Create(gid, cfgFor(0))
+	g0, err := procs[0].CreateGroup("g", cfgFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups[0] = g0
 	for i := 1; i < n; i++ {
-		g, err := c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, cfgFor(i))
+		g, err := procs[i].JoinGroup(ctxT(t), "g", procs[0].ID(), cfgFor(i))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 		groups[i] = g
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	if isis.Await(ctxT(t), sized(n, groups...)) != nil {
 		for i, g := range groups {
 			t.Logf("member %d view: %v", i, g.CurrentView())
 		}
@@ -97,18 +122,17 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, cfgFor func(i int) grou
 }
 
 func TestCreateSingletonGroup(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 1)
 	col := &collector{}
-	g, err := c.Proc(0).Stack.Create(types.FlatGroup("solo"), group.Config{OnView: col.onView})
+	g, err := procs[0].CreateGroup("solo", group.Config{OnView: col.onView})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := g.CurrentView()
-	if v.Size() != 1 || v.ID != 1 || v.Coordinator() != c.Proc(0).ID {
+	if v.Size() != 1 || v.ID != 1 || v.Coordinator() != procs[0].ID() {
 		t.Errorf("view = %v", v)
 	}
-	if g.Coordinator() != c.Proc(0).ID || g.Size() != 1 {
+	if g.Coordinator() != procs[0].ID() || g.Size() != 1 {
 		t.Error("accessors disagree with view")
 	}
 	if col.lastView().ID != 1 {
@@ -117,25 +141,23 @@ func TestCreateSingletonGroup(t *testing.T) {
 }
 
 func TestCreateTwiceRejected(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("dup"), group.Config{}); err != nil {
+	_, procs := spawn(t, 1)
+	if _, err := procs[0].CreateGroup("dup", group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("dup"), group.Config{}); !errors.Is(err, types.ErrRejected) {
+	if _, err := procs[0].CreateGroup("dup", group.Config{}); !errors.Is(err, types.ErrRejected) {
 		t.Errorf("second create err = %v", err)
 	}
 }
 
 func TestJoinGrowsView(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(int) group.Config { return group.Config{} })
 
 	// Every member must agree on the same membership and the same
 	// coordinator (the founder, being oldest).
 	want := groups[0].CurrentView()
-	if want.Coordinator() != c.Proc(0).ID {
+	if want.Coordinator() != procs[0].ID() {
 		t.Errorf("coordinator = %v", want.Coordinator())
 	}
 	for i, g := range groups {
@@ -150,59 +172,55 @@ func TestJoinGrowsView(t *testing.T) {
 }
 
 func TestJoinViaNonCoordinatorContact(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{})
+	_, procs := spawn(t, 3)
+	name := "g"
+	g0, err := procs[0].CreateGroup(name, group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Process 2 joins via process 1, which is not the coordinator; the
 	// request must be forwarded.
-	g2, err := c.Proc(2).Stack.Join(ctxT(t), gid, c.Proc(1).ID, group.Config{})
+	g2, err := procs[2].JoinGroup(ctxT(t), name, procs[1].ID(), group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitForViewSize(testTimeout, 3, g0, g1, g2) {
+	if isis.Await(ctxT(t), sized(3, g0, g1, g2)) != nil {
 		t.Fatal("group never reached 3 members")
 	}
 }
 
 func TestJoinUnknownGroupTimesOut(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	_, err := c.Proc(1).Stack.Join(ctx, types.FlatGroup("nope"), c.Proc(0).ID, group.Config{})
+	_, err := procs[1].JoinGroup(ctx, "nope", procs[0].ID(), group.Config{})
 	if !errors.Is(err, types.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestJoinSameGroupTwiceRejected(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	if _, err := c.Proc(0).Stack.Create(gid, group.Config{}); err != nil {
+	_, procs := spawn(t, 2)
+	name := "g"
+	if _, err := procs[0].CreateGroup(name, group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{}); err != nil {
+	if _, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{}); !errors.Is(err, types.ErrRejected) {
+	if _, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{}); !errors.Is(err, types.ErrRejected) {
 		t.Errorf("second join err = %v", err)
 	}
 }
 
 func TestFIFOCastDeliveredToAllMembers(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -214,7 +232,7 @@ func TestFIFOCastDeliveredToAllMembers(t *testing.T) {
 		}
 	}
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == casts }) {
+		if isis.Await(ctxT(t), func() bool { return col.count() == casts }) != nil {
 			t.Fatalf("member %d delivered %d of %d", i, col.count(), casts)
 		}
 		got := col.payloads()
@@ -230,10 +248,9 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 	for _, o := range []types.Ordering{types.Unordered, types.FIFO, types.Causal, types.Total} {
 		o := o
 		t.Run(o.String(), func(t *testing.T) {
-			c := cluster.MustNew(3, cluster.Options{})
-			defer c.Stop()
+			_, procs := spawn(t, 3)
 			cols := make([]*collector, 3)
-			groups := buildGroup(t, c, 3, func(i int) group.Config {
+			groups := buildGroup(t, procs, 3, func(i int) group.Config {
 				cols[i] = &collector{}
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
@@ -243,7 +260,7 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 				}
 			}
 			for i, col := range cols {
-				if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 3 }) {
+				if isis.Await(ctxT(t), func() bool { return col.count() == 3 }) != nil {
 					t.Fatalf("member %d delivered %d of 3 (%s)", i, col.count(), o)
 				}
 			}
@@ -252,10 +269,9 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 }
 
 func TestTotalOrderAgreement(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 4)
 	cols := make([]*collector, 4)
-	groups := buildGroup(t, c, 4, func(i int) group.Config {
+	groups := buildGroup(t, procs, 4, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -278,7 +294,7 @@ func TestTotalOrderAgreement(t *testing.T) {
 
 	total := perSender * len(groups)
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == total }) {
+		if isis.Await(ctxT(t), func() bool { return col.count() == total }) != nil {
 			t.Fatalf("member %d delivered %d of %d", i, col.count(), total)
 		}
 	}
@@ -295,10 +311,9 @@ func TestTotalOrderAgreement(t *testing.T) {
 }
 
 func TestCausalOrderAcrossMembers(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -308,14 +323,14 @@ func TestCausalOrderAcrossMembers(t *testing.T) {
 	if err := groups[0].Cast(ctxT(t), types.Causal, []byte("question")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[1].count() >= 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[1].count() >= 1 }) != nil {
 		t.Fatal("member 1 never saw the question")
 	}
 	if err := groups[1].Cast(ctxT(t), types.Causal, []byte("answer")); err != nil {
 		t.Fatal(err)
 	}
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 2 }) {
+		if isis.Await(ctxT(t), func() bool { return col.count() == 2 }) != nil {
 			t.Fatalf("member %d delivered %d of 2", i, col.count())
 		}
 		p := col.payloads()
@@ -326,55 +341,51 @@ func TestCausalOrderAcrossMembers(t *testing.T) {
 }
 
 func TestCastResiliencyAcks(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(i int) group.Config { return group.Config{Resiliency: 3} })
+	_, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(i int) group.Config { return group.Config{Resiliency: 3} })
 	if err := groups[1].Cast(ctxT(t), types.FIFO, []byte("resilient")); err != nil {
 		t.Fatalf("cast with resiliency 3 in a 4-member group: %v", err)
 	}
 }
 
 func TestCastOnSingletonGroupSucceedsImmediately(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 1)
 	col := &collector{}
-	g, err := c.Proc(0).Stack.Create(types.FlatGroup("solo"), group.Config{OnDeliver: col.onDeliver, Resiliency: 3})
+	g, err := procs[0].CreateGroup("solo", group.Config{OnDeliver: col.onDeliver, Resiliency: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Cast(ctxT(t), types.Total, []byte("alone")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return col.count() == 1 }) != nil {
 		t.Fatal("self-delivery missing")
 	}
 }
 
 func TestStateTransferToJoiner(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("kv")
+	_, procs := spawn(t, 2)
+	name := "kv"
 	holder := newTestStore()
 	holder.put("snapshot-of-application-state", 1)
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: holder})
+	_, err := procs[0].CreateGroup(name, group.Config{State: holder})
 	if err != nil {
 		t.Fatal(err)
 	}
 	joiner := newTestStore()
-	_, err = c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: joiner})
+	_, err = procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: joiner})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := holder.snapshotString()
-	if !cluster.WaitFor(testTimeout, func() bool { return joiner.snapshotString() == want }) {
+	if isis.Await(ctxT(t), func() bool { return joiner.snapshotString() == want }) != nil {
 		t.Fatalf("state transfer missing or wrong: %q", joiner.snapshotString())
 	}
 }
 
 func TestLeaveShrinksView(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
 	if err := groups[2].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
@@ -382,92 +393,87 @@ func TestLeaveShrinksView(t *testing.T) {
 	if !groups[2].Closed() {
 		t.Error("leaver not marked closed")
 	}
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	if isis.Await(ctxT(t), sized(2, groups[0], groups[1])) != nil {
 		t.Fatalf("views did not shrink: %v / %v", groups[0].CurrentView(), groups[1].CurrentView())
 	}
-	if groups[0].CurrentView().Contains(c.Proc(2).ID) {
+	if groups[0].CurrentView().Contains(procs[2].ID()) {
 		t.Error("left member still in view")
 	}
 }
 
 func TestCoordinatorLeaveHandsOver(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
 	if err := groups[0].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[1], groups[2]) {
+	if isis.Await(ctxT(t), sized(2, groups[1], groups[2])) != nil {
 		t.Fatal("survivors never installed the shrunk view")
 	}
 	// The next-oldest member takes over as coordinator.
-	if got := groups[1].Coordinator(); got != c.Proc(1).ID {
-		t.Errorf("new coordinator = %v, want %v", got, c.Proc(1).ID)
+	if got := groups[1].Coordinator(); got != procs[1].ID() {
+		t.Errorf("new coordinator = %v, want %v", got, procs[1].ID())
 	}
 }
 
 func TestMemberFailureRemovedFromView(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	rt, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
-	c.Crash(2)
-	c.InjectFailure(2)
+	rt.Crash(procs[2])
+	rt.InjectFailure(procs[2])
 
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	if isis.Await(ctxT(t), sized(2, groups[0], groups[1])) != nil {
 		t.Fatalf("failed member never removed: %v / %v", groups[0].CurrentView(), groups[1].CurrentView())
 	}
-	if groups[0].CurrentView().Contains(c.Proc(2).ID) {
+	if groups[0].CurrentView().Contains(procs[2].ID()) {
 		t.Error("crashed member still in view")
 	}
 }
 
 func TestCoordinatorFailureNextTakesOver(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(int) group.Config { return group.Config{} })
+	rt, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(int) group.Config { return group.Config{} })
 
-	c.Crash(0)
-	c.InjectFailure(0)
+	rt.Crash(procs[0])
+	rt.InjectFailure(procs[0])
 
-	if !cluster.WaitForViewSize(testTimeout, 3, groups[1], groups[2], groups[3]) {
+	if isis.Await(ctxT(t), sized(3, groups[1], groups[2], groups[3])) != nil {
 		t.Fatalf("survivors never installed a 3-member view: %v", groups[1].CurrentView())
 	}
 	for i := 1; i < 4; i++ {
-		if got := groups[i].Coordinator(); got != c.Proc(1).ID {
-			t.Errorf("member %d sees coordinator %v, want %v", i, got, c.Proc(1).ID)
+		if got := groups[i].Coordinator(); got != procs[1].ID() {
+			t.Errorf("member %d sees coordinator %v, want %v", i, got, procs[1].ID())
 		}
 	}
 }
 
 func TestCastingContinuesAfterFailure(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 
-	c.Crash(1)
-	c.InjectFailure(1)
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[2]) {
+	rt.Crash(procs[1])
+	rt.InjectFailure(procs[1])
+	if isis.Await(ctxT(t), sized(2, groups[0], groups[2])) != nil {
 		t.Fatal("view never shrank after crash")
 	}
 	if err := groups[2].Cast(ctxT(t), types.Total, []byte("after-failure")); err != nil {
 		t.Fatalf("cast after failure: %v", err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 1 && cols[2].count() >= 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[0].count() >= 1 && cols[2].count() >= 1 }) != nil {
 		t.Fatal("post-failure cast not delivered to survivors")
 	}
 }
 
 func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 4)
 	cols := make([]*collector, 4)
-	groups := buildGroup(t, c, 4, func(i int) group.Config {
+	groups := buildGroup(t, procs, 4, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnView: cols[i].onView}
 	})
@@ -476,9 +482,9 @@ func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
 	if err := groups[3].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(2)
-	c.InjectFailure(2)
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	rt.Crash(procs[2])
+	rt.InjectFailure(procs[2])
+	if isis.Await(ctxT(t), sized(2, groups[0], groups[1])) != nil {
 		t.Fatal("final view never installed")
 	}
 	// Survivors 0 and 1 must have installed the same sequence of view ids
@@ -501,31 +507,30 @@ func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
 }
 
 func TestGroupsAccessor(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	if _, err := c.Proc(0).Stack.Create(gid, group.Config{}); err != nil {
+	_, procs := spawn(t, 2)
+	g, err := procs[0].CreateGroup("g", group.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("h"), group.Config{}); err != nil {
+	if _, err := procs[0].CreateGroup("h", group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	ids := c.Proc(0).Stack.Groups()
+	stack := g.Stack()
+	ids := stack.Groups()
 	if len(ids) != 2 {
 		t.Errorf("Groups = %v", ids)
 	}
-	if c.Proc(0).Stack.Get(gid) == nil {
+	if stack.Get(types.FlatGroup("g")) == nil {
 		t.Error("Get returned nil for a joined group")
 	}
-	if c.Proc(0).Stack.Get(types.FlatGroup("missing")) != nil {
+	if stack.Get(types.FlatGroup("missing")) != nil {
 		t.Error("Get returned a group for an unknown id")
 	}
 }
 
 func TestCastAfterLeaveFails(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 2, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 2)
+	groups := buildGroup(t, procs, 2, func(int) group.Config { return group.Config{} })
 	if err := groups[1].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -537,10 +542,9 @@ func TestCastAfterLeaveFails(t *testing.T) {
 
 func TestConcurrentJoinsConverge(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("burst")
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{})
+	_, procs := spawn(t, n)
+	name := "burst"
+	g0, err := procs[0].CreateGroup(name, group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +556,7 @@ func TestConcurrentJoinsConverge(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			groups[i], errs[i] = c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{})
+			groups[i], errs[i] = procs[i].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{})
 		}(i)
 	}
 	wg.Wait()
@@ -561,7 +565,7 @@ func TestConcurrentJoinsConverge(t *testing.T) {
 			t.Fatalf("join %d: %v", i, errs[i])
 		}
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	if isis.Await(ctxT(t), sized(n, groups...)) != nil {
 		t.Fatalf("concurrent joins never converged: %v", groups[0].CurrentView())
 	}
 }
@@ -571,17 +575,16 @@ func TestLargeFlatGroupFiftyMembers(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const n = 50 // the paper's stated practical limit for flat ISIS groups
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("hello-50")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[n-1].count() == 1 && cols[n/2].count() == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[n-1].count() == 1 && cols[n/2].count() == 1 }) != nil {
 		t.Fatal("cast not delivered across the 50-member group")
 	}
 	if v := groups[n-1].CurrentView(); v.Size() != n {
@@ -613,22 +616,19 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 	for _, o := range []types.Ordering{types.FIFO, types.Causal, types.Total} {
 		t.Run(o.String(), func(t *testing.T) {
 			const n = 4
-			c := cluster.MustNew(n, cluster.Options{
-				Netsim: netsim.Config{DupRate: 0.05, Seed: 0xC0FFEE},
-			})
-			defer c.Stop()
-			starved := c.Proc(2).ID
-			c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+			rt, procs := spawn(t, n, isis.WithNetwork(netsim.Config{DupRate: 0.05, Seed: 0xC0FFEE}))
+			starved := procs[2].ID()
+			rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 				return p.Msg.Kind == types.KindCast && p.To == starved && p.Msg.ID.Seq%23 == 7
 			})
 			cols := make([]*collector, n)
 			for i := range cols {
 				cols[i] = &collector{}
 			}
-			groups := buildGroup(t, c, n, func(i int) group.Config {
+			groups := buildGroup(t, procs, n, func(i int) group.Config {
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
-			sender := c.Proc(1).ID
+			sender := procs[1].ID()
 
 			const casts = 300
 			go func() {
@@ -639,14 +639,14 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 
 			// Let part of the stream drain, then crash the sender with frames
 			// still in its outbox window.
-			if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 20 }) {
+			if isis.Await(ctxT(t), func() bool { return cols[0].count() >= 20 }) != nil {
 				t.Fatalf("flood never started: %d deliveries", cols[0].count())
 			}
-			c.Crash(1)
-			c.InjectFailure(1)
+			rt.Crash(procs[1])
+			rt.InjectFailure(procs[1])
 
 			survivors := []*group.Group{groups[0], groups[2], groups[3]}
-			if !cluster.WaitForViewSize(testTimeout, n-1, survivors...) {
+			if isis.Await(ctxT(t), sized(n-1, survivors...)) != nil {
 				t.Fatal("survivors never installed the post-crash view")
 			}
 			time.Sleep(200 * time.Millisecond) // in-flight frames settle
@@ -711,18 +711,15 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
 	t.Run("cumulative", func(t *testing.T) {
 		const n = 3
-		c := cluster.MustNew(n, cluster.Options{
-			Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
-		})
-		defer c.Stop()
-		groups := buildGroup(t, c, n, func(int) group.Config {
+		rt, procs := spawn(t, n, isis.WithNetwork(netsim.Config{DupRate: 1.0, Seed: 0xACED}))
+		groups := buildGroup(t, procs, n, func(int) group.Config {
 			return group.Config{Resiliency: 2}
 		})
 		// Silence the third member's watermark reports. (Its own casts,
 		// which piggyback reports, are left alone: the sanity phase below
 		// casts from it.)
-		silenced := c.Proc(2).ID
-		c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		silenced := procs[2].ID()
+		rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 			return p.From == silenced && p.Msg.Kind == types.KindStability
 		})
 
@@ -748,10 +745,9 @@ func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
 // mixed-version peer or a stale WAL can still present it; a joined stack must
 // route it to no group handler and change no state.
 func TestRetiredKindIsIgnored(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 2)
 	// The recovery timer is parked so the only traffic is what the test sends.
-	groups := buildGroup(t, c, 2, func(int) group.Config {
+	groups := buildGroup(t, procs, 2, func(int) group.Config {
 		return group.Config{Resiliency: 1, Reliability: reliability.Config{NakInterval: time.Hour}}
 	})
 	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("before")); err != nil {
@@ -762,17 +758,17 @@ func TestRetiredKindIsIgnored(t *testing.T) {
 	// default handler — which doubles as the barrier: once it has run, the
 	// actor is past the message.
 	unclaimed := make(chan *types.Message, 1)
-	c.Proc(0).Node.HandleDefault(func(m *types.Message) { unclaimed <- m })
+	groups[0].Stack().Node().HandleDefault(func(m *types.Message) { unclaimed <- m })
 	view := groups[0].CurrentView()
 	before := groups[0].ReliabilityStats()
-	err := c.Fabric.Send(&types.Message{
+	err := rt.Fabric().Send(&types.Message{
 		Kind:    types.Kind(4),
-		From:    c.Proc(1).ID,
-		To:      c.Proc(0).ID,
+		From:    procs[1].ID(),
+		To:      procs[0].ID(),
 		Group:   groups[0].ID(),
 		View:    view.ID,
 		Corr:    1,
-		Stab:    []types.StabEntry{{Sender: c.Proc(0).ID, Seq: 1 << 40}},
+		Stab:    []types.StabEntry{{Sender: procs[0].ID(), Seq: 1 << 40}},
 		StabOrd: 1 << 40,
 	})
 	if err != nil {
@@ -803,16 +799,15 @@ func TestRetiredKindIsIgnored(t *testing.T) {
 // caller's deadline.
 func TestCumulativeAckLostReportRecovered(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
+	rt, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, func(int) group.Config {
 		return group.Config{Resiliency: 2}
 	})
 
-	victim := c.Proc(2).ID
+	victim := procs[2].ID()
 	dropped := false
 	var mu sync.Mutex
-	removeRule := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	removeRule := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		if p.Msg.Kind != types.KindStability || p.From != victim {
 			return false
 		}
@@ -833,6 +828,45 @@ func TestCumulativeAckLostReportRecovered(t *testing.T) {
 	}
 }
 
+// TestWaiterResendsBackOff: a blocking cast whose acknowledgement keeps
+// getting lost re-sends itself at its ticks 2, 4, 8, 16, …, not on every
+// tick. With one member's stability reports dropped for about 25 recovery
+// ticks, the sender re-sends the waiting cast to that member at most 5
+// times; once the reports get through again, the cast completes.
+func TestWaiterResendsBackOff(t *testing.T) {
+	const n = 3
+	rt, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, func(int) group.Config {
+		return group.Config{Resiliency: 2}
+	})
+	sender, victim := procs[0].ID(), procs[2].ID()
+	cast := types.MsgID{Sender: sender, Seq: 1}
+	var dropping atomic.Bool
+	dropping.Store(true)
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
+		return dropping.Load() && p.From == victim && p.Msg.Kind == types.KindStability
+	})
+	var copies atomic.Int64 // copies of the cast sent to the victim
+	rt.Fabric().Watch(func(p netsim.Packet) {
+		if p.From == sender && p.To == victim && p.Msg.Kind == types.KindCast && p.Msg.ID == cast {
+			copies.Add(1)
+		}
+	})
+	defer rt.Fabric().Watch(nil)
+
+	ctx, done := ctxT(t), make(chan error, 1)
+	go func() { done <- groups[0].Cast(ctx, types.FIFO, []byte("acknowledgement lost")) }()
+	time.Sleep(25 * 20 * time.Millisecond) // about 25 ticks at the default NakInterval
+	resends := copies.Load() - 1
+	dropping.Store(false)
+	if resends > 5 {
+		t.Errorf("the waiting cast was re-sent %d times in about 25 ticks, want at most 5", resends)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("cast after the reports got through again: %v", err)
+	}
+}
+
 // TestAbcastRetransmissionCarriesSlot pins the ABCAST recovery path. A
 // non-sequencer's cast reaches the other members through the sequencer, as
 // a copy carrying its agreed slot. One member loses that relayed copy. The
@@ -842,20 +876,19 @@ func TestCumulativeAckLostReportRecovered(t *testing.T) {
 // member.
 func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 	// Process 0 created the group and sequences it; the sender is another
 	// member, so its cast goes to the sequencer alone, without a slot.
-	seqr, sender, starved := c.Proc(0).ID, c.Proc(1).ID, c.Proc(2).ID
+	seqr, sender, starved := procs[0].ID(), procs[1].ID(), procs[2].ID()
 	lost := types.MsgID{Sender: sender, Seq: 1}
 
 	var droppedRelay bool // drop rules run under the fabric's lock
-	removeRule := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	removeRule := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		if p.To != starved || p.Msg.ID != lost || p.Msg.Kind != types.KindCast || droppedRelay {
 			return false
 		}
@@ -870,7 +903,7 @@ func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 	var mu sync.Mutex
 	var copies []copyOf // every copy of the lost cast sent to starved
 	var orders int      // announcements of the lost cast sent to starved
-	c.Fabric.Watch(func(p netsim.Packet) {
+	rt.Fabric().Watch(func(p netsim.Packet) {
 		if p.To != starved || p.Msg.ID != lost {
 			return
 		}
@@ -883,20 +916,20 @@ func TestAbcastRetransmissionCarriesSlot(t *testing.T) {
 			orders++
 		}
 	})
-	defer c.Fabric.Watch(nil)
+	defer rt.Fabric().Watch(nil)
 
 	// The second cast shows the starved member the gap in the sender's
 	// sequence.
 	groups[1].CastAsync(types.Total, []byte("lost"))
 	groups[1].CastAsync(types.Total, []byte("after"))
-	if !cluster.WaitFor(testTimeout, func() bool {
+	if isis.Await(ctxT(t), func() bool {
 		for _, col := range cols {
 			if col.count() < 2 {
 				return false
 			}
 		}
 		return true
-	}) {
+	}) != nil {
 		t.Fatalf("deliveries per member: %d, %d, %d", cols[0].count(), cols[1].count(), cols[2].count())
 	}
 
@@ -949,16 +982,15 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 	for _, o := range []types.Ordering{types.FIFO, types.Causal, types.Total} {
 		t.Run(o.String(), func(t *testing.T) {
 			const n = 4
-			c := cluster.MustNew(n, cluster.Options{})
-			defer c.Stop()
+			rt, procs := spawn(t, n)
 			cols := make([]*collector, n)
 			for i := range cols {
 				cols[i] = &collector{}
 			}
-			groups := buildGroup(t, c, n, func(i int) group.Config {
+			groups := buildGroup(t, procs, n, func(i int) group.Config {
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
-			sender := c.Proc(1).ID
+			sender := procs[1].ID()
 
 			const casts = 300
 			go func() {
@@ -968,14 +1000,14 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 			}()
 
 			// Let part of the stream drain, then crash the sender mid-flood.
-			if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 20 }) {
+			if isis.Await(ctxT(t), func() bool { return cols[0].count() >= 20 }) != nil {
 				t.Fatalf("flood never started: %d deliveries", cols[0].count())
 			}
-			c.Crash(1)
-			c.InjectFailure(1)
+			rt.Crash(procs[1])
+			rt.InjectFailure(procs[1])
 
 			survivors := []*group.Group{groups[0], groups[2], groups[3]}
-			if !cluster.WaitForViewSize(testTimeout, n-1, survivors...) {
+			if isis.Await(ctxT(t), sized(n-1, survivors...)) != nil {
 				t.Fatal("survivors never installed the post-crash view")
 			}
 			time.Sleep(200 * time.Millisecond) // in-flight frames settle
@@ -1019,28 +1051,27 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 // the next cast — a leave request on its own behalf — drops it, so the
 // resiliency quorum stops waiting on it.
 func TestAbandonedJoinerIsDropped(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 3)
 	cfg := func(int) group.Config { return group.Config{Resiliency: 2} }
-	groups := buildGroup(t, c, 2, cfg)
-	ghost := c.Proc(2).ID
-	remove := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	groups := buildGroup(t, procs, 2, cfg)
+	ghost := procs[2].ID()
+	remove := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		return p.To == ghost && p.Msg.Kind == types.KindViewInstall
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	_, err := c.Proc(2).Stack.Join(ctx, types.FlatGroup("g"), c.Proc(0).ID, cfg(2))
+	_, err := procs[2].JoinGroup(ctx, "g", procs[0].ID(), cfg(2))
 	cancel()
 	if err == nil {
 		t.Fatal("join succeeded with its install dropped")
 	}
 	remove()
-	if !cluster.WaitFor(testTimeout, func() bool { return groups[0].CurrentView().Contains(ghost) }) {
+	if isis.Await(ctxT(t), func() bool { return groups[0].CurrentView().Contains(ghost) }) != nil {
 		t.Fatal("the coordinator never installed the joiner")
 	}
 	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("m")); err != nil {
 		t.Fatalf("cast with an abandoned joiner in the view: %v", err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return !groups[0].CurrentView().Contains(ghost) }) {
+	if isis.Await(ctxT(t), func() bool { return !groups[0].CurrentView().Contains(ghost) }) != nil {
 		t.Fatalf("abandoned joiner still in the view: %v", groups[0].CurrentView())
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/reliability"
@@ -25,17 +25,16 @@ var quietReliability = reliability.Config{NakInterval: time.Hour}
 // stability report, and the originator's blocking Cast still resolves from
 // the report the reply carried.
 func TestCastAfterIntakePaysTheAcknowledgement(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 2)
 	var groups []*group.Group
 	var replied sync.Map
-	groups = buildGroup(t, c, 2, func(i int) group.Config {
+	groups = buildGroup(t, procs, 2, func(i int) group.Config {
 		cfg := group.Config{Resiliency: 1, Reliability: quietReliability}
 		if i == 1 {
 			// Reply from the delivery callback: the cast is queued on the
 			// actor behind the frame being taken in, before it goes idle.
 			cfg.OnDeliver = func(d group.Delivery) {
-				if d.From == c.Proc(1).ID {
+				if d.From == procs[1].ID() {
 					return
 				}
 				if _, dup := replied.LoadOrStore(d.ID, true); !dup {
@@ -46,12 +45,12 @@ func TestCastAfterIntakePaysTheAcknowledgement(t *testing.T) {
 		return cfg
 	})
 	var reports atomic.Int64 // stability reports the replying member sends
-	c.Fabric.Watch(func(p netsim.Packet) {
-		if p.Msg.Kind == types.KindStability && p.From == c.Proc(1).ID {
+	rt.Fabric().Watch(func(p netsim.Packet) {
+		if p.Msg.Kind == types.KindStability && p.From == procs[1].ID() {
 			reports.Add(1)
 		}
 	})
-	defer c.Fabric.Watch(nil)
+	defer rt.Fabric().Watch(nil)
 
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
@@ -77,17 +76,16 @@ func TestDeliveryCallbacksNeverReenterAnEngine(t *testing.T) {
 	const n, depth = 3, 4
 	for _, o := range []types.Ordering{types.FIFO, types.Causal, types.Total} {
 		t.Run(o.String(), func(t *testing.T) {
-			c := cluster.MustNew(n, cluster.Options{})
-			defer c.Stop()
+			_, procs := spawn(t, n)
 			cols := make([]*collector, n)
 			var groups []*group.Group
-			groups = buildGroup(t, c, n, func(i int) group.Config {
+			groups = buildGroup(t, procs, n, func(i int) group.Config {
 				cols[i] = &collector{}
 				return group.Config{OnDeliver: func(d group.Delivery) {
 					cols[i].onDeliver(d)
 					// The member after the sender answers each cast with a
 					// deeper one until the chain ends.
-					if len(d.Payload) < depth && groups[i].Self() == c.Proc((senderIndex(c, d.From)+1)%n).ID {
+					if len(d.Payload) < depth && groups[i].Self() == procs[(senderIndex(procs, d.From)+1)%n].ID() {
 						groups[i].CastAsync(o, append([]byte{'x'}, d.Payload...))
 					}
 				}}
@@ -96,14 +94,14 @@ func TestDeliveryCallbacksNeverReenterAnEngine(t *testing.T) {
 				groups[i].CastAsync(o, []byte{'x'})
 			}
 			want := n * depth // every member's chain: depth casts
-			if !cluster.WaitFor(testTimeout, func() bool {
+			if isis.Await(ctxT(t), func() bool {
 				for _, col := range cols {
 					if col.count() < want {
 						return false
 					}
 				}
 				return true
-			}) {
+			}) != nil {
 				for i, col := range cols {
 					t.Logf("member %d delivered %d of %d", i, col.count(), want)
 				}
@@ -128,10 +126,10 @@ func TestDeliveryCallbacksNeverReenterAnEngine(t *testing.T) {
 	}
 }
 
-// senderIndex returns the cluster index of process p.
-func senderIndex(c *cluster.Cluster, p types.ProcessID) int {
-	for i := range c.Procs {
-		if c.Proc(i).ID == p {
+// senderIndex returns the index of process p in procs.
+func senderIndex(procs []*isis.Process, p types.ProcessID) int {
+	for i, q := range procs {
+		if q.ID() == p {
 			return i
 		}
 	}
@@ -147,10 +145,9 @@ func senderIndex(c *cluster.Cluster, p types.ProcessID) int {
 // (4) is smaller than the 5 peers here, so that takes a rotation.
 func TestEveryCastBecomesStableOnceQuiet(t *testing.T) {
 	const n, casts = 6, 300
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver, Reliability: reliability.Config{NakInterval: 5 * time.Millisecond}}
 	})
@@ -160,19 +157,19 @@ func TestEveryCastBecomesStableOnceQuiet(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	if !cluster.WaitFor(testTimeout, func() bool {
+	if isis.Await(ctxT(t), func() bool {
 		for _, col := range cols {
 			if col.count() < casts {
 				return false
 			}
 		}
 		return true
-	}) {
+	}) != nil {
 		t.Fatal("casts never delivered everywhere")
 	}
 	pruned := func() (per []uint64) {
 		for i := 0; i < n; i++ {
-			per = append(per, c.Proc(i).Stack.ReliabilityStats().StablePruned)
+			per = append(per, procs[i].ReliabilityStats().StablePruned)
 		}
 		return per
 	}
@@ -184,7 +181,9 @@ func TestEveryCastBecomesStableOnceQuiet(t *testing.T) {
 		}
 		return true
 	}
-	if !cluster.WaitFor(2*time.Second, drained) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if isis.Await(ctx, drained) != nil {
 		t.Errorf("casts pruned as stable per member: %v, want %d everywhere", pruned(), casts)
 	}
 }

@@ -111,7 +111,7 @@ func (g *Group) onRecoveryTick() {
 	// stability back until they hear its latest report. The snapshot is
 	// rebuilt only when it changes, so a new slice means new watermarks.
 	g.stabTicks++
-	if g.stabTicks >= rcfg.StabilityTicks {
+	if g.stabTicks >= stabilityTicks {
 		g.stabTicks = 0
 		if vec := g.rel.StabVector(); !sameSnapshot(vec, g.tickVec) {
 			g.tickVec, g.tickLeft = vec, g.view.Size()-1
@@ -180,7 +180,7 @@ func (g *Group) sendOrderNak() {
 
 // sendStability sends the standalone stability report tick (piggybacked
 // reports cover this while casts flow). The fanout is bounded: each tick
-// reports to at most Reliability.StabilityFanout members, rotating
+// reports to at most stabilityFanout members, rotating
 // round-robin over the view, so the idle-group cost is O(n·fanout) per tick
 // instead of O(n²) while every member still hears from every other member
 // once per rotation — stability (and the buffer pruning it drives) converges
@@ -197,12 +197,12 @@ func (g *Group) sendStability() {
 		return
 	}
 	dests := others
-	if fan := g.cfg.Reliability.StabilityFanout; len(others) > fan {
-		dests = make([]types.ProcessID, 0, fan)
-		for i := 0; i < fan; i++ {
+	if len(others) > stabilityFanout {
+		dests = make([]types.ProcessID, 0, stabilityFanout)
+		for i := 0; i < stabilityFanout; i++ {
 			dests = append(dests, others[(g.stabRR+i)%len(others)])
 		}
-		g.stabRR = (g.stabRR + fan) % len(others)
+		g.stabRR = (g.stabRR + stabilityFanout) % len(others)
 	}
 	g.tickLeft -= len(dests)
 	g.stack.node.SendCopies(dests, g.report())
@@ -240,13 +240,15 @@ func (g *Group) sendViewNak() {
 
 // renotifyWaiters drives the resiliency-repair tick: for each cast still
 // waiting for its quorum, re-send it to the members that have neither been
-// counted nor reported a covering watermark. Waiters younger than two ticks
-// are left alone — the prompt report usually arrives within one.
+// counted nor reported a covering watermark. A waiter re-sends at its ticks
+// 2, 4, 8, 16, …: the prompt report usually arrives within one tick, and
+// under load reports take longer than a tick to return, so a re-send on
+// every tick would only add to the load that delays them.
 func (g *Group) renotifyWaiters() {
 	self := g.stack.node.PID()
 	for seq, w := range g.acks {
 		w.ticks++
-		if w.ticks < 2 {
+		if w.ticks < 2 || w.ticks&(w.ticks-1) != 0 {
 			continue
 		}
 		held := g.rel.Retrieve(reliability.SeqRange{Sender: self, Lo: seq, Hi: seq}, 1)
@@ -308,7 +310,7 @@ func (g *Group) onNak(m *types.Message) {
 	if !ok {
 		return
 	}
-	budget := g.cfg.Reliability.MaxRetransmit
+	budget := maxRetransmit
 	for _, r := range ranges {
 		if budget <= 0 {
 			break
@@ -341,7 +343,7 @@ func (g *Group) onNakOrder(m *types.Message) {
 	if !ok {
 		return
 	}
-	budget := g.cfg.Reliability.MaxRetransmit
+	budget := maxRetransmit
 	for _, b := range tt.Bindings(from) {
 		if budget <= 0 {
 			break

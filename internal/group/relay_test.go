@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/types"
@@ -25,33 +25,32 @@ import (
 // agreed slot.
 func TestRelayedCastSurvivesSequencerCrash(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver, Reliability: quietReliability}
 	})
-	seqr := c.Proc(0).ID
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	seqr := procs[0].ID()
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		return p.From == seqr && (p.Msg.Kind == types.KindCast || p.Msg.Kind == types.KindOrder)
 	})
 
 	groups[1].CastAsync(types.Total, []byte("x"))
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[0].count() == 1 }) != nil {
 		t.Fatal("the sequencer never took the cast in")
 	}
 	if cols[1].count() != 0 || cols[2].count() != 0 {
 		t.Fatalf("delivered before the crash: %d, %d; the relay leaked", cols[1].count(), cols[2].count())
 	}
-	c.Crash(0)
-	c.InjectFailure(0)
+	rt.Crash(procs[0])
+	rt.InjectFailure(procs[0])
 
 	survivors := []*group.Group{groups[1], groups[2]}
-	if !cluster.WaitForViewSize(testTimeout, n-1, survivors...) {
+	if isis.Await(ctxT(t), sized(n-1, survivors...)) != nil {
 		t.Fatal("survivors never installed the post-crash view")
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[1].count() == 1 && cols[2].count() == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[1].count() == 1 && cols[2].count() == 1 }) != nil {
 		t.Fatalf("survivors delivered %d and %d casts, want 1 each", cols[1].count(), cols[2].count())
 	}
 	at := func(col *collector) group.Delivery {
@@ -72,9 +71,8 @@ func TestRelayedCastSurvivesSequencerCrash(t *testing.T) {
 // originator.
 func TestRelayedCastResilientWithoutTicks(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
+	_, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, func(int) group.Config {
 		return group.Config{Resiliency: 2, Reliability: quietReliability}
 	})
 	for round := 0; round < 3; round++ {
@@ -95,17 +93,16 @@ func TestRelayedCastResilientWithoutTicks(t *testing.T) {
 // brings the binding back.
 func TestLostAnnouncementRepairedByOrderNak(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
-	sender := c.Proc(1).ID
+	sender := procs[1].ID()
 	var mu sync.Mutex
 	dropped := false
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if p.Msg.Kind != types.KindOrder || p.To != sender || dropped {
@@ -115,7 +112,7 @@ func TestLostAnnouncementRepairedByOrderNak(t *testing.T) {
 		return true
 	})
 	groups[1].CastAsync(types.Total, []byte("x"))
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[1].count() == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return cols[1].count() == 1 }) != nil {
 		t.Fatal("the originator never delivered its cast")
 	}
 	mu.Lock()

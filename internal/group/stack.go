@@ -304,7 +304,7 @@ func (s *Stack) Join(ctx context.Context, gid types.GroupID, contact types.Proce
 	// Keep asking until a view including us is installed or the caller gives
 	// up. The request is idempotent at the coordinator.
 	for {
-		reqCtx, cancel := context.WithTimeout(ctx, cfg.RetryInterval)
+		reqCtx, cancel := context.WithTimeout(ctx, retryInterval)
 		_, err := s.node.Request(reqCtx, contact, &types.Message{
 			Kind:  types.KindJoinRequest,
 			Group: gid,
@@ -315,7 +315,7 @@ func (s *Stack) Join(ctx context.Context, gid types.GroupID, contact types.Proce
 			select {
 			case <-g.joinedC:
 				return g, nil
-			case <-time.After(cfg.RetryInterval):
+			case <-time.After(retryInterval):
 				// Re-request: the coordinator may have failed mid-change.
 			case <-ctx.Done():
 				s.abandon(gid)
@@ -336,7 +336,7 @@ func (s *Stack) Join(ctx context.Context, gid types.GroupID, contact types.Proce
 		// Transient failure (timeout, crashed contact, rejection because a
 		// view change is in flight): back off briefly and retry.
 		select {
-		case <-time.After(cfg.RetryInterval / 4):
+		case <-time.After(retryInterval / 4):
 		case <-ctx.Done():
 			s.abandon(gid)
 			return nil, fmt.Errorf("join %s via %v: %w", gid, contact, types.ErrTimeout)

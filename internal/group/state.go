@@ -283,10 +283,7 @@ func (g *Group) onStateNak(m *types.Message) {
 		g.sendCheckpoint(m.From)
 		return
 	}
-	budget := uint64(g.cfg.Reliability.MaxRetransmit)
-	if budget == 0 {
-		budget = 64
-	}
+	budget := uint64(maxRetransmit)
 	for _, r := range ranges {
 		if budget == 0 {
 			break

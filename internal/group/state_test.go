@@ -1,6 +1,7 @@
 package group_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/types"
@@ -87,27 +88,26 @@ func (s *testStore) len() int {
 // TestChunkedStateTransferToJoiner: a checkpoint far larger than the chunk
 // size arrives whole through the streaming path.
 func TestChunkedStateTransferToJoiner(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("big-state")
+	_, procs := spawn(t, 2)
+	name := "big-state"
 
 	s0 := newTestStore()
 	big := strings.Repeat("x", 4000)
 	for i := 0; i < 50; i++ {
 		s0.put(fmt.Sprintf("key-%03d-%s", i, big), 1)
 	}
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0, StateChunkBytes: 4096})
+	_, err := procs[0].CreateGroup(name, group.Config{State: s0, StateChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s1 := newTestStore()
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1, StateChunkBytes: 4096})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: s1, StateChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := s0.snapshotString()
-	if !cluster.WaitFor(testTimeout, func() bool { return s1.snapshotString() == want }) {
+	if isis.Await(ctxT(t), func() bool { return s1.snapshotString() == want }) != nil {
 		t.Fatalf("joiner state differs: %d keys, want %d", s1.len(), s0.len())
 	}
 	st := g1.StateStats()
@@ -123,37 +123,38 @@ func TestChunkedStateTransferToJoiner(t *testing.T) {
 // legacy handler: a KindStateTransfer arriving at an already-joined member
 // (stale view, misdirected, or delayed) must not clobber its state.
 func TestStaleViewStateTransferIgnored(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("fenced")
+	_, procs := spawn(t, 2)
+	name := "fenced"
 
 	s0 := newTestStore()
 	s0.put("genuine", 1)
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0})
+	g0, err := procs[0].CreateGroup(name, group.Config{State: s0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := newTestStore()
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: s1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return g1.StateStats().Restores == 1 }) {
+	if isis.Await(ctxT(t), func() bool { return g1.StateStats().Restores == 1 }) != nil {
 		t.Fatal("join transfer missing")
 	}
 
 	// A stale one-shot transfer claiming an old view must be dropped.
 	stale := &types.Message{
 		Kind:    types.KindStateTransfer,
-		Group:   gid,
+		Group:   g1.ID(),
 		View:    1,
 		Payload: []byte("bogus\x001\n"),
 	}
-	if err := c.Proc(0).Node.Send(c.Proc(1).ID, stale); err != nil {
+	if err := g0.Stack().Node().Send(procs[1].ID(), stale); err != nil {
 		t.Fatal(err)
 	}
 	// Give it ample time to arrive, then assert nothing changed.
-	if cluster.WaitFor(300*time.Millisecond, func() bool { return g1.StateStats().Restores > 1 }) {
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if isis.Await(ctx, func() bool { return g1.StateStats().Restores > 1 }) == nil {
 		t.Fatal("stale state transfer restored")
 	}
 	if got := s1.snapshotString(); got != s0.snapshotString() {
@@ -165,12 +166,11 @@ func TestStaleViewStateTransferIgnored(t *testing.T) {
 // joiner's state NAKs — the reliability fix for the old one-shot transfer,
 // which a single lost frame silently voided.
 func TestStateChunkLossRecovered(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("lossy-state")
+	rt, procs := spawn(t, 2)
+	name := "lossy-state"
 
 	var dropped atomic.Int32
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		if p.Msg.Kind == types.KindStateChunk && dropped.Load() < 7 {
 			dropped.Add(1)
 			return true
@@ -183,17 +183,17 @@ func TestStateChunkLossRecovered(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s0.put(fmt.Sprintf("k-%03d-%s", i, big), 1)
 	}
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0, StateChunkBytes: 2048})
+	_, err := procs[0].CreateGroup(name, group.Config{State: s0, StateChunkBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := newTestStore()
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1, StateChunkBytes: 2048})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: s1, StateChunkBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := s0.snapshotString()
-	if !cluster.WaitFor(testTimeout, func() bool { return s1.snapshotString() == want }) {
+	if isis.Await(ctxT(t), func() bool { return s1.snapshotString() == want }) != nil {
 		t.Fatalf("transfer never completed under chunk loss (dropped %d)", dropped.Load())
 	}
 	if dropped.Load() == 0 {
@@ -208,53 +208,52 @@ func TestStateChunkLossRecovered(t *testing.T) {
 // coordinator's checkpoint, the coordinator dies before any chunk lands, and
 // the transfer fails over to the surviving member's identical cut.
 func TestHolderCrashMidTransferFailsOver(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("failover")
+	rt, procs := spawn(t, 3)
+	name := "failover"
 
 	stores := []*testStore{newTestStore(), newTestStore(), newTestStore()}
 	big := strings.Repeat("z", 1000)
 	for i := 0; i < 30; i++ {
 		stores[0].put(fmt.Sprintf("k-%03d-%s", i, big), 1)
 	}
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{State: stores[0], StateChunkBytes: 1024})
+	g0, err := procs[0].CreateGroup(name, group.Config{State: stores[0], StateChunkBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: stores[1], StateChunkBytes: 1024})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: stores[1], StateChunkBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := stores[0].snapshotString()
-	if !cluster.WaitFor(testTimeout, func() bool { return stores[1].snapshotString() == want }) {
+	if isis.Await(ctxT(t), func() bool { return stores[1].snapshotString() == want }) != nil {
 		t.Fatal("first join transfer failed")
 	}
 	_ = g0
 
 	// Black-hole every chunk the creator sends from here on: the third
 	// member's transfer locks onto its offer but can never complete from it.
-	p0 := c.Proc(0).ID
-	c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	p0 := procs[0].ID()
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		return p.Msg.Kind == types.KindStateChunk && p.From == p0
 	})
 
-	g2, err := c.Proc(2).Stack.Join(ctxT(t), gid, p0, group.Config{State: stores[2], StateChunkBytes: 1024})
+	g2, err := procs[2].JoinGroup(ctxT(t), name, p0, group.Config{State: stores[2], StateChunkBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return g2.StateStats().OffersReceived >= 1 }) {
+	if isis.Await(ctxT(t), func() bool { return g2.StateStats().OffersReceived >= 1 }) != nil {
 		t.Fatal("joiner never locked an offer")
 	}
 
 	// Kill the holder mid-transfer; the survivor holds the same cut.
-	c.Crash(0)
-	c.InjectFailure(0)
+	rt.Crash(procs[0])
+	rt.InjectFailure(procs[0])
 
-	if !cluster.WaitFor(testTimeout, func() bool { return stores[2].snapshotString() == want }) {
+	if isis.Await(ctxT(t), func() bool { return stores[2].snapshotString() == want }) != nil {
 		st := g2.StateStats()
 		t.Fatalf("transfer did not fail over: stats %+v", st)
 	}
-	if !cluster.WaitForViewSize(testTimeout, 2, g1, g2) {
+	if isis.Await(ctxT(t), sized(2, g1, g2)) != nil {
 		t.Fatal("view did not settle after crash")
 	}
 }
@@ -263,16 +262,15 @@ func TestHolderCrashMidTransferFailsOver(t *testing.T) {
 // checkpoint + held deliveries with no gap and no double-apply. The apply
 // counters make a double-apply visible as snapshot divergence.
 func TestJoinDuringCastStreamExactlyOnce(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("stream-join")
+	_, procs := spawn(t, 3)
+	name := "stream-join"
 
 	stores := []*testStore{newTestStore(), newTestStore(), newTestStore()}
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{State: stores[0], OnDeliver: stores[0].onDeliver})
+	g0, err := procs[0].CreateGroup(name, group.Config{State: stores[0], OnDeliver: stores[0].onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: stores[1], OnDeliver: stores[1].onDeliver})
+	g1, err := procs[1].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: stores[1], OnDeliver: stores[1].onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,17 +285,17 @@ func TestJoinDuringCastStreamExactlyOnce(t *testing.T) {
 	}()
 
 	// Join while the stream is in flight.
-	g2, err := c.Proc(2).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: stores[2], OnDeliver: stores[2].onDeliver})
+	g2, err := procs[2].JoinGroup(ctxT(t), name, procs[0].ID(), group.Config{State: stores[2], OnDeliver: stores[2].onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-done
 
-	if !cluster.WaitFor(testTimeout, func() bool {
+	if isis.Await(ctxT(t), func() bool {
 		return stores[0].len() == casts &&
 			stores[0].snapshotString() == stores[1].snapshotString() &&
 			stores[0].snapshotString() == stores[2].snapshotString()
-	}) {
+	}) != nil {
 		t.Fatalf("replicas diverged: %d/%d/%d keys (exactly-once violated if counters differ)",
 			stores[0].len(), stores[1].len(), stores[2].len())
 	}
@@ -309,31 +307,30 @@ func TestJoinDuringCastStreamExactlyOnce(t *testing.T) {
 // state from the write-ahead log — checkpoint plus logged deliveries.
 func TestWALRecoveryAfterFullRestart(t *testing.T) {
 	dir := t.TempDir()
-	gid := types.FlatGroup("durable")
+	name := "durable"
 
-	c := cluster.MustNew(1, cluster.Options{WALDir: dir})
+	rt, procs := spawn(t, 1, isis.WithWAL(dir))
 	s := newTestStore()
-	g, err := c.Proc(0).Stack.Create(gid, group.Config{State: s, OnDeliver: s.onDeliver})
+	g, err := procs[0].CreateGroup(name, group.Config{State: s, OnDeliver: s.onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
 		g.CastAsync(types.Total, []byte(fmt.Sprintf("durable-op-%03d", i)))
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return s.len() == 60 }) {
+	if isis.Await(ctxT(t), func() bool { return s.len() == 60 }) != nil {
 		t.Fatalf("only %d ops applied", s.len())
 	}
 	if g.StateStats().WALAppends == 0 {
 		t.Fatal("no WAL appends recorded")
 	}
 	want := s.snapshotString()
-	c.Stop()
+	rt.Shutdown()
 
-	// Same WAL directory, fresh cluster: site-1 recovers site-1's log.
-	c2 := cluster.MustNew(1, cluster.Options{WALDir: dir})
-	defer c2.Stop()
+	// Same WAL directory, fresh runtime: site-1 recovers site-1's log.
+	_, procs = spawn(t, 1, isis.WithWAL(dir))
 	s2 := newTestStore()
-	if _, err := c2.Proc(0).Stack.Create(gid, group.Config{State: s2, OnDeliver: s2.onDeliver}); err != nil {
+	if _, err := procs[0].CreateGroup(name, group.Config{State: s2, OnDeliver: s2.onDeliver}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.snapshotString(); got != want {

@@ -114,7 +114,7 @@ func (g *Group) walCompactMaybe(view types.ViewID, data []byte) {
 	if g.wal == nil {
 		return
 	}
-	if g.wal.Size() == 0 || g.wal.SinceSnapshot() >= g.cfg.WALCompactBytes {
+	if g.wal.Size() == 0 || g.wal.SinceSnapshot() >= walCompactBytes {
 		g.walSnapshot(view, data)
 	}
 }

@@ -61,10 +61,6 @@ type Config struct {
 	// Zero selects a large default. When a queue overflows the frame's
 	// messages are counted as dropped (models an overloaded workstation).
 	QueueLen int
-	// PerHopCost is the synthetic processing cost charged per delivered
-	// message when computing the simulated latency figures reported by the
-	// workload experiments. It does not delay real goroutines.
-	PerHopCost time.Duration
 }
 
 // DefaultConfig returns the configuration used by most tests: instantaneous,

@@ -275,15 +275,15 @@ func TestSharedArraysNeverWritten(t *testing.T) {
 				o := k % len(orderings)
 				if k%4 == 0 {
 					// A held cast keeps a resiliency waiter, which re-notify
-					// serves. A few suffice: under the race detector a
-					// flood of them re-sends faster than reports return.
+					// serves, re-sending at the waiter's ticks 2, 4, 8, …
+					// until reports cover it. A few waiters suffice.
 					gs[o].CastAsyncHeld(orderings[o], payload(s, k), func(error) {})
 				} else {
 					gs[o].CastAsync(orderings[o], payload(s, k))
 				}
 				if k == casts/2 && s == 0 {
 					// Crash the victim and tell the others, as
-					// cluster.Crash and InjectFailure do.
+					// Runtime.Crash and InjectFailure do.
 					fabric.Crash(victimID)
 					procs[victim].Halt()
 					for _, p := range procs[:victim] {

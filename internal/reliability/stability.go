@@ -32,19 +32,6 @@ type Config struct {
 	// NakInterval is the period of the per-group recovery timer driving
 	// NAKs, order NAKs and stability reports. Zero selects 20ms.
 	NakInterval time.Duration
-	// StabilityTicks is how many NAK-timer ticks pass between standalone
-	// stability reports while traffic is idle (reports also ride every
-	// outgoing cast for free). Zero selects 3.
-	StabilityTicks int
-	// MaxRetransmit caps how many casts one NAK answer retransmits (the
-	// requester re-asks for the rest once those land). Zero selects 128.
-	MaxRetransmit int
-	// StabilityFanout bounds how many members one standalone stability tick
-	// reports to. Reports rotate round-robin over the view, so every member
-	// still hears from every other member once per rotation, but an idle
-	// n-member group costs O(n·fanout) messages per tick instead of O(n²) —
-	// the term that would otherwise dominate large groups. Zero selects 4.
-	StabilityFanout int
 }
 
 // WithDefaults fills zero fields with the default knob settings.
@@ -54,15 +41,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.NakInterval <= 0 {
 		c.NakInterval = 20 * time.Millisecond
-	}
-	if c.StabilityTicks <= 0 {
-		c.StabilityTicks = 3
-	}
-	if c.MaxRetransmit <= 0 {
-		c.MaxRetransmit = 128
-	}
-	if c.StabilityFanout <= 0 {
-		c.StabilityFanout = 4
 	}
 	return c
 }

@@ -8,9 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
+	"repro/internal/boot"
+	"repro/internal/fdetect"
 	"repro/internal/group"
+	"repro/internal/node"
 	"repro/internal/toolkit"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -22,10 +26,36 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-// buildGroup assembles a flat group of n members with a composable OnDeliver.
-func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) func(group.Delivery)) []*group.Group {
+// spawn starts a simulated runtime of n processes, shut down when the test
+// ends.
+func spawn(t *testing.T, n int) (*isis.Runtime, []*isis.Process) {
 	t.Helper()
-	gid := types.FlatGroup("tool")
+	rt := isis.NewSimulated()
+	t.Cleanup(rt.Shutdown)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
+	}
+	return rt, procs
+}
+
+// flatClient returns a flat-service client on a process of its own. The
+// client drives a raw node, which the facade does not hand out, so its
+// process is spawned directly on the runtime's fabric, at a site the
+// runtime never assigns.
+func flatClient(t *testing.T, rt *isis.Runtime, entry types.ProcessID) *toolkit.FlatClient {
+	t.Helper()
+	p, err := boot.Spawn(isis.Site(1<<20), transport.NewMemory(rt.Fabric()), fdetect.Config{}, node.Batching{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	return toolkit.NewFlatClient(p.Node, "tool", entry)
+}
+
+// buildGroup assembles a flat group of n members with a composable OnDeliver.
+func buildGroup(t *testing.T, procs []*isis.Process, n int, deliver func(i int) func(group.Delivery)) []*group.Group {
+	t.Helper()
 	groups := make([]*group.Group, n)
 	cfg := func(i int) group.Config {
 		var onDeliver func(group.Delivery)
@@ -35,17 +65,24 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) fun
 		return group.Config{OnDeliver: onDeliver}
 	}
 	var err error
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg(0))
+	groups[0], err = procs[0].CreateGroup("tool", cfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
-		groups[i], err = c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, cfg(i))
+		groups[i], err = procs[i].JoinGroup(ctxT(t), "tool", procs[0].ID(), cfg(i))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	if isis.Await(ctxT(t), func() bool {
+		for _, g := range groups {
+			if g.Size() != n {
+				return false
+			}
+		}
+		return true
+	}) != nil {
 		t.Fatal("group never converged")
 	}
 	return groups
@@ -53,11 +90,10 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) fun
 
 func TestCoordinatorCohortFlatService(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 
 	services := make([]*toolkit.Service, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			if services[i] != nil {
 				services[i].Deliver(d)
@@ -71,7 +107,7 @@ func TestCoordinatorCohortFlatService(t *testing.T) {
 		toolkit.NewFlatServer(services[i])
 	}
 
-	client := toolkit.NewFlatClient(c.Proc(n).Node, "tool", c.Proc(1).ID) // contact a cohort: must forward
+	client := flatClient(t, rt, procs[1].ID()) // contact a cohort: must forward
 	reply, err := client.Request(ctxT(t), []byte("do-work"))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +121,7 @@ func TestCoordinatorCohortFlatService(t *testing.T) {
 	if handled != 1 {
 		t.Errorf("coordinator handled %d requests", handled)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		for i := 1; i < n; i++ {
 			_, reqCopies, resCopies := services[i].Counters()
 			if reqCopies != 1 || resCopies != 1 {
@@ -93,7 +129,7 @@ func TestCoordinatorCohortFlatService(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Error("cohorts did not receive request and result copies")
 	}
@@ -104,28 +140,28 @@ func TestCoordinatorCohortMessageCostGrowsWithGroupSize(t *testing.T) {
 	// on the order of 2n messages. Check that doubling n roughly doubles the
 	// per-request message count.
 	cost := func(n int) uint64 {
-		c := cluster.MustNew(n+1, cluster.Options{})
-		defer c.Stop()
+		rt, procs := spawn(t, n)
+		defer rt.Shutdown()
 		services := make([]*toolkit.Service, n)
-		groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+		groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 			return func(d group.Delivery) { services[i].Deliver(d) }
 		})
 		for i := range services {
 			services[i] = toolkit.NewService(groups[i], func(p []byte) []byte { return p })
 			toolkit.NewFlatServer(services[i])
 		}
-		client := toolkit.NewFlatClient(c.Proc(n).Node, "tool", c.Proc(0).ID)
+		client := flatClient(t, rt, procs[0].ID())
 		// Warm up once, then measure.
 		if _, err := client.Request(ctxT(t), []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(30 * time.Millisecond)
-		c.Fabric.ResetStats()
+		rt.Fabric().ResetStats()
 		if _, err := client.Request(ctxT(t), []byte("measured")); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(30 * time.Millisecond)
-		return c.Fabric.Stats().MessagesSent
+		return rt.Fabric().Stats().MessagesSent
 	}
 	small := cost(4)
 	large := cost(8)
@@ -139,10 +175,9 @@ func TestCoordinatorCohortMessageCostGrowsWithGroupSize(t *testing.T) {
 
 func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { repls[i].Apply(d) }
 	})
 	for i := range repls {
@@ -154,14 +189,14 @@ func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 	if err := repls[1].Set(ctxT(t), "DEC", "42.0"); err != nil {
 		t.Fatal(err)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		for _, r := range repls {
 			if r.Len() != 2 {
 				return false
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Fatal("replicas never converged")
 	}
@@ -183,10 +218,9 @@ func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 
 func TestReplicatedConcurrentWritersConverge(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { repls[i].Apply(d) }
 	})
 	for i := range repls {
@@ -203,7 +237,7 @@ func TestReplicatedConcurrentWritersConverge(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		v0, ok0 := repls[0].Get("contended")
 		if !ok0 {
 			return false
@@ -214,7 +248,7 @@ func TestReplicatedConcurrentWritersConverge(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Errorf("replicas diverged: %v %v %v",
 			firstVal(repls[0]), firstVal(repls[1]), firstVal(repls[2]))
@@ -228,10 +262,9 @@ func firstVal(r *toolkit.Replicated) string {
 
 func TestMutexMutualExclusionAndOrder(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	mtxs := make([]*toolkit.Mutex, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { mtxs[i].Apply(d) }
 	})
 	for i := range mtxs {
@@ -273,7 +306,7 @@ func TestMutexMutualExclusionAndOrder(t *testing.T) {
 		t.Errorf("mutual exclusion violated: %d holders at once", maxInside)
 	}
 	// Every member must have observed the same grant order.
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		h0 := mtxs[0].History()
 		for _, m := range mtxs[1:] {
 			h := m.History()
@@ -282,7 +315,7 @@ func TestMutexMutualExclusionAndOrder(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Fatal("grant histories have different lengths")
 	}
@@ -299,9 +332,8 @@ func TestMutexMutualExclusionAndOrder(t *testing.T) {
 
 func TestParallelScatterGather(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, nil)
+	_, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, nil)
 	pars := make([]*toolkit.Parallel, n)
 	for i := range pars {
 		pars[i] = toolkit.NewParallel(groups[i], func(item []byte) []byte {
@@ -326,11 +358,10 @@ func TestParallelScatterGather(t *testing.T) {
 
 func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
 	txns := make([]*toolkit.Txn, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			repls[i].Apply(d)
 			txns[i].Apply(d)
@@ -344,14 +375,14 @@ func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := isis.Await(ctxT(t), func() bool {
 		for _, r := range repls {
 			if r.Len() != 2 {
 				return false
 			}
 		}
 		return true
-	})
+	}) == nil
 	if !ok {
 		t.Fatal("transaction writes never reached every replica")
 	}
@@ -364,11 +395,10 @@ func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 
 func TestTransactionVetoAborts(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
 	txns := make([]*toolkit.Txn, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			repls[i].Apply(d)
 			txns[i].Apply(d)

@@ -75,10 +75,6 @@ type TCPConfig struct {
 	// WriteTimeout bounds one frame write; expiry closes the connection and
 	// the next send redials. Zero selects 3s.
 	WriteTimeout time.Duration
-	// KeepAlive is the TCP keepalive period set on every connection (both
-	// dialed and accepted), so a peer that vanished without a FIN is torn
-	// down by the kernel. Zero selects 15s; negative disables.
-	KeepAlive time.Duration
 	// QueueFrames bounds each peer's send queue. A full queue sheds its
 	// oldest frame. Zero selects 256.
 	QueueFrames int
@@ -98,9 +94,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 3 * time.Second
-	}
-	if c.KeepAlive == 0 {
-		c.KeepAlive = 15 * time.Second
 	}
 	if c.QueueFrames <= 0 {
 		c.QueueFrames = 256
@@ -358,14 +351,16 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
+// keepAlive is the TCP keepalive period set on every connection (both
+// dialed and accepted), so a peer that vanished without a FIN is torn down
+// by the kernel.
+const keepAlive = 15 * time.Second
+
 // configureConn applies keepalives to a connection (accepted or dialed).
 func (e *tcpEndpoint) configureConn(conn net.Conn) {
-	if e.cfg.KeepAlive <= 0 {
-		return
-	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetKeepAlive(true)
-		_ = tc.SetKeepAlivePeriod(e.cfg.KeepAlive)
+		_ = tc.SetKeepAlivePeriod(keepAlive)
 	}
 }
 

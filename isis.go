@@ -93,8 +93,8 @@ type (
 	// across all its flat groups (history recording, tracing).
 	GroupObserver = group.Observer
 	// ReliabilityConfig tunes the message-stability and NAK/retransmit
-	// layer of every group a process joins (NAK pacing, stability-report
-	// pacing, retransmission caps).
+	// layer of every group a process joins (NAK pacing and the recovery
+	// timer's period).
 	ReliabilityConfig = reliability.Config
 	// ReliabilityStats are a process's cumulative recovery counters
 	// (NAKs sent/served, flush forwarding, sequencer-failover
@@ -115,7 +115,7 @@ type (
 	// deliveries applied or dropped, WAL appends and compactions).
 	StateTransferStats = group.StateTransferStats
 	// TCPConfig tunes the hardened TCP connection management (dial/write
-	// timeouts, keepalive, per-peer queue bound, reconnect backoff, the
+	// timeouts, per-peer queue bound, reconnect backoff, the
 	// consecutive-failure threshold that declares a peer down).
 	TCPConfig = transport.TCPConfig
 	// TCPStats are one process's cumulative TCP connection-management
@@ -277,8 +277,8 @@ func WithoutWAL() Option {
 }
 
 // WithTCPConfig tunes the TCP substrate's connection management — dial and
-// write timeouts, keepalive period, per-peer send-queue bound, reconnect
-// backoff and the failure threshold that declares a peer down. Zero fields
+// write timeouts, per-peer send-queue bound, reconnect backoff and the
+// failure threshold that declares a peer down. Zero fields
 // keep the production defaults. Simulated runtimes ignore it.
 func WithTCPConfig(cfg TCPConfig) Option {
 	return func(o *options) { o.tcp = cfg }
@@ -435,39 +435,12 @@ func (r *Runtime) MustSpawn() *Process {
 	return p
 }
 
-// SpawnAt creates a process with an explicit site id listening at the given
-// TCP address ("host:port"). It is how isis-node daemons — one per
-// workstation — attach to a deployment. It fails with ErrWrongTransport on
-// simulated runtimes.
+// SpawnAt creates a first-incarnation process with an explicit site id
+// listening at the given TCP address ("host:port"). It is how isis-node
+// daemons — one per workstation — attach to a deployment. It fails with
+// ErrWrongTransport on simulated runtimes.
 func (r *Runtime) SpawnAt(site uint32, listen string) (*Process, error) {
-	if r.tcp == nil {
-		return nil, fmt.Errorf("isis: SpawnAt(%d, %q): %w", site, listen, ErrWrongTransport)
-	}
-	r.mu.Lock()
-	if r.sites[site] != 0 {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("isis: SpawnAt(%d, %q): site id already in use", site, listen)
-	}
-	r.sites[site] = siteLocal
-	r.mu.Unlock()
-	release := func() {
-		r.mu.Lock()
-		delete(r.sites, site)
-		r.mu.Unlock()
-	}
-	pid := Site(site)
-	ep, err := r.tcp.AttachAt(pid, listen)
-	if err != nil {
-		release()
-		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
-	}
-	bp, err := boot.Spawn(pid, transport.Fixed{Endpoint: ep}, r.opts.detector, r.opts.batching, r.walDirFor(site))
-	if err != nil {
-		_ = ep.Close()
-		release()
-		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
-	}
-	return r.adopt(bp), nil
+	return r.SpawnIncarnation(site, 1, listen)
 }
 
 // SpawnIncarnation is SpawnAt with an explicit incarnation number. A
@@ -480,7 +453,7 @@ func (r *Runtime) SpawnAt(site uint32, listen string) (*Process, error) {
 // directory and listen address; only the incarnation changes.
 func (r *Runtime) SpawnIncarnation(site uint32, incarnation uint32, listen string) (*Process, error) {
 	if r.tcp == nil {
-		return nil, fmt.Errorf("isis: SpawnIncarnation(%d, %d, %q): %w", site, incarnation, listen, ErrWrongTransport)
+		return nil, fmt.Errorf("isis: spawn site %d at %q: %w", site, listen, ErrWrongTransport)
 	}
 	if incarnation == 0 {
 		incarnation = 1
@@ -488,7 +461,7 @@ func (r *Runtime) SpawnIncarnation(site uint32, incarnation uint32, listen strin
 	r.mu.Lock()
 	if r.sites[site] != 0 {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("isis: SpawnIncarnation(%d, %d, %q): site id already in use", site, incarnation, listen)
+		return nil, fmt.Errorf("isis: spawn site %d at %q: site id already in use", site, listen)
 	}
 	r.sites[site] = siteLocal
 	r.mu.Unlock()
@@ -745,9 +718,8 @@ func (p *Process) serviceDefaults(cfg ServiceConfig) ServiceConfig {
 // --- waiting -----------------------------------------------------------------
 
 // Await blocks until cond returns true or ctx ends, re-evaluating cond at a
-// small fixed interval. It is the context-aware replacement for the old
-// WaitFor(timeout, cond) polling idiom; conditions tied to group events
-// should prefer blocking on the Group.Views and Group.Deliveries channels.
+// small fixed interval. Conditions tied to group events should prefer
+// blocking on the Group.Views and Group.Deliveries channels.
 func Await(ctx context.Context, cond func() bool) error {
 	if cond() {
 		return nil

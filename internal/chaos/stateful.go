@@ -20,8 +20,9 @@ import (
 //
 //   - WAL durability: every put the founder acknowledged before a full
 //     restart is still readable from the re-founded map — acknowledgement
-//     means the op was applied locally, and the delivery path appends to the
-//     log in the same actor-loop call, so a power failure any time after the
+//     means the op was applied locally, the delivery's log record is written
+//     before the actor-loop step that applied it returns, and a stopped
+//     node stops only between steps, so a power failure any time after the
 //     ack must not lose it;
 //   - digest convergence: once every fault has healed and the run quiesces,
 //     all live replicas hold identical maps (equal order-independent
@@ -54,10 +55,10 @@ func (w *kvLoad) config() isis.GroupConfig {
 
 // found creates the map on slot 0, recovering it from the slot's log after a
 // full restart. Then every put slot 0's previous replica acknowledged must
-// be readable from it: a
-// Put acks only after the op is applied locally, and the delivery path
-// appends to the WAL within the same actor-loop call, so the key was on
-// disk when that replica was stopped. Keys a slot 0 replica acknowledged
+// be readable from it: a Put acks only after the op is applied locally, the
+// step that applied it writes its WAL record before it returns, and the
+// replica's node stops only between steps, so the key was in the log file
+// when that replica was stopped. Keys a slot 0 replica acknowledged
 // before it crashed are not graded: their durability would depend on a
 // checkpoint transfer instead.
 func (w *kvLoad) found(proc *isis.Process, _ *History, prev any) (any, error) {

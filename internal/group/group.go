@@ -108,6 +108,7 @@ type Group struct {
 	pendingOffers []types.ProcessID
 	stateStats    StateTransferStats
 	wal           *wal.Log
+	walQueued     bool // listed in the stack's walDirty: appends await the step's write
 
 	joinedC   chan struct{}
 	joinedSet bool
@@ -160,6 +161,7 @@ type pendingInstall struct {
 	view  member.View
 	cut   map[types.ProcessID]uint64
 	abCut uint64 // highest re-announced ABCAST slot to deliver before installing
+	ticks int    // recovery ticks the install has waited, for NAK spacing
 }
 
 func newGroup(s *Stack, gid types.GroupID, cfg Config) *Group {

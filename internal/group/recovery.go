@@ -18,10 +18,11 @@ import (
 //   - re-requests a view install the member never received (the wedge would
 //     otherwise outlive the view change);
 //   - NAKs the casts and ABCAST bindings a pending install's delivery cut
-//     still misses;
+//     still misses, at the install's ticks 1, 2, 4, 8, …;
 //   - NAKs steady-state receive gaps whose sender's watermark has stalled
 //     (a gap behind a moving watermark is usually just out-of-order
-//     arrival), and ABCAST bindings behind a stalled delivered prefix;
+//     arrival) at stall ages NakTicks+1, +2, +4, +8, …, and ABCAST bindings
+//     behind a stalled delivered prefix;
 //   - emits a standalone stability report when traffic is too idle for the
 //     piggybacked ones to circulate.
 func (g *Group) onRecoveryTick() {
@@ -52,8 +53,8 @@ func (g *Group) onRecoveryTick() {
 		g.wedgeTicks = 0
 	}
 
-	// Durable state upkeep rides the same heartbeat: flush the write-ahead
-	// log's append batch, and re-drive a stalled checkpoint transfer.
+	// Durable state upkeep rides the same heartbeat: start the write-ahead
+	// log's batched fsync, and re-drive a stalled checkpoint transfer.
 	g.walTick()
 	if g.awaitingState {
 		g.stateXferTick()
@@ -69,7 +70,13 @@ func (g *Group) onRecoveryTick() {
 
 	if g.pending != nil {
 		// A pending install names exactly what we are missing: the casts
-		// below its cut, and those bound to the slots it re-announced.
+		// below its cut, and those bound to the slots it re-announced. The
+		// repeats back off, since an answer slower than a tick would
+		// otherwise be asked for again on every tick.
+		g.pending.ticks++
+		if !backoffDue(g.pending.ticks) {
+			return
+		}
 		missing := g.rel.MissingBelow(g.pending.cut)
 		for _, id := range g.total.Awaiting(g.pending.abCut) {
 			if id.Seq > g.pending.cut[id.Sender] {
@@ -84,11 +91,11 @@ func (g *Group) onRecoveryTick() {
 	}
 
 	// Steady-state gap repair, once a sender's watermark has stalled for
-	// more than NakTicks ticks. One stalled tick is not evidence of loss: a
-	// peer blocked for a tick (a write-ahead-log sync) stalls every cast it
-	// relays or sends.
+	// more than NakTicks ticks, then backing off like the pending install's,
+	// sender by sender. One stalled tick is not evidence of loss: a peer
+	// busy for a tick stalls every cast it relays or sends.
 	if g.rel.GapTick() > rcfg.NakTicks {
-		g.sendNaks(g.rel.Missing())
+		g.sendNaks(g.rel.MissingAged(func(age int) bool { return backoffDue(age - rcfg.NakTicks) }))
 	}
 
 	// ABCAST data waiting for (or bindings waiting for data of) agreed
@@ -238,6 +245,14 @@ func (g *Group) sendViewNak() {
 	})
 }
 
+// backoffDue reports whether a repair aged age ticks is due this tick: at
+// ages 1, 2, 4, 8, 16, … and never at ages below 1. A repair whose answer
+// takes longer than a tick is then asked for a handful of times per second
+// at most, not once per tick.
+func backoffDue(age int) bool {
+	return age > 0 && age&(age-1) == 0
+}
+
 // renotifyWaiters drives the resiliency-repair tick: for each cast still
 // waiting for its quorum, re-send it to the members that have neither been
 // counted nor reported a covering watermark. A waiter re-sends at its ticks
@@ -248,7 +263,7 @@ func (g *Group) renotifyWaiters() {
 	self := g.stack.node.PID()
 	for seq, w := range g.acks {
 		w.ticks++
-		if w.ticks < 2 || w.ticks&(w.ticks-1) != 0 {
+		if w.ticks < 2 || !backoffDue(w.ticks) {
 			continue
 		}
 		held := g.rel.Retrieve(reliability.SeqRange{Sender: self, Lo: seq, Hi: seq}, 1)

@@ -3,7 +3,9 @@ package group
 import (
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/member"
 	"repro/internal/reliability"
 	"repro/internal/types"
 )
@@ -136,5 +138,86 @@ func TestReportAheadOfCastsCausesNoNak(t *testing.T) {
 				t.Errorf("NAK asks for %v, want %v", ranges, want)
 			}
 		}
+	}
+}
+
+// TestSlowRetransmissionsBackOff: p2 loses one cast in four for 25 ticks and
+// its retransmissions take 3 ticks to come back. Each stalled gap is NAKed
+// once its age passes NakTicks and then at ages +2, +4, +8, …, not on every
+// tick until the answer lands. With a NAK on every stalled tick the same run
+// sent 26 NAKs; with the backoff it sends 17. Every cast is still delivered.
+func TestSlowRetransmissionsBackOff(t *testing.T) {
+	const (
+		ticks   = 25
+		perTick = 2
+		delay   = 3
+	)
+	r := newRig(t, Config{})
+	p2 := tpid(2)
+	cast := func(seq uint64) *types.Message {
+		return &types.Message{
+			Kind: types.KindCast, From: p2, Group: r.g.id, View: 2,
+			ID: types.MsgID{Sender: p2, Seq: seq}, Ordering: types.FIFO, Payload: []byte{byte(seq)},
+		}
+	}
+	answers := map[int][]reliability.SeqRange{} // tick -> ranges retransmitted then
+	seen := 0
+	var seq uint64
+	for k := 1; k <= ticks+8; k++ {
+		r.do(func() {
+			for _, rg := range answers[k] {
+				for s := rg.Lo; s <= rg.Hi; s++ {
+					r.g.onCast(cast(s))
+				}
+			}
+			for i := 0; k <= ticks && i < perTick; i++ {
+				seq++
+				if seq%4 != 0 {
+					r.g.onCast(cast(seq))
+				}
+			}
+			r.g.onRecoveryTick()
+		})
+		naks := r.net.sentKind(types.KindNak)
+		for _, m := range naks[seen:] {
+			ranges, ok := reliability.DecodeNak(m.Payload)
+			if !ok {
+				t.Fatal("undecodable NAK")
+			}
+			answers[k+delay] = append(answers[k+delay], ranges...)
+		}
+		seen = len(naks)
+	}
+	var ctg uint64
+	r.do(func() { ctg = r.g.rel.Ctg(p2) })
+	if ctg != seq {
+		t.Fatalf("delivered p2's casts up to %d of %d", ctg, seq)
+	}
+	if seen > 17 {
+		t.Fatalf("%d NAKs for %d lost casts answered %d ticks late, want at most 17 (26 without backoff)", seen, seq/4, delay)
+	}
+}
+
+// TestPendingInstallNaksBackOff: a pending install whose cut names casts
+// that never arrive NAKs them on its ticks 1, 2, 4 and 8 — 4 NAKs in 10
+// ticks, where one per tick sent 10.
+func TestPendingInstallNaksBackOff(t *testing.T) {
+	r := newRig(t, Config{InstallGrace: time.Hour})
+	p2 := tpid(2)
+	var naksAt []int
+	for k := 1; k <= 10; k++ {
+		r.do(func() {
+			if k == 1 {
+				v := member.NewView(r.g.id, 3, []types.ProcessID{tpid(1), p2, tpid(3)})
+				r.g.holdOrInstall(v, map[types.ProcessID]uint64{p2: 3}, 0)
+			}
+			r.g.onRecoveryTick()
+		})
+		if n := len(r.net.sentKind(types.KindNak)); n > len(naksAt) {
+			naksAt = append(naksAt, k)
+		}
+	}
+	if !slices.Equal(naksAt, []int{1, 2, 4, 8}) {
+		t.Fatalf("pending-install NAKs at ticks %v, want [1 2 4 8]", naksAt)
 	}
 }

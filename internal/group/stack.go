@@ -24,12 +24,15 @@ type Stack struct {
 	// is created or joined.
 	walDir string
 
-	// groups, obs and owing are only touched on the actor goroutine. owing
-	// lists the groups that owe acknowledgements (Group.owe), paid from the
-	// node's idle hook.
-	groups map[string]*Group
-	obs    Observer
-	owing  []*Group
+	// groups, obs, owing and walDirty are only touched on the actor
+	// goroutine. owing lists the groups that owe acknowledgements
+	// (Group.owe), paid from the node's idle hook; walDirty lists the groups
+	// whose write-ahead log buffers records the current step appended,
+	// written from the node's step-end hook.
+	groups   map[string]*Group
+	obs      Observer
+	owing    []*Group
+	walDirty []*Group
 }
 
 // Observer taps every group event on one process: each installed view and
@@ -68,7 +71,22 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindStability, s.route((*Group).onStability))
 	n.Handle(types.KindViewNak, s.route((*Group).onViewNak))
 	n.OnIdle(s.payDebts)
+	n.OnStepEnd(s.writeWALs)
 	return s
+}
+
+// writeWALs writes what the step appended to each write-ahead log, one
+// write(2) per log. The node runs it at the end of every actor step, so a
+// delivery's record is in the file before the step that applied it returns.
+func (s *Stack) writeWALs() {
+	if len(s.walDirty) == 0 {
+		return
+	}
+	for _, g := range s.walDirty {
+		g.walWrite()
+	}
+	clear(s.walDirty)
+	s.walDirty = s.walDirty[:0]
 }
 
 // payDebts sends every acknowledgement intake left owed, one report envelope
@@ -101,12 +119,20 @@ func (s *Stack) ReliabilityStats() reliability.Stats {
 
 // Release drops the stack's groups and observer once its node has stopped:
 // a halted process that stays reachable (a crashed process its runtime
-// keeps) must not pin their protocol state. Call it only after node.Stop
-// has returned — the actor goroutine, the groups' only other user, has
-// exited by then — so it needs no lock.
+// keeps) must not pin their protocol state. It first waits for any
+// write-ahead log fsync still running in the background, so no goroutine
+// outlives the process. Call it only after node.Stop has returned — the
+// actor goroutine, the groups' only other user, has exited by then — so it
+// needs no lock.
 func (s *Stack) Release() {
+	for _, g := range s.groups {
+		if g.wal != nil {
+			_ = g.wal.Wait() // its error has no one left to act on it
+		}
+	}
 	s.groups = nil
 	s.owing = nil
+	s.walDirty = nil
 	s.obs = Observer{}
 }
 
@@ -138,14 +164,17 @@ func (s *Stack) WALDir() string {
 	return dir
 }
 
-// SyncWALs forces every group's write-ahead log to stable storage. A
-// graceful shutdown (SIGTERM drain in the daemon) calls it before stopping
-// the node so deliveries applied since the last recovery tick survive the
-// restart.
+// SyncWALs forces every group's write-ahead log to stable storage: it
+// returns once each log is written and fsynced, after any background fsync
+// the recovery tick left running. A graceful shutdown (SIGTERM drain in the
+// daemon) calls it before stopping the node so deliveries applied since the
+// last recovery tick survive a machine crash after the restart.
 func (s *Stack) SyncWALs() {
 	_ = s.node.Call(func() {
 		for _, g := range s.groups {
-			g.walTick()
+			if g.wal != nil {
+				_ = g.wal.Sync()
+			}
 		}
 	})
 }

@@ -57,6 +57,7 @@ type StateTransferStats struct {
 	GraceReleases  uint64 // transfers abandoned by the StateGrace timeout
 	SnapshotBytes  uint64 // bytes of the most recent captured checkpoint
 	WALAppends     uint64 // delivery records appended to the WAL
+	WALWrites      uint64 // write(2) calls that put appended records in the WAL
 	WALCompactions uint64 // WAL snapshot rewrites
 }
 
@@ -578,6 +579,11 @@ func (g *Group) stateOnInstall(v types.ViewID, wasJoined bool) {
 // goroutine.
 func (g *Group) StateStats() StateTransferStats {
 	var s StateTransferStats
-	_ = g.stack.node.Call(func() { s = g.stateStats })
+	_ = g.stack.node.Call(func() {
+		s = g.stateStats
+		if g.wal != nil {
+			s.WALWrites += g.wal.Writes()
+		}
+	})
 	return s
 }

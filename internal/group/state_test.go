@@ -337,3 +337,54 @@ func TestWALRecoveryAfterFullRestart(t *testing.T) {
 		t.Fatalf("recovered state differs: %d keys, want %d", s2.len(), s.len())
 	}
 }
+
+// TestKVStoppedAfterPutRecoversKey: a replica halted — its node stopped,
+// no drain — right after a Put returns has its key in the write-ahead log,
+// because the delivery's record is written before the actor step that
+// applied it ends and a node stops only between steps. A flood of
+// PutAsync keeps the actor busy, so it never idles between the Put and the
+// halt. Every round re-founds the map from the log and checks all earlier
+// rounds' keys.
+func TestKVStoppedAfterPutRecoversKey(t *testing.T) {
+	dir := t.TempDir()
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		rt, procs := spawn(t, 1, isis.WithWAL(dir))
+		kv, err := procs[0].CreateKV("durable-kv", isis.GroupConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < i; k++ {
+			key := fmt.Sprintf("key-%02d", k)
+			if v, ok := kv.Get(key); !ok || v != key {
+				t.Fatalf("round %d: acknowledged %q lost after a halt (recovered %d keys)", i, key, kv.Len())
+			}
+		}
+		halted := make(chan struct{})
+		flooded := make(chan struct{})
+		go func() {
+			defer close(flooded)
+			for k := 0; ; k++ {
+				select {
+				case <-halted:
+					return
+				default:
+					kv.PutAsync(fmt.Sprintf("filler-%d", k%64), "x")
+				}
+			}
+		}()
+		// Let the flood fill the actor's queue before the Put joins it.
+		floor := kv.Applied() + 1000
+		if isis.Await(ctxT(t), func() bool { return kv.Applied() >= floor }) != nil {
+			t.Fatal("the PutAsync flood never applied")
+		}
+		key := fmt.Sprintf("key-%02d", i)
+		if err := kv.Put(ctxT(t), key, key); err != nil {
+			t.Fatal(err)
+		}
+		rt.Crash(procs[0])
+		close(halted)
+		<-flooded
+		rt.Shutdown()
+	}
+}

@@ -13,10 +13,19 @@ import (
 // log's lifecycle follows the membership: opened at Create/Join registration
 // (when the stack has a WAL directory and the group a state handler),
 // appended to for every applied delivery, compacted to the checkpoint at
-// install-time captures, fsynced in batches from the recovery tick, and
-// closed when the member leaves. Only Create replays the log — a founding
-// member is the one case where disk is the freshest copy of the group's
-// state; a joiner's log is reset and re-seeded by its incoming transfer.
+// install-time captures, and closed when the member leaves. Only Create
+// replays the log — a founding member is the one case where disk is the
+// freshest copy of the group's state; a joiner's log is reset and re-seeded
+// by its incoming transfer.
+//
+// Appends are group-committed: a delivery's record is only encoded, the
+// group joins the stack's walDirty list, and the node's step-end hook
+// (Stack.writeWALs) writes each listed log with one write(2) before the
+// actor takes its next frame or action — so a record is in the file before
+// the step that applied it returns, and a stopped node, which stops only
+// between steps, has written every record it applied. The recovery tick
+// starts the fsync on a background goroutine (wal.Log.StartSync), so the
+// actor never waits on the disk outside a compaction or a graceful drain.
 
 // walPath maps a group id into the stack's WAL directory. The name hashes
 // the group key so hierarchical path-qualified ids stay filesystem-safe.
@@ -79,7 +88,8 @@ func (g *Group) recoverFromWAL(rec wal.Recovered) {
 	}
 }
 
-// walAppend logs one applied delivery (no fsync; the recovery tick batches).
+// walAppend logs one applied delivery: the record is buffered and written at
+// the end of the actor step (writeWALs); the recovery tick batches the fsync.
 func (g *Group) walAppend(d *Delivery) {
 	if g.wal == nil {
 		return
@@ -95,6 +105,20 @@ func (g *Group) walAppend(d *Delivery) {
 	}
 	if err := g.wal.Append(m); err == nil {
 		g.stateStats.WALAppends++
+	}
+	if !g.walQueued {
+		g.walQueued = true
+		g.stack.walDirty = append(g.stack.walDirty, g)
+	}
+}
+
+// walWrite writes the records the current step appended (writeWALs). A
+// failed write costs the log those records and nothing else: durability is
+// an option, not a liveness dependency (openWAL).
+func (g *Group) walWrite() {
+	g.walQueued = false
+	if g.wal != nil {
+		_ = g.wal.Flush()
 	}
 }
 
@@ -119,17 +143,20 @@ func (g *Group) walCompactMaybe(view types.ViewID, data []byte) {
 	}
 }
 
-// walTick drives the batched fsync from the recovery tick.
+// walTick starts the batched fsync from the recovery tick, on a background
+// goroutine; a tick that finds the previous one still running leaves the
+// log dirty for the next.
 func (g *Group) walTick() {
 	if g.wal != nil {
-		_ = g.wal.Sync()
+		_ = g.wal.StartSync()
 	}
 }
 
-// closeWAL syncs and detaches the log (leave/removal).
+// closeWAL writes, syncs and detaches the log (leave/removal).
 func (g *Group) closeWAL() {
 	if g.wal != nil {
 		_ = g.wal.Close()
+		g.stateStats.WALWrites += g.wal.Writes()
 		g.wal = nil
 	}
 }

@@ -51,6 +51,12 @@
 // process multicasts meanwhile carries for free — while bounding the delay
 // by one frame under saturation. Flush does the same at once, from inside a
 // handler of an otherwise idle actor.
+//
+// OnStepEnd registers one callback the actor runs at the end of every step —
+// after each inbound frame's dispatch and after each posted action — before
+// it looks for the next. Stop is only observed between steps, so what the
+// callback finishes (the group layer writes its write-ahead logs there) is
+// done for every step that ran, however the loop is stopped.
 package node
 
 import (
@@ -84,6 +90,7 @@ type Node struct {
 	batchH     map[types.Kind]BatchHandler
 	defaultH   Handler
 	idle       atomic.Pointer[func()] // OnIdle's callback, read once per frame
+	stepEnd    atomic.Pointer[func()] // OnStepEnd's callback, read once per step
 
 	actions chan func()
 	stop    chan struct{}
@@ -180,6 +187,25 @@ func (n *Node) runIdle() {
 	}
 }
 
+// OnStepEnd registers fn to run on the actor goroutine at the end of every
+// step: after each inbound frame has been dispatched and after each posted
+// action (closures from Do and Call, timer callbacks) has run. A second
+// registration replaces the first.
+func (n *Node) OnStepEnd(fn func()) { n.stepEnd.Store(&fn) }
+
+// run executes one posted action as a step.
+func (n *Node) run(fn func()) {
+	fn()
+	n.endStep()
+}
+
+// endStep runs the OnStepEnd callback, if any.
+func (n *Node) endStep() {
+	if fn := n.stepEnd.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
 // Flush settles and sends now what the actor would settle and send once the
 // running handler returns, if the actor has no other work queued: it runs
 // the OnIdle callback and flushes the outbox. A handler calls it to get its
@@ -234,7 +260,7 @@ func (n *Node) loop() {
 		case <-n.stop:
 			return
 		case fn := <-n.actions:
-			fn()
+			n.run(fn)
 		case frame, ok := <-inbox:
 			if !ok {
 				return
@@ -250,7 +276,7 @@ func (n *Node) loop() {
 			case <-n.stop:
 				return
 			case fn := <-n.actions:
-				fn()
+				n.run(fn)
 			case frame, ok := <-inbox:
 				if !ok {
 					return
@@ -262,9 +288,10 @@ func (n *Node) loop() {
 }
 
 // dispatchFrame hands one inbound frame to the handler table, after the
-// OnIdle callback has settled what the previous frames deferred. Runs of
-// consecutive same-kind messages go to the kind's BatchHandler when one is
-// registered; everything else is dispatched per message.
+// OnIdle callback has settled what the previous frames deferred, and ends
+// the step. Runs of consecutive same-kind messages go to the kind's
+// BatchHandler when one is registered; everything else is dispatched per
+// message.
 func (n *Node) dispatchFrame(frame []*types.Message) {
 	n.runIdle()
 	for i := 0; i < len(frame); {
@@ -284,6 +311,7 @@ func (n *Node) dispatchFrame(frame []*types.Message) {
 		bh(frame[i:j])
 		i = j
 	}
+	n.endStep()
 }
 
 func (n *Node) dispatch(msg *types.Message) {

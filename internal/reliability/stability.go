@@ -550,6 +550,19 @@ func (t *Tracker) Missing() []SeqRange {
 	return out
 }
 
+// MissingAged is Missing restricted to the senders whose gap age, as of the
+// last GapTick, satisfies due: a caller spacing its NAKs asks again for one
+// sender's stalled gap without holding back another sender's younger one.
+func (t *Tracker) MissingAged(due func(age int) bool) []SeqRange {
+	var out []SeqRange
+	for i := range t.senders {
+		if s := &t.senders[i]; s.ctg < s.maxSeen && due(s.gapTicks) {
+			out = s.gaps(out, s.maxSeen)
+		}
+	}
+	return out
+}
+
 // MissingBelow returns the casts absent below a per-sender target cut — what
 // still has to be recovered before a pending view install's delivery cut is
 // satisfied. Senders beyond the cut map are ignored.

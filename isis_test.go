@@ -332,8 +332,10 @@ func TestFacadeFaultPlanAndObserver(t *testing.T) {
 	if _, err := b.JoinGroup(ctxT(t), "fp", a.ID(), isis.GroupConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if views.Load() < 2 {
-		t.Errorf("observer saw %d views, want the founding and the two-member view", views.Load())
+	// The founder installs the two-member view on its own actor, which may
+	// still be running when the joiner's JoinGroup returns.
+	if err := isis.Await(ctxT(t), func() bool { return views.Load() >= 2 }); err != nil {
+		t.Errorf("observer saw %d views, want the founding and the two-member view: %v", views.Load(), err)
 	}
 
 	if got := len(rt.FaultPlan()); got != len(plan) {

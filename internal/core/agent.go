@@ -523,15 +523,19 @@ func (a *Agent) onLeafDelivery(d group.Delivery) {
 		return
 	}
 	switch tag {
-	case tagCCRequest, tagCCResult:
-		// Cohort copy kept for resiliency: a cohort that takes over after a
-		// coordinator failure re-executes from these.
+	case tagCohort:
+		// The leaf-wide record of one request and its result (serveRequest).
+		// It is counted, not acted on: no cohort takes over from it.
 		a.statCohortCopies++
 	case tagBroadcast:
 		// The payload is a broadcast record; noteRecord dedups across the
 		// arrival paths (our representative delivered its copy at stage
 		// time, a repair may have beaten the cast here) and delivers the
-		// first copy to the application.
+		// first copy to the application. The caster noted the record before
+		// casting it, so its own copy is not noted again.
+		if d.From == a.stackNode().PID() {
+			return
+		}
 		if rec, ok := decodeRecord(payload); ok {
 			a.noteRecord(rec)
 		}

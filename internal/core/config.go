@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/group"
+	"repro/internal/treecast"
 	"repro/internal/types"
 )
 
@@ -29,8 +31,8 @@ type Config struct {
 	LeaderSize int
 
 	// Ordering is the delivery order used for intra-leaf multicasts issued
-	// by the hierarchy (requests to cohorts, result replication, broadcast
-	// delivery). Default FIFO, matching the coordinator-cohort tool.
+	// by the hierarchy (cohort copies of requests and their results,
+	// broadcast delivery). Default FIFO, matching the coordinator-cohort tool.
 	Ordering types.Ordering
 
 	// RequestHandler is the service logic run by a leaf coordinator for each
@@ -40,7 +42,8 @@ type Config struct {
 
 	// OnBroadcast is invoked on every member for each whole-group
 	// (tree-structured) broadcast delivered to its leaf. Runs on the actor
-	// goroutine.
+	// goroutine. The payload aliases the record the member buffers for
+	// repairs: it is read-only, and may be retained as it is.
 	OnBroadcast func(payload []byte)
 
 	// OnLeafDeliver is invoked for application-level leaf multicasts
@@ -146,22 +149,30 @@ func (c Config) Validate() error {
 //
 // The hierarchy multiplexes several uses onto ordinary leaf-group
 // multicasts. A one-byte tag plus a correlation id distinguishes them. The
-// leader group's tree inputs ride the same envelope.
+// leader group's tree inputs ride the same envelope. Tag values are stored in
+// write-ahead logs (leafState.Apply, leaderState.Apply replay them), so a
+// retired value is never reused.
 
 type leafCastTag byte
 
 const (
-	tagCCRequest    leafCastTag = 1 + iota // coordinator-cohort request replica
-	tagCCResult                            // coordinator-cohort result replica
-	tagBroadcast                           // whole-group tree broadcast payload
+	_               leafCastTag = 1 + iota // retired
+	_                                      // retired
+	tagBroadcast                           // whole-group tree broadcast record
 	tagAppCast                             // application-level leaf multicast
 	tagLeaderUpdate                        // refreshed leader contacts relayed leaf-wide
 	tagPlace                               // leader group: a joiner to place
 	tagReport                              // leader group: a leaf report to apply
+	tagCohort                              // coordinator-cohort copy: a request and its result
 )
 
+// leafCastHeader is the envelope's size before its payload: the tag and the
+// correlation id.
+const leafCastHeader = 1 + 8
+
 func encodeLeafCast(tag leafCastTag, corr uint64, payload []byte) []byte {
-	b := []byte{byte(tag)}
+	b := make([]byte, 0, leafCastHeader+len(payload))
+	b = append(b, byte(tag))
 	b = types.EncodeUint64(b, corr)
 	return append(b, payload...)
 }
@@ -178,6 +189,28 @@ func decodeLeafCast(b []byte) (tag leafCastTag, corr uint64, payload []byte, ok 
 	return tag, corr, rest, true
 }
 
+// encodeCohortCopy builds, in one allocation, the leaf cast that gives a
+// leaf a record of one request coordinator-cohort style: the request's
+// correlation id, the request (length-prefixed) and the result.
+func encodeCohortCopy(corr uint64, request, result []byte) []byte {
+	b := make([]byte, 0, leafCastHeader+8+len(request)+len(result))
+	b = append(b, byte(tagCohort))
+	b = types.EncodeUint64(b, corr)
+	b = types.EncodeUint64(b, uint64(len(request)))
+	b = append(b, request...)
+	return append(b, result...)
+}
+
+// decodeCohortCopy splits a tagCohort envelope's payload into the request
+// and its result. Both alias payload.
+func decodeCohortCopy(payload []byte) (request, result []byte, ok bool) {
+	n, rest, ok := types.DecodeUint64(payload)
+	if !ok || n > uint64(len(rest)) {
+		return nil, nil, false
+	}
+	return rest[:n], rest[n:], true
+}
+
 // --- tree broadcast record ------------------------------------------------------
 
 // record is one whole-group broadcast as tracked by the hierarchy recovery
@@ -189,36 +222,125 @@ func decodeLeafCast(b []byte) (tag leafCastTag, corr uint64, payload []byte, ok 
 // record rides inside stage frames, inside the tagBroadcast leaf casts, and
 // verbatim in KindTreeCastRepair retransmissions, so a member can dedup and
 // repair no matter which path a copy arrived by.
+//
+// A record is encoded once: the initiator seals it (sealRecord), and
+// decodeRecord keeps the bytes it decoded, so encodeRecord hands out those
+// bytes instead of building new ones. The bytes are frozen: the tracker
+// buffers them and every frame, leaf cast and repair copies out of them, so
+// nothing writes into them. decodeRecord's input must be frozen too — a
+// received stage frame or repair (the fabric copies them per receiver, TCP
+// decodes into fresh storage), a group delivery (frozen) or a private copy.
 type record struct {
 	Origin  types.ProcessID
 	Seq     uint64
 	Floor   uint64
 	Payload []byte
+	wire    []byte // the encoding, once known; Payload aliases its tail
 }
 
+// recordHeader is a record's size before its payload: origin (site,
+// incarnation, index), seq and floor.
+const recordHeader = 5 * 8
+
 func encodeRecord(r record) []byte {
-	b := encodePID(nil, r.Origin)
+	if r.wire != nil {
+		return r.wire
+	}
+	b := make([]byte, 0, recordHeader+len(r.Payload))
+	b = encodePID(b, r.Origin)
 	b = types.EncodeUint64(b, r.Seq)
 	b = types.EncodeUint64(b, r.Floor)
 	return append(b, r.Payload...)
 }
 
+// sealRecord encodes a fresh record once; every later use of it reuses the
+// bytes. Its payload then aliases the encoding, not the caller's buffer.
+func sealRecord(r record) record {
+	r.wire = encodeRecord(r)
+	r.Payload = r.wire[recordHeader:]
+	return r
+}
+
 func decodeRecord(b []byte) (record, bool) {
 	var r record
-	origin, b, ok := decodePID(b)
+	origin, rest, ok := decodePID(b)
 	if !ok {
 		return r, false
 	}
-	seq, b, ok := types.DecodeUint64(b)
+	seq, rest, ok := types.DecodeUint64(rest)
 	if !ok {
 		return r, false
 	}
-	floor, b, ok := types.DecodeUint64(b)
+	floor, rest, ok := types.DecodeUint64(rest)
 	if !ok {
 		return r, false
 	}
-	r.Origin, r.Seq, r.Floor, r.Payload = origin, seq, floor, b
+	r.Origin, r.Seq, r.Floor, r.Payload, r.wire = origin, seq, floor, rest, b
 	return r, true
+}
+
+// --- stage frame ----------------------------------------------------------------
+
+// A stage frame's payload is the child's plan (treecast.Encode's format,
+// length-prefixed) followed by the record. encodeStageFrame writes the plan
+// straight into one presized buffer; planSize and appendPlan mirror
+// treecast.Encode byte for byte (TestStageFrameMatchesTreecastEncoding).
+
+func encodeStageFrame(plan *treecast.Stage, rec record) []byte {
+	wire := encodeRecord(rec)
+	n := planSize(plan)
+	b := make([]byte, 0, 8+n+len(wire))
+	b = types.EncodeUint64(b, uint64(n))
+	b = appendPlan(b, plan)
+	return append(b, wire...)
+}
+
+// decodeStageFrame splits a stage frame into its plan and record.
+func decodeStageFrame(b []byte) (*treecast.Stage, record, bool) {
+	n, rest, ok := types.DecodeUint64(b)
+	if !ok || n > uint64(len(rest)) {
+		return nil, record{}, false
+	}
+	plan, err := treecast.Decode(rest[:n])
+	if err != nil || plan == nil {
+		return nil, record{}, false
+	}
+	rec, ok := decodeRecord(rest[n:])
+	return plan, rec, ok
+}
+
+// planSize is the length of treecast.Encode(s) for a non-nil plan.
+func planSize(s *treecast.Stage) int { return 8 + stageSize(s) }
+
+func stageSize(s *treecast.Stage) int {
+	n := 8 + 8 + len(s.Leaf.Name) + 8*len(s.Leaf.Path) + 8 + 24*len(s.Contacts) + 8
+	for _, c := range s.Children {
+		n += stageSize(c)
+	}
+	return n
+}
+
+// appendPlan appends treecast.Encode(s) for a non-nil plan: a present flag,
+// then the stages depth first.
+func appendPlan(b []byte, s *treecast.Stage) []byte {
+	return appendStage(types.EncodeUint64(b, 1), s)
+}
+
+func appendStage(b []byte, s *treecast.Stage) []byte {
+	b = types.EncodeUint64(b, uint64(len(s.Leaf.Path)))
+	b = types.EncodeString(b, s.Leaf.Name)
+	for _, p := range s.Leaf.Path {
+		b = types.EncodeUint64(b, uint64(p))
+	}
+	b = types.EncodeUint64(b, uint64(len(s.Contacts)))
+	for _, c := range s.Contacts {
+		b = encodePID(b, c)
+	}
+	b = types.EncodeUint64(b, uint64(len(s.Children)))
+	for _, c := range s.Children {
+		b = appendStage(b, c)
+	}
+	return b
 }
 
 // --- placement encoding --------------------------------------------------------
@@ -375,17 +497,20 @@ func encodePID(b []byte, p types.ProcessID) []byte {
 	return types.EncodeUint64(b, uint64(p.Index))
 }
 
+// decodePID rejects a field wider than its 32 bits: a truncated one would
+// name another process than its bytes, and a decoded record hands its bytes
+// on as they arrived (decodeRecord).
 func decodePID(b []byte) (types.ProcessID, []byte, bool) {
 	site, b, ok := types.DecodeUint64(b)
-	if !ok {
+	if !ok || site > math.MaxUint32 {
 		return types.ProcessID{}, b, false
 	}
 	inc, b, ok := types.DecodeUint64(b)
-	if !ok {
+	if !ok || inc > math.MaxUint32 {
 		return types.ProcessID{}, b, false
 	}
 	idx, b, ok := types.DecodeUint64(b)
-	if !ok {
+	if !ok || idx > math.MaxUint32 {
 		return types.ProcessID{}, b, false
 	}
 	return types.ProcessID{Site: types.SiteID(site), Incarnation: uint32(inc), Index: uint32(idx)}, b, true

@@ -21,8 +21,8 @@ import (
 //
 //   - dedup: a record can reach a member along several paths (its own stage
 //     frame, its leaf's internal cast, a retried stage via a different
-//     representative, a repair) — Note filters every copy after the first,
-//     so delivery is exactly-once per member;
+//     representative, a repair) — the tracker filters every copy after the
+//     first, so delivery is exactly-once per member;
 //   - retransmit buffers: the tracker's per-sender buffer holds every
 //     unstable record, so *any* member — not just the origin — can serve a
 //     NAK, exactly as in the flat layer;
@@ -81,7 +81,8 @@ type doneStage struct {
 
 // trkMessage wraps a record as the message shape the tracker buffers: the
 // buffered form doubles as the KindTreeCastRepair wire message, so serving a
-// NAK is Retrieve + Clone + Send with no re-encoding.
+// NAK is Retrieve + Clone + Send with no re-encoding. Its payload is the
+// record's own encoding, not a copy.
 func (a *Agent) trkMessage(rec record) *types.Message {
 	return &types.Message{
 		Kind:    types.KindTreeCastRepair,
@@ -93,7 +94,9 @@ func (a *Agent) trkMessage(rec record) *types.Message {
 
 // noteRecord runs every record arrival (stage frame, leaf cast, repair)
 // through the tracker and delivers it to the application exactly once. It
-// reports whether the record was fresh. Actor goroutine only.
+// reports whether the record was fresh. A copy already held costs no
+// allocation: it is counted as the tracker's Note would count it, and no
+// message is built for it. Actor goroutine only.
 func (a *Agent) noteRecord(rec record) bool {
 	// A member that joined mid-stream baselines a never-seen origin at the
 	// record's floor (always <= seq-1): it must not NAK for history that
@@ -104,7 +107,12 @@ func (a *Agent) noteRecord(rec record) bool {
 		baseline = rec.Seq - 1
 	}
 	a.trk.Bootstrap(rec.Origin, baseline)
-	fresh := a.trk.Note(a.trkMessage(rec))
+	fresh := false
+	if a.trk.Holds(types.MsgID{Sender: rec.Origin, Seq: rec.Seq}) {
+		a.relStats.Duplicates++
+	} else {
+		fresh = a.trk.Note(a.trkMessage(rec))
+	}
 	if rec.Floor > 0 {
 		// The floor is clamped to our own contiguous watermark inside
 		// SetFloor, so it can never prune records we have not yet received.

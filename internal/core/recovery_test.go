@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -678,5 +680,178 @@ func TestBroadcastBoundedWhenCoordinatorBlackHoled(t *testing.T) {
 	}
 	if elapsed >= 2*opTimeout {
 		t.Fatalf("broadcast returned after %v, want under %v", elapsed, 2*opTimeout)
+	}
+}
+
+// TestLosslessBroadcastsCountNoDuplicates: on a lossless fabric every member
+// receives each broadcast record once — from its representative's stage frame
+// or from its leaf's cast — and the representative does not note its own leaf
+// cast again, so the hierarchy's duplicate counter stays at zero. A repair
+// that re-delivers a record a member holds is a real duplicate and is
+// counted, without delivering the record twice.
+func TestLosslessBroadcastsCountNoDuplicates(t *testing.T) {
+	const n, bcasts = 12, 10
+	_, procs := spawn(t, n)
+	log := newDeliveryLog(n)
+	agents := buildService(t, procs, n, func(i int) core.Config {
+		cfg := echoCfg(4, 2)
+		cfg.OnBroadcast = func(p []byte) { log.record(i, p) }
+		return cfg
+	})
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
+		t.Fatal("tree never converged")
+	}
+	if leaves := agents[0].Tree().LeafCount(); leaves != 3 {
+		t.Fatalf("service has %d leaves, want 3", leaves)
+	}
+	// Each broadcast is cast once into each leaf, and every leaf member —
+	// the casting representative too, whose own copy may be delivered to it
+	// last — is delivered that cast.
+	var leafCasts atomic.Int64
+	for _, p := range procs {
+		p.ObserveGroups(group.Observer{OnDeliver: func(gid types.GroupID, d group.Delivery) {
+			if gid.Kind == types.KindLeaf && core.IsBroadcastCast(d.Payload) {
+				leafCasts.Add(1)
+			}
+		}})
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	for b := 0; b < bcasts; b++ {
+		payload := fmt.Sprintf("bcast-%d", b)
+		covered, err := agents[b%n].Broadcast(ctxT(t), []byte(payload))
+		if err != nil || covered != n {
+			t.Fatalf("broadcast %d covered %d of %d: %v", b, covered, n, err)
+		}
+		waitDelivered(t, log, all, payload, 5*time.Second)
+	}
+	if isis.Await(ctxT(t), func() bool { return leafCasts.Load() == bcasts*n }) != nil {
+		t.Fatalf("%d leaf casts of %d broadcasts delivered to %d members, want %d", leafCasts.Load(), bcasts, n, bcasts*n)
+	}
+	duplicates := func() (sum uint64) {
+		for _, a := range agents {
+			sum += a.RecoveryStats().Duplicates
+		}
+		return sum
+	}
+	if d := duplicates(); d != 0 {
+		t.Errorf("%d lossless broadcasts to %d members counted %d duplicates, want 0", bcasts, n, d)
+	}
+
+	// Every broadcast above went through the leader coordinator, the origin
+	// of every record; its third record is held everywhere.
+	origin := procs[0].ID()
+	for _, a := range agents {
+		a.Repair(origin, 3, []byte("bcast-2"))
+	}
+	if d := duplicates(); d != n {
+		t.Errorf("re-delivering a held record to %d members counted %d duplicates, want %d", n, d, n)
+	}
+	for i := range agents {
+		if c := log.count(i, "bcast-2"); c != 1 {
+			t.Errorf("member %d delivered bcast-2 %d times, want once", i, c)
+		}
+	}
+}
+
+// TestRetainedRecordBytesNeverWritten guards encoding a broadcast record
+// once: every member keeps the bytes a record arrived in — a stage frame, a
+// leaf cast, a repair, or the initiator's one encoding — in its retransmit
+// buffer, hands a slice of them to OnBroadcast, and copies every later stage
+// frame, leaf cast and repair out of them. Under duplication, reordering and
+// a leaf whose stage frames are dropped (so NAKs are served and repairs
+// re-cast into the leaf), every OnBroadcast payload and every buffered
+// record must still match the checksum taken when it was first seen:
+// nothing on any path wrote into one.
+func TestRetainedRecordBytesNeverWritten(t *testing.T) {
+	const n, bcasts = 9, 24
+	rt, procs := spawn(t, n, isis.WithSeed(42))
+	type seen struct {
+		b   []byte
+		sum uint32
+	}
+	var mu sync.Mutex
+	var kept []seen
+	keep := func(b []byte) {
+		mu.Lock()
+		kept = append(kept, seen{b, crc32.ChecksumIEEE(b)})
+		mu.Unlock()
+	}
+	log := newDeliveryLog(n)
+	agents := buildService(t, procs, n, func(i int) core.Config {
+		cfg := recoveryCfg(3, 2, log, i)
+		cfg.OnBroadcast = func(p []byte) {
+			keep(p)
+			log.record(i, p)
+		}
+		return cfg
+	})
+	if isis.Await(ctxT(t), func() bool { return agents[0].Tree().TotalMembers() == n }) != nil {
+		t.Fatal("tree never converged")
+	}
+	victims := make(map[types.ProcessID]bool)
+	founderLeaf := agents[0].LeafID().Key()
+	for key, members := range leavesByKey(agents) {
+		if key != founderLeaf {
+			for _, i := range members {
+				victims[procs[i].ID()] = true
+			}
+			break
+		}
+	}
+	var dropping atomic.Bool
+	rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
+		return dropping.Load() && p.Msg.Kind == types.KindTreeCast && p.Msg.Hop > 0 && victims[p.To]
+	})
+	rt.Fabric().SetDuplication(0.2)
+	rt.Fabric().SetReordering(0.2, 2*time.Millisecond)
+
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	for b := 0; b < bcasts; b++ {
+		dropping.Store(b%4 == 1)
+		payload := fmt.Sprintf("bcast-%d", b)
+		if _, err := agents[b%n].Broadcast(ctxT(t), []byte(payload)); err != nil {
+			t.Fatalf("broadcast %d: %v", b, err)
+		}
+		if b%4 == 2 {
+			// The record dropped one broadcast ago is repaired by NAK now
+			// that this one shows the gap.
+			waitDelivered(t, log, all, fmt.Sprintf("bcast-%d", b-1), 5*time.Second)
+		}
+		if b == bcasts/2 {
+			for _, a := range agents {
+				for _, r := range a.HeldRecords() {
+					keep(r)
+				}
+			}
+		}
+	}
+	dropping.Store(false)
+	for b := 0; b < bcasts; b++ {
+		waitDelivered(t, log, all, fmt.Sprintf("bcast-%d", b), 5*time.Second)
+	}
+	for _, a := range agents {
+		for _, r := range a.HeldRecords() {
+			keep(r)
+		}
+	}
+	var served uint64
+	for _, a := range agents {
+		served += a.RecoveryStats().NaksServed
+	}
+	if served == 0 {
+		t.Error("no NAK was served: the repair path went unexercised")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, k := range kept {
+		if crc32.ChecksumIEEE(k.b) != k.sum {
+			t.Fatalf("retained record bytes #%d were written after they were kept: now %q", i, k.b)
+		}
 	}
 }

@@ -13,9 +13,10 @@ import (
 //
 //   - request routing: a client's request is directed to a *single* leaf
 //     subgroup, where the leaf coordinator executes it coordinator-cohort
-//     style (request and result replicated to the leaf's cohorts only), so
-//     the cost of a request is bounded by the leaf size no matter how large
-//     the whole service grows;
+//     style: it runs the handler, answers the client, then casts one leaf
+//     envelope carrying the request and its result to the leaf's cohorts
+//     only, so the cost of a request is bounded by the leaf size no matter
+//     how large the whole service grows;
 //   - whole-group broadcast: when every member really must be reached, the
 //     broadcast is forwarded along the fanout-bounded tree of leaf
 //     subgroups (internal/treecast) instead of one sender contacting every
@@ -72,6 +73,12 @@ func (a *Agent) onRoute(m *types.Message) {
 // serveRequest executes one request coordinator-cohort style inside the
 // local leaf. If this process is no longer the leaf coordinator it forwards
 // to the current one.
+//
+// After the reply the coordinator casts one leaf envelope carrying the
+// request and its result (tagCohort): a reliable leaf-wide record of what
+// was asked and answered. No cohort takes over from it — a coordinator that
+// crashes before the cast leaves no record, and the client's retry, routed
+// to the leaf's next coordinator, executes the request again.
 func (a *Agent) serveRequest(m *types.Message) {
 	if a.leaf == nil || a.leaf.Closed() {
 		_ = a.stackNode().Reply(m, nil, types.ErrNoSuchGroup.Error())
@@ -94,14 +101,10 @@ func (a *Agent) serveRequest(m *types.Message) {
 		_ = a.stackNode().Reply(m, nil, "service has no request handler")
 		return
 	}
-	// Replicate the request to the cohorts, execute, answer the client, then
-	// replicate the result — the coordinator-cohort pattern, confined to one
-	// leaf subgroup.
-	a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagCCRequest, m.Corr, m.Payload))
 	result := a.cfg.RequestHandler(m.Payload)
 	a.statRequestsHandled++
 	_ = a.stackNode().Reply(m, result, "")
-	a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagCCResult, m.Corr, result))
+	a.leaf.CastAsync(a.cfg.Ordering, encodeCohortCopy(m.Corr, m.Payload, result))
 }
 
 // --- whole-group broadcast --------------------------------------------------------
@@ -164,7 +167,9 @@ func (a *Agent) onTreeCast(m *types.Message) {
 
 // initiateTreeCast stamps the broadcast as a record — the next sequence
 // number of this origin's stream plus the current stability floor — plans
-// the forwarding tree, and runs (or delegates) the root stage.
+// the forwarding tree, and runs (or delegates) the root stage. The record is
+// encoded here once; every stage frame, leaf cast and buffered repair copy
+// reuses those bytes.
 func (a *Agent) initiateTreeCast(m *types.Message) {
 	leaves := make([]treecast.LeafDescriptor, 0, a.tree.LeafCount())
 	for _, l := range a.tree.Leaves {
@@ -177,7 +182,7 @@ func (a *Agent) initiateTreeCast(m *types.Message) {
 	}
 	self := a.stackNode().PID()
 	a.bcastSeq++
-	rec := record{Origin: self, Seq: a.bcastSeq, Floor: a.currentFloor(), Payload: m.Payload}
+	rec := sealRecord(record{Origin: self, Seq: a.bcastSeq, Floor: a.currentFloor(), Payload: m.Payload})
 	if types.ContainsProcess(plan.Contacts, self) {
 		// The initiator is itself the root stage's representative (the usual
 		// case: the founder coordinates both the leader group and leaf 0), so
@@ -209,15 +214,7 @@ func (a *Agent) initiateTreeCast(m *types.Message) {
 }
 
 func (a *Agent) forwardTreeCast(m *types.Message) {
-	planStr, rest, ok := types.DecodeString(m.Payload)
-	if !ok {
-		return
-	}
-	plan, err := treecast.Decode([]byte(planStr))
-	if err != nil || plan == nil {
-		return
-	}
-	rec, ok := decodeRecord(rest)
+	plan, rec, ok := decodeStageFrame(m.Payload)
 	if !ok {
 		return
 	}
@@ -346,7 +343,7 @@ func (a *Agent) sendStageTo(cs *childState, corr uint64, rec record) error {
 		Group:   types.BranchGroup(a.name),
 		Hop:     1,
 		Corr:    corr,
-		Payload: append(types.EncodeString(nil, string(treecast.Encode(cs.stage))), encodeRecord(rec)...),
+		Payload: encodeStageFrame(cs.stage, rec),
 	}
 	n := len(cs.stage.Contacts)
 	var lastErr error = types.ErrNoSuchProcess

@@ -283,15 +283,14 @@ func decodeRecord(b []byte) (record, bool) {
 
 // A stage frame's payload is the child's plan (treecast.Encode's format,
 // length-prefixed) followed by the record. encodeStageFrame writes the plan
-// straight into one presized buffer; planSize and appendPlan mirror
-// treecast.Encode byte for byte (TestStageFrameMatchesTreecastEncoding).
+// straight into one presized buffer.
 
 func encodeStageFrame(plan *treecast.Stage, rec record) []byte {
 	wire := encodeRecord(rec)
-	n := planSize(plan)
+	n := treecast.EncodedSize(plan)
 	b := make([]byte, 0, 8+n+len(wire))
 	b = types.EncodeUint64(b, uint64(n))
-	b = appendPlan(b, plan)
+	b = treecast.AppendEncode(b, plan)
 	return append(b, wire...)
 }
 
@@ -307,40 +306,6 @@ func decodeStageFrame(b []byte) (*treecast.Stage, record, bool) {
 	}
 	rec, ok := decodeRecord(rest[n:])
 	return plan, rec, ok
-}
-
-// planSize is the length of treecast.Encode(s) for a non-nil plan.
-func planSize(s *treecast.Stage) int { return 8 + stageSize(s) }
-
-func stageSize(s *treecast.Stage) int {
-	n := 8 + 8 + len(s.Leaf.Name) + 8*len(s.Leaf.Path) + 8 + 24*len(s.Contacts) + 8
-	for _, c := range s.Children {
-		n += stageSize(c)
-	}
-	return n
-}
-
-// appendPlan appends treecast.Encode(s) for a non-nil plan: a present flag,
-// then the stages depth first.
-func appendPlan(b []byte, s *treecast.Stage) []byte {
-	return appendStage(types.EncodeUint64(b, 1), s)
-}
-
-func appendStage(b []byte, s *treecast.Stage) []byte {
-	b = types.EncodeUint64(b, uint64(len(s.Leaf.Path)))
-	b = types.EncodeString(b, s.Leaf.Name)
-	for _, p := range s.Leaf.Path {
-		b = types.EncodeUint64(b, uint64(p))
-	}
-	b = types.EncodeUint64(b, uint64(len(s.Contacts)))
-	for _, c := range s.Contacts {
-		b = encodePID(b, c)
-	}
-	b = types.EncodeUint64(b, uint64(len(s.Children)))
-	for _, c := range s.Children {
-		b = appendStage(b, c)
-	}
-	return b
 }
 
 // --- placement encoding --------------------------------------------------------

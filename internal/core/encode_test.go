@@ -34,21 +34,15 @@ func randomPlan(t *testing.T, rng *rand.Rand, n int) *treecast.Stage {
 	return plan
 }
 
-// The stage frame's plan is written by the hierarchy's own encoder, so it
-// must stay byte for byte what treecast.Encode writes and what the
-// receiver's treecast.Decode reads; the whole frame must equal the frame
-// the plan's string encoding and the record used to be concatenated into.
+// The stage frame's plan, written into the frame's one buffer, must be
+// what the receiver's treecast.Decode reads; the whole frame must equal the
+// frame the plan's string encoding and the record used to be concatenated
+// into.
 func TestStageFrameMatchesTreecastEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		plan := randomPlan(t, rng, 1+rng.Intn(40))
 		want := treecast.Encode(plan)
-		if got := appendPlan(nil, plan); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: plan encodes as %x, treecast.Encode as %x", trial, got, want)
-		}
-		if planSize(plan) != len(want) {
-			t.Fatalf("trial %d: planSize %d, encoding is %d bytes", trial, planSize(plan), len(want))
-		}
 		rec := sealRecord(record{Origin: p(uint32(trial)), Seq: uint64(trial + 1), Floor: uint64(trial), Payload: []byte("payload")})
 		frame := encodeStageFrame(plan, rec)
 		if old := append(types.EncodeString(nil, string(want)), encodeRecord(record{Origin: rec.Origin, Seq: rec.Seq, Floor: rec.Floor, Payload: rec.Payload})...); !bytes.Equal(frame, old) {

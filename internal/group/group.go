@@ -66,7 +66,7 @@ type Group struct {
 	// breaking set agreement. They are replayed (up to the cut) when the
 	// install arrives and discarded beyond it.
 	parked       []*types.Message
-	intake       castIntake        // onCastBatch's per-frame scratch
+	intake       castIntake        // onCastBatch's per-call scratch
 	relayTo      []types.ProcessID // relay's destination scratch
 	forwarded    member.View       // proposed view we already flush-forwarded for
 	proposeFrom  types.ProcessID   // proposer of the in-progress view change
@@ -128,8 +128,8 @@ type Group struct {
 
 // castIntake is the scratch onCastBatch sorts one frame into, kept across
 // frames so intake allocates no per-frame lists. byOrdering[o] collects the
-// current-view casts for engine o; direct holds the casts outside the known
-// orderings, delivered directly like onCast does.
+// current-view casts for engine o; direct holds the unordered casts, which
+// no engine holds back.
 type castIntake struct {
 	byOrdering [4][]*types.Message
 	direct     []*types.Message
@@ -338,14 +338,11 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 	}
 	g.emitView(v)
 
-	// Replay casts that arrived for this view before the install did.
-	future := g.futureCasts
+	// Replay, as one frame, the casts that arrived for this view before the
+	// install did; those of any other view are dropped.
+	future := slices.DeleteFunc(g.futureCasts, func(m *types.Message) bool { return m.View != v.ID })
 	g.futureCasts = nil
-	for _, m := range future {
-		if m.View == g.view.ID {
-			g.onCast(m)
-		}
-	}
+	g.onCastBatch(future, false)
 
 	// Run deferred work (casts issued while wedged).
 	deferred := g.afterInstall
@@ -1060,19 +1057,15 @@ func (g *Group) cutSatisfied(cut map[types.ProcessID]uint64, abCut uint64) bool 
 }
 
 // applyParked replays the casts parked while wedged, up to the delivery
-// cut, through the normal receive path (without sequencing: the closing
-// view's agreed order is frozen by the flush). Casts beyond the cut are
-// discarded — no acknowledged survivor holds them, so delivering them here
-// would break set agreement.
+// cut, through the cast intake as a replay (see onCastBatch). Casts beyond
+// the cut are discarded — no acknowledged survivor holds them, so
+// delivering them here would break set agreement.
 func (g *Group) applyParked(cut map[types.ProcessID]uint64, abCut uint64) {
-	parked := g.parked
+	parked := slices.DeleteFunc(g.parked, func(m *types.Message) bool {
+		return m.View != g.view.ID || !g.withinCut(m, cut, abCut)
+	})
 	g.parked = nil
-	for _, m := range parked {
-		if m.View != g.view.ID || !g.withinCut(m, cut, abCut) {
-			continue
-		}
-		g.processCast(m, false, false)
-	}
+	g.onCastBatch(parked, true)
 }
 
 // withinCut reports whether an install with delivery cut cut and
@@ -1208,40 +1201,18 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, need int, done fun
 		g.stack.node.SendCopies(g.view.Members, msg)
 		g.owed = g.owed[:0]
 	}
-	// Self-delivery through the same path as remote copies, of the same
-	// frozen envelope every receiver shares: nothing on the receive path
-	// writes a cast. ingestStab ignores our own stability report. The
+	// Self-delivery, a frame of one through the intake remote copies take,
+	// of the frozen envelope every receiver shares: nothing on the receive
+	// path writes a cast. ingestStab ignores our own stability report. The
 	// sequencer's ABCAST, delivered at once, leaves first, as its relays do.
 	if msg.Seq != 0 {
 		g.stack.node.Flush()
 	}
-	g.onCast(msg)
+	g.onCastBatch([]*types.Message{msg}, false)
 
 	if need <= 0 && done != nil {
 		done(nil)
 	}
-}
-
-func (g *Group) onCast(m *types.Message) {
-	if g.closed {
-		return
-	}
-	if !g.joined || m.View != g.view.ID {
-		if m.View > g.view.ID || !g.joined {
-			// A cast from a view we have not installed yet: keep it for
-			// replay right after the install.
-			g.futureCasts = append(g.futureCasts, m)
-		}
-		return
-	}
-	g.ingestStab(m)
-	if g.parksCast(m) {
-		g.parked = append(g.parked, m)
-		g.owe(m.ID.Sender)
-		return
-	}
-	g.processCast(m, g.maySequence(m), true)
-	g.recheckPendingInstall()
 }
 
 // parksCast reports whether a current-view cast must wait out the view
@@ -1263,47 +1234,6 @@ func (g *Group) parksCast(m *types.Message) bool {
 // sequencing stays frozen for peers' casts while a flush is in progress.
 func (g *Group) maySequence(m *types.Message) bool {
 	return !g.wedged || m.From == g.stack.node.PID()
-}
-
-// processCast runs the receive path for one current-view cast: duplicate
-// filtering and buffering in the reliability tracker, the receipt
-// acknowledgement, sequencing (when allowed) and the ordering engines.
-func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
-	fresh := g.rel.Note(m)
-	if ack {
-		// Duplicates re-acknowledge too: the first report may have been lost.
-		g.owe(m.ID.Sender)
-	}
-	if !fresh {
-		// Already held (network duplicate or a retransmission of something
-		// we have). This receive-side filter is what lets the ordering
-		// engines prune their duplicate-suppression state to the unstable
-		// suffix. The slot a copy carries still counts.
-		if seq := g.binding(m); seq != 0 {
-			g.deliverAll(g.total.AddOrder(seq, m.ID))
-		}
-		return
-	}
-	m = g.withoutFencedBinding(m)
-	// The sequencer assigns the total order for casts that need one and
-	// relays them before it delivers anything.
-	if allowSequence && g.sequences(m) {
-		seq := g.seqr.Assign()
-		g.relay(m, seq)
-		g.stack.node.Flush()
-		g.deliverAll(g.total.AddOrder(seq, m.ID))
-	}
-
-	switch m.Ordering {
-	case types.Causal:
-		g.deliverAll(g.causal.Add(m))
-	case types.Total:
-		g.deliverAll(g.total.Add(m))
-	case types.FIFO:
-		g.deliverAll(g.fifo.Add(m))
-	default: // Unordered
-		g.deliver(m)
-	}
 }
 
 // deliverAll delivers what an ordering engine released, then clears the
@@ -1416,25 +1346,23 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 	}
 }
 
-// onCastBatch is the batch-frame form of onCast: per-message bookkeeping
-// (reliability tracking, parking, sequencing) runs in one loop, then each
-// ordering engine accepts its sub-batch and releases deliveries in one pass,
-// and everything cumulative is settled once for the whole frame — the
-// piggybacked stability report is folded once per source, every originator
-// in the frame is owed one acknowledgement, and the pending-install cut is
-// rechecked once. A sequencer's relays coalesce in the node's outbox, which
-// it flushes once for the frame, before the engines deliver the frame's
-// casts: the other members get their copies while this one applies its own.
-func (g *Group) onCastBatch(ms []*types.Message) {
-	if len(ms) == 1 {
-		g.onCast(ms[0])
-		return
-	}
+// onCastBatch is the group's one cast intake: a peer's frame, this
+// member's own cast as a frame of one, and the casts an install replays.
+// Per-message bookkeeping (future-view set-aside, parking, the tracker, the
+// fence, sequencing) runs in one loop, and each ordering engine then takes
+// its sub-batch in one pass. Cumulative work is settled once per frame: one
+// report folded per source, before the deliveries, so that the waiters it
+// resolves do not wait for the application; one acknowledgement owed per
+// originator; one recheck of the pending install. A sequencer's relays
+// leave in one flush before the engines deliver. A replay (the parked casts
+// an install's cut admits) owes no acknowledgement (it was owed at
+// parking), parks and sequences nothing (the flush froze the closing view's
+// order), folds no report and leaves the pending install to its caller.
+func (g *Group) onCastBatch(ms []*types.Message, replay bool) {
 	if g.closed {
 		return
 	}
 	in := &g.intake
-	defer in.reset()
 
 	// Watermarks are cumulative and monotone, so the last report a source put
 	// in the frame is pointwise at least every earlier one: folding it alone,
@@ -1443,10 +1371,6 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	// mid-run the previous one's report is folded on the spot.
 	var report *types.Message
 	relayed := false
-	// Acknowledgement is per sender, not per message: each distinct
-	// originator in the frame is owed one report, paid after intake so it
-	// covers the whole frame (parked casts and duplicates count too — their
-	// earlier report may have been the casualty).
 	for _, m := range ms {
 		if !g.joined || m.View != g.view.ID {
 			if m.View > g.view.ID || !g.joined {
@@ -1456,20 +1380,28 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			}
 			continue
 		}
-		if len(m.Stab) > 0 || m.StabOrd > 0 {
-			if report != nil && report.From != m.From {
-				g.ingestStab(report)
+		if !replay {
+			if len(m.Stab) > 0 || m.StabOrd > 0 {
+				if report != nil && report.From != m.From {
+					g.ingestStab(report)
+				}
+				report = m
 			}
-			report = m
-		}
-		g.owe(m.ID.Sender)
-		if g.parksCast(m) {
-			g.parked = append(g.parked, m)
-			continue
+			// Acknowledgement is per sender, not per message: each distinct
+			// originator in the frame is owed one report, paid after intake
+			// so it covers the whole frame (parked casts and duplicates count
+			// too — their earlier report may have been the casualty).
+			g.owe(m.ID.Sender)
+			if g.parksCast(m) {
+				g.parked = append(g.parked, m)
+				continue
+			}
 		}
 		if !g.rel.Note(m) {
-			// Already held: a network duplicate or retransmission, whose
-			// slot still counts.
+			// Already held (network duplicate or a retransmission of something
+			// we have). This receive-side filter is what lets the ordering
+			// engines prune their duplicate-suppression state to the unstable
+			// suffix. The slot a copy carries still counts.
 			if seq := g.binding(m); seq != 0 {
 				g.deliverAll(g.total.AddOrder(seq, m.ID))
 			}
@@ -1478,7 +1410,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		m = g.withoutFencedBinding(m)
 		// The sequencer assigns the total order for casts that need one,
 		// skipping casts it has already sequenced.
-		if g.maySequence(m) && g.sequences(m) {
+		if !replay && g.maySequence(m) && g.sequences(m) {
 			seq := g.seqr.Assign()
 			g.relay(m, seq)
 			relayed = true
@@ -1491,8 +1423,11 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			in.direct = append(in.direct, m)
 		}
 	}
+	// The report folds, and the relays leave, before the frame is delivered.
+	if report != nil {
+		g.ingestStab(report)
+	}
 	if relayed {
-		// The relays leave before this member applies the frame.
 		g.stack.node.Flush()
 	}
 	for _, d := range in.direct {
@@ -1507,10 +1442,12 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 	if batch := in.byOrdering[types.Total]; len(batch) > 0 {
 		g.deliverAll(g.total.AddBatch(batch))
 	}
-	if report != nil {
-		g.ingestStab(report)
+	// Empty the scratch first: an install the recheck completes replays the
+	// casts held for its view through this intake.
+	in.reset()
+	if !replay {
+		g.recheckPendingInstall()
 	}
-	g.recheckPendingInstall()
 }
 
 func (g *Group) onOrder(m *types.Message) {

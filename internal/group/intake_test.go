@@ -15,9 +15,9 @@ import (
 )
 
 // These tests drive the cast intake path of one real member whose peers
-// exist only as process ids: frames are handed to onCastBatch / onCast on
-// the member's actor, and everything it sends is recorded instead of
-// transmitted.
+// exist only as process ids: frames, one-cast frames included, are handed to
+// onCastBatch on the member's actor, and everything it sends is recorded
+// instead of transmitted.
 
 // recorder is a transport.Network with a single endpoint that keeps clones
 // of what it is asked to send (an endpoint only borrows a frame).
@@ -155,10 +155,10 @@ func TestFrameFoldsOneReportAndMatchesPerCastIntake(t *testing.T) {
 	}
 	for _, from := range []struct{ p, peer types.ProcessID }{{tpid(2), tpid(3)}, {tpid(3), tpid(2)}} {
 		before := [2]uint64{reports(whole), reports(single)}
-		whole.do(func() { whole.g.onCastBatch(frameFrom(whole.g, from.p, from.peer, 1, casts, 1)) })
+		whole.do(func() { whole.g.onCastBatch(frameFrom(whole.g, from.p, from.peer, 1, casts, 1), false) })
 		single.do(func() {
 			for _, m := range frameFrom(single.g, from.p, from.peer, 1, casts, 1) {
-				single.g.onCast(m)
+				single.g.onCastBatch([]*types.Message{m}, false)
 			}
 		})
 		if got := reports(whole) - before[0]; got != 1 {
@@ -243,7 +243,7 @@ func TestFrameFoldsOnlyCurrentViewReports(t *testing.T) {
 	var future int
 	var missing []reliability.SeqRange
 	r.do(func() {
-		r.g.onCastBatch(frame)
+		r.g.onCastBatch(frame, false)
 		reports, future = r.g.relStats.Reports, len(r.g.futureCasts)
 		reported = r.g.rel.Reported(p2, p3)
 		missing = r.g.rel.Missing()
@@ -282,7 +282,7 @@ func TestWedgedFrameAcknowledgedOncePerOriginator(t *testing.T) {
 	var parked int
 	r.do(func() {
 		r.g.wedged = true
-		r.g.onCastBatch(frame)
+		r.g.onCastBatch(frame, false)
 		parked = len(r.g.parked)
 	})
 	r.do(func() {}) // the actor flushes its outbox when it runs out of work
@@ -350,7 +350,7 @@ func TestInstallDropsOwedReports(t *testing.T) {
 	r := newRigView(t, Config{}, p2, tpid(1), p3) // p2 sequences
 	var owed, owing int
 	r.do(func() {
-		r.g.onCastBatch(frameFrom(r.g, p3, p2, 1, 3, 0))
+		r.g.onCastBatch(frameFrom(r.g, p3, p2, 1, 3, 0), false)
 		owed = len(r.g.owed)
 		r.g.install(member.NewView(r.g.id, 3, []types.ProcessID{p2, tpid(1)}), nil)
 	})
@@ -382,12 +382,12 @@ func TestRelayedDuplicateYieldsBinding(t *testing.T) {
 		}
 		var delivered uint64
 		r.do(func() {
-			r.g.onCastBatch([]*types.Message{cast(p3, 1, 0), cast(p3, 2, 0)})
+			r.g.onCastBatch([]*types.Message{cast(p3, 1, 0), cast(p3, 2, 0)}, false)
 			if batch {
-				r.g.onCastBatch([]*types.Message{cast(p2, 1, 1), cast(p2, 2, 2)})
+				r.g.onCastBatch([]*types.Message{cast(p2, 1, 1), cast(p2, 2, 2)}, false)
 			} else {
-				r.g.onCast(cast(p2, 1, 1))
-				r.g.onCast(cast(p2, 2, 2))
+				r.g.onCastBatch([]*types.Message{cast(p2, 1, 1)}, false)
+				r.g.onCastBatch([]*types.Message{cast(p2, 2, 2)}, false)
 			}
 			delivered = r.g.total.NextSeq() - 1
 		})
@@ -404,11 +404,11 @@ func TestRelayedCastPaysOnlyTheSequencer(t *testing.T) {
 	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
 	r := newRigView(t, Config{}, p2, p1, p3) // p2 sequences
 	r.do(func() {
-		r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, 2, 0))
-		r.g.onCast(&types.Message{
+		r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, 2, 0), false)
+		r.g.onCastBatch([]*types.Message{{
 			Kind: types.KindCast, From: p2, Group: r.g.id, View: 2,
 			ID: types.MsgID{Sender: p3, Seq: 1}, Ordering: types.Total, Seq: 3,
-		})
+		}}, false)
 		r.g.castOnActor(types.Total, []byte("own"), 0, nil)
 	})
 	r.do(func() {}) // the actor pays what is owed when it runs out of work

@@ -22,7 +22,7 @@ import (
 //   - NAKs steady-state receive gaps whose sender's watermark has stalled
 //     (a gap behind a moving watermark is usually just out-of-order
 //     arrival) at stall ages NakTicks+1, +2, +4, +8, …, and ABCAST bindings
-//     behind a stalled delivered prefix;
+//     behind a delivered prefix stalled as long, on the same spacing;
 //   - emits a standalone stability report when traffic is too idle for the
 //     piggybacked ones to circulate.
 func (g *Group) onRecoveryTick() {
@@ -100,14 +100,15 @@ func (g *Group) onRecoveryTick() {
 
 	// ABCAST data waiting for (or bindings waiting for data of) agreed
 	// slots: once the delivered prefix has stalled for a while, ask for the
-	// announcements we may have lost. A prefix that moved since the last
-	// tick is not stalled, however much is in flight behind it.
+	// announcements we may have lost, backing off like the gap NAKs. A
+	// prefix that moved since the last tick is not stalled, however much is
+	// in flight behind it.
 	if next := g.total.NextSeq(); g.total.Pending() > 0 && next == g.ordTickNext {
 		g.ordGapTicks++
 	} else {
 		g.ordGapTicks, g.ordTickNext = 0, next
 	}
-	if g.ordGapTicks > rcfg.NakTicks {
+	if backoffDue(g.ordGapTicks - rcfg.NakTicks) {
 		g.sendOrderNak()
 	}
 

@@ -77,6 +77,37 @@ func TestLoadedAbcastSendsNoOrderNak(t *testing.T) {
 	}
 }
 
+// TestStalledOrderNakBacksOff: the sequencer's announcement of the member's
+// own ABCAST is held back for 20 ticks, stalling the delivered prefix. The
+// order NAK goes out once the stall has outlived NakTicks ticks and then at
+// stall ages +2, +4, +8, +16 — 5 NAKs, where one per stalled tick sent 18 —
+// and the announcement, once it lands, still delivers the cast.
+func TestStalledOrderNakBacksOff(t *testing.T) {
+	const ticks = 20
+	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+	r := newRigView(t, Config{}, p2, p1, p3) // p2 sequences
+	r.do(func() {
+		r.g.castOnActor(types.Total, []byte("x"), 0, nil)
+		for k := 0; k < ticks; k++ {
+			r.g.onRecoveryTick()
+		}
+	})
+	if naks := len(r.net.sentKind(types.KindNakOrder)); naks == 0 || naks > 5 {
+		t.Fatalf("%d order NAKs in %d ticks of a stalled prefix, want 1 to 5", naks, ticks)
+	}
+	var delivered uint64
+	r.do(func() {
+		r.g.onOrder(&types.Message{
+			Kind: types.KindOrder, From: p2, Group: r.g.id, View: 2,
+			ID: types.MsgID{Sender: p1, Seq: 1}, Seq: 1,
+		})
+		delivered = r.g.total.NextSeq() - 1
+	})
+	if delivered != 1 {
+		t.Errorf("delivered %d casts after the announcement, want 1", delivered)
+	}
+}
+
 // TestReportAheadOfCastsCausesNoNak: a sender's report can overtake the
 // casts it covers — a relayed cast travels through the sequencer while the
 // report comes straight — so every tick finds a gap behind it. While the
@@ -104,7 +135,7 @@ func TestReportAheadOfCastsCausesNoNak(t *testing.T) {
 	for i := uint64(1); i <= rounds; i++ {
 		r.do(func() {
 			r.g.onStability(report(i + ahead))
-			r.g.onCast(cast(i))
+			r.g.onCastBatch([]*types.Message{cast(i)}, false)
 			if len(r.g.rel.Missing()) > 0 {
 				gaps++
 			}
@@ -120,8 +151,8 @@ func TestReportAheadOfCastsCausesNoNak(t *testing.T) {
 
 	// Cast rounds+1 is lost; the two after it arrive.
 	r.do(func() {
-		r.g.onCast(cast(rounds + 2))
-		r.g.onCast(cast(rounds + 3))
+		r.g.onCastBatch([]*types.Message{cast(rounds + 2)}, false)
+		r.g.onCastBatch([]*types.Message{cast(rounds + 3)}, false)
 	})
 	for k := 1; k <= nakTicks+1; k++ {
 		r.do(func() { r.g.onRecoveryTick() })
@@ -167,13 +198,13 @@ func TestSlowRetransmissionsBackOff(t *testing.T) {
 		r.do(func() {
 			for _, rg := range answers[k] {
 				for s := rg.Lo; s <= rg.Hi; s++ {
-					r.g.onCast(cast(s))
+					r.g.onCastBatch([]*types.Message{cast(s)}, false)
 				}
 			}
 			for i := 0; k <= ticks && i < perTick; i++ {
 				seq++
 				if seq%4 != 0 {
-					r.g.onCast(cast(seq))
+					r.g.onCastBatch([]*types.Message{cast(seq)}, false)
 				}
 			}
 			r.g.onRecoveryTick()

@@ -63,7 +63,6 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindStateOffer, s.route((*Group).onStateOffer))
 	n.Handle(types.KindStateChunk, s.route((*Group).onStateChunk))
 	n.Handle(types.KindStateNak, s.route((*Group).onStateNak))
-	n.Handle(types.KindCast, s.routeCast)
 	n.HandleBatch(types.KindCast, s.routeCastBatch)
 	n.Handle(types.KindOrder, s.route((*Group).onOrder))
 	n.Handle(types.KindNak, s.route((*Group).onNak))
@@ -202,7 +201,8 @@ func (s *Stack) route(fn func(*Group, *types.Message)) node.Handler {
 	}
 }
 
-// routeCastBatch dispatches a frame-sized run of casts, splitting it into
+// routeCastBatch is the stack's cast handler: the node hands it every run of
+// casts a frame carries, a run of one included. It splits the run into
 // consecutive same-group sub-runs so each group's ordering engines can
 // accept the whole sub-run in one pass.
 func (s *Stack) routeCastBatch(ms []*types.Message) {
@@ -215,26 +215,12 @@ func (s *Stack) routeCastBatch(ms []*types.Message) {
 			if s.det != nil {
 				s.det.Alive(ms[i].From)
 			}
-			g.onCastBatch(ms[i:j])
+			g.onCastBatch(ms[i:j], false)
 		} else {
 			s.disown(ms[i])
 		}
 		i = j
 	}
-}
-
-// routeCast dispatches a single cast like route, and disowns a cast for a
-// group this process holds no record of.
-func (s *Stack) routeCast(m *types.Message) {
-	g, ok := s.lookup(m.Group)
-	if !ok {
-		s.disown(m)
-		return
-	}
-	if s.det != nil {
-		s.det.Alive(m.From)
-	}
-	g.onCast(m)
 }
 
 // disown answers a cast for a group this process holds no record of with a

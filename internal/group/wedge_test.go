@@ -60,10 +60,10 @@ func TestFlushAckLeavesBindingsToTheSequencer(t *testing.T) {
 		for _, b := range bound {
 			r.g.deliverAll(r.g.total.AddOrder(b.Seq, b.ID))
 		}
-		r.g.onCast(&types.Message{
+		r.g.onCastBatch([]*types.Message{{
 			Kind: types.KindCast, From: p3, Group: r.g.id, View: 2,
 			ID: unbound, Ordering: types.Total, Payload: []byte("u"),
-		})
+		}}, false)
 	})
 
 	toSequencer := flushAckTo(r, p2, 7, p2, p1, p3)
@@ -89,7 +89,7 @@ func TestWedgedMemberParksNoHeldCast(t *testing.T) {
 	const held, fresh, copies = 5, 3, 10
 	r := newRig(t, Config{})
 	p2, p3 := tpid(2), tpid(3)
-	r.do(func() { r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, held, 0)) })
+	r.do(func() { r.g.onCastBatch(frameFrom(r.g, p2, p3, 1, held, 0), false) })
 	r.do(func() {})
 	reports := r.net.sentTo(p2, types.KindStability)
 
@@ -106,8 +106,8 @@ func TestWedgedMemberParksNoHeldCast(t *testing.T) {
 	var parked int
 	r.do(func() {
 		r.g.wedged = true
-		r.g.onCastBatch(flood)
-		r.g.onCast(flood[len(flood)-1].Clone())
+		r.g.onCastBatch(flood, false)
+		r.g.onCastBatch([]*types.Message{flood[len(flood)-1].Clone()}, false)
 		parked = len(r.g.parked)
 	})
 	if parked != fresh {
@@ -147,7 +147,7 @@ func TestWedgedMemberIgnoresDeposedRelayBinding(t *testing.T) {
 		r.g.cfg.OnDeliver = func(d Delivery) { delivered = append(delivered, d.ID) }
 		// p3 multicast its first cast (it suspected the sequencer), so p1
 		// holds the data unbound.
-		r.g.onCast(cast(p3, held, 0))
+		r.g.onCastBatch([]*types.Message{cast(p3, held, 0)}, false)
 	})
 	flushAckTo(r, p3, 9, p1, p3) // p3 takes the view change over, deposing p2
 
@@ -159,10 +159,10 @@ func TestWedgedMemberIgnoresDeposedRelayBinding(t *testing.T) {
 	var heldBound, freshBound bool
 	var pending bool
 	r.do(func() {
-		r.g.onCast(cast(p2, held, 1)) // the deposed sequencer's relay, a duplicate here
+		r.g.onCastBatch([]*types.Message{cast(p2, held, 1)}, false) // the deposed sequencer's relay, a duplicate here
 		heldBound = r.g.total.Ordered(held)
 		r.g.onViewInstall(&types.Message{Kind: types.KindViewInstall, From: p3, Group: r.g.id, View: 3, Payload: payload})
-		r.g.onCast(cast(p2, fresh, 2)) // a relay the cut admits
+		r.g.onCastBatch([]*types.Message{cast(p2, fresh, 2)}, false) // a relay the cut admits
 		freshBound = r.g.total.Ordered(fresh)
 		pending = r.g.pending != nil
 	})
@@ -218,7 +218,7 @@ func TestInstallObligesReannouncedSlotsAboveTheCut(t *testing.T) {
 	var parkedN int
 	var pending bool
 	r.do(func() {
-		r.g.onCast(relay(parked, 1))
+		r.g.onCastBatch([]*types.Message{relay(parked, 1)}, false)
 		parkedN = len(r.g.parked)
 		for slot, id := range []types.MsgID{parked, naked} {
 			r.g.onOrder(&types.Message{Kind: types.KindOrder, From: p2, Group: r.g.id, View: 2, ID: id, Seq: uint64(slot + 1)})
@@ -243,10 +243,109 @@ func TestInstallObligesReannouncedSlotsAboveTheCut(t *testing.T) {
 	}
 	var view types.ViewID
 	r.do(func() {
-		r.g.onCast(relay(naked, 2)) // the NAK's answer
+		r.g.onCastBatch([]*types.Message{relay(naked, 2)}, false) // the NAK's answer
 		view = r.g.view.ID
 	})
 	if !slices.Equal(delivered, []types.MsgID{parked, naked}) || view != 3 {
 		t.Errorf("delivered %v in view %d, want %v and view 3", delivered, view, []types.MsgID{parked, naked})
+	}
+}
+
+// TestInstallReplaysHeldCastsThroughTheIntake: both replays an install makes
+// go through the one cast intake. The member, the closing view's sequencer,
+// wedges for a change p2 proposes. Casts parked during the wedge are
+// replayed up to the install's cut — those beyond it are discarded — without
+// a stability report, a folded report or a new ABCAST slot: each was owed
+// its acknowledgement when parked, and the flush froze the closing view's
+// order. Casts that arrived for the next view, out of order and duplicated,
+// are delivered exactly once, in FIFO order, when that view installs.
+func TestInstallReplaysHeldCastsThroughTheIntake(t *testing.T) {
+	p1, p2, p3 := tpid(1), tpid(2), tpid(3)
+	r := newRig(t, Config{InstallGrace: time.Hour}) // p1 coordinates and sequences
+	cast := func(view types.ViewID, from types.ProcessID, seq uint64, o types.Ordering) *types.Message {
+		return &types.Message{
+			Kind: types.KindCast, From: from, Group: r.g.id, View: view,
+			ID: types.MsgID{Sender: from, Seq: seq}, Ordering: o, Payload: []byte{byte(seq)},
+			Stab: []types.StabEntry{{Sender: from, Seq: seq - 1}}, StabOrd: 1,
+		}
+	}
+	type delivery struct {
+		view types.ViewID
+		seq  uint64
+	}
+	var delivered []delivery
+	r.do(func() {
+		r.g.cfg.OnDeliver = func(d Delivery) { delivered = append(delivered, delivery{d.View, d.ID.Seq}) }
+		for _, seq := range []uint64{3, 1, 1, 2} {
+			r.g.onCastBatch([]*types.Message{cast(3, p2, seq, types.FIFO)}, false)
+		}
+	})
+	flushAckTo(r, p2, 5, p1, p2, p3)
+
+	// p3's cast 4 is late; the rest of its casts and an ABCAST of p2's park.
+	abcast := types.MsgID{Sender: p2, Seq: 1}
+	var parked int
+	r.do(func() {
+		var frame []*types.Message
+		for _, seq := range []uint64{1, 2, 3, 5} {
+			frame = append(frame, cast(2, p3, seq, types.FIFO))
+		}
+		r.g.onCastBatch(frame, false)
+		r.g.onCastBatch([]*types.Message{cast(2, p2, abcast.Seq, types.Total)}, false)
+		parked = len(r.g.parked)
+	})
+	r.do(func() {}) // the parked casts' originators are acknowledged now
+	if parked != 5 || len(delivered) != 0 {
+		t.Fatalf("wedged member parked %d casts and delivered %v, want 5 and none", parked, delivered)
+	}
+
+	// The install's cut keeps p2's ABCAST and p3's casts up to 4, so the
+	// member replays p3's casts 1..3, discards its cast 5 and waits for 4.
+	cut := map[types.ProcessID]uint64{p2: 1, p3: 4}
+	proposed := member.NewView(r.g.id, 3, []types.ProcessID{p1, p2, p3})
+	payload := append(types.EncodeString(nil, string(proposed.Encode())), member.EncodeCut(cut)...)
+	payload = types.EncodeUint64(payload, 0)
+	sent := len(r.net.sent)
+	var reportsBefore, reportsAfter uint64
+	var bound, pending bool
+	r.do(func() {
+		reportsBefore = r.g.relStats.Reports
+		r.g.onViewInstall(&types.Message{Kind: types.KindViewInstall, From: p2, Group: r.g.id, View: 3, Payload: payload})
+		reportsAfter = r.g.relStats.Reports
+		bound = r.g.total.Ordered(abcast)
+		pending = r.g.pending != nil && len(r.g.parked) == 0 && r.g.rel.Holds(abcast)
+	})
+	r.do(func() {}) // anything the replay owed would be paid now
+	if want := []delivery{{2, 1}, {2, 2}, {2, 3}}; !slices.Equal(delivered, want) {
+		t.Fatalf("the replay delivered %v, want %v: the parked casts within the cut", delivered, want)
+	}
+	if !pending {
+		t.Fatal("the install did not wait for p3's cast 4 holding p2's ABCAST, or left casts parked")
+	}
+	if bound {
+		t.Error("the replay bound a slot to a parked ABCAST")
+	}
+	if reportsAfter != reportsBefore {
+		t.Errorf("the replay folded %d reports, want 0", reportsAfter-reportsBefore)
+	}
+	r.net.mu.Lock()
+	for _, m := range r.net.sent[sent:] {
+		t.Errorf("the replay sent a %v to %v, want nothing", m.Kind, m.To)
+	}
+	r.net.mu.Unlock()
+
+	// p3's cast 4 completes the install, which replays the next view's casts.
+	var view types.ViewID
+	var held, future int
+	r.do(func() {
+		delivered = nil
+		r.g.onCastBatch([]*types.Message{cast(2, p3, 4, types.FIFO)}, false)
+		view, held, future = r.g.view.ID, r.g.fifo.Pending(), len(r.g.futureCasts)
+	})
+	if want := []delivery{{2, 4}, {3, 1}, {3, 2}, {3, 3}}; view != 3 || !slices.Equal(delivered, want) {
+		t.Errorf("delivered %v and installed view %d, want %v and view 3", delivered, view, want)
+	}
+	if held != 0 || future != 0 {
+		t.Errorf("after the install the FIFO engine holds %d casts and %d wait for a later view, want none", held, future)
 	}
 }

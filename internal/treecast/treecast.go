@@ -130,16 +130,40 @@ func Leaves(root *Stage) []types.GroupID {
 
 // Encode serialises a plan subtree for inclusion in a KindTreeCast message.
 func Encode(root *Stage) []byte {
-	if root == nil {
-		return types.EncodeUint64(nil, 0)
-	}
-	b := types.EncodeUint64(nil, 1)
-	b = append(b, encodeStage(root)...)
-	return b
+	return AppendEncode(make([]byte, 0, EncodedSize(root)), root)
 }
 
-func encodeStage(s *Stage) []byte {
-	b := types.EncodeUint64(nil, uint64(len(s.Leaf.Path)))
+// EncodedSize is the length of root's encoding: a present flag, then the
+// stages depth first, every integer in 8 bytes.
+func EncodedSize(root *Stage) int {
+	if root == nil {
+		return 8
+	}
+	return 8 + stageSize(root)
+}
+
+// stageSize counts a stage's path length, name (length and bytes), path,
+// contact count, contacts (three integers each) and child count, then its
+// children.
+func stageSize(s *Stage) int {
+	n := 8 + 8 + len(s.Leaf.Name) + 8*len(s.Leaf.Path) + 8 + 24*len(s.Contacts) + 8
+	for _, c := range s.Children {
+		n += stageSize(c)
+	}
+	return n
+}
+
+// AppendEncode appends root's encoding (Encode's format) to b and returns
+// the extended buffer.
+func AppendEncode(b []byte, root *Stage) []byte {
+	if root == nil {
+		return types.EncodeUint64(b, 0)
+	}
+	return appendStage(types.EncodeUint64(b, 1), root)
+}
+
+func appendStage(b []byte, s *Stage) []byte {
+	b = types.EncodeUint64(b, uint64(len(s.Leaf.Path)))
 	b = types.EncodeString(b, s.Leaf.Name)
 	for _, p := range s.Leaf.Path {
 		b = types.EncodeUint64(b, uint64(p))
@@ -152,7 +176,7 @@ func encodeStage(s *Stage) []byte {
 	}
 	b = types.EncodeUint64(b, uint64(len(s.Children)))
 	for _, c := range s.Children {
-		b = append(b, encodeStage(c)...)
+		b = appendStage(b, c)
 	}
 	return b
 }

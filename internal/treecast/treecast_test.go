@@ -1,6 +1,7 @@
 package treecast
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -133,6 +134,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	nilPlan, err := Decode(Encode(nil))
 	if err != nil || nilPlan != nil {
 		t.Error("nil plan round trip failed")
+	}
+}
+
+// TestEncodedSizeMatchesAppendEncode: EncodedSize is exactly what
+// AppendEncode writes, for the nil plan and for plans of every shape, so a
+// caller that presizes a frame with it writes the plan without growing the
+// buffer; AppendEncode keeps what the buffer held, and Encode allocates once.
+func TestEncodedSizeMatchesAppendEncode(t *testing.T) {
+	plans := []*Stage{nil}
+	for n := 1; n <= 40; n += 3 {
+		for fanout := 2; fanout <= 6; fanout += 2 {
+			root, err := Plan(descriptors(n), fanout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, root)
+		}
+	}
+	prefix := []byte("frame header")
+	for i, root := range plans {
+		if got, want := len(AppendEncode(nil, root)), EncodedSize(root); got != want {
+			t.Fatalf("plan %d: AppendEncode wrote %d bytes, EncodedSize says %d", i, got, want)
+		}
+		b := AppendEncode(append([]byte(nil), prefix...), root)
+		if !bytes.Equal(b[:len(prefix)], prefix) || !bytes.Equal(b[len(prefix):], Encode(root)) {
+			t.Fatalf("plan %d: AppendEncode after a prefix is not the prefix followed by Encode", i)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = Encode(root) }); allocs != 1 {
+			t.Fatalf("plan %d: Encode made %v allocations, want 1", i, allocs)
+		}
 	}
 }
 
